@@ -223,6 +223,36 @@ class TestVerifyGoldenBytes:
         assert code == 4 and got is None
 
 
+class TestCliGoldenBytes:
+    """mu, count and pn-demo output frozen byte for byte.  The pyramid's
+    apex normal cone has four generators, so the mu golden pins their
+    order; the segment is given top end first."""
+
+    BOX = {"vertices": [[0, 0, 0], [2, 0, 0], [0, 1, 0], [2, 1, 0],
+                        [0, 0, 3], [2, 0, 3], [0, 1, 3], [2, 1, 3]],
+           "name": "box-2x1x3"}
+    SEGMENT = {"vertices": [[3], [-2]], "name": "segment"}
+
+    @pytest.mark.parametrize("golden, poly, argv", [
+        ("mu_pyramid_degree2.json", TestVerifyGoldenBytes.PYRAMID,
+         ["mu", "--degree", "2"]),
+        ("count_box_2x1x3.json", BOX, ["count"]),
+        ("count_segment.json", SEGMENT, ["count"]),
+        ("pn_demo_2.json", None, ["pn-demo", "--n", "2"]),
+    ])
+    def test_golden(self, tmp_path, capsys, golden, poly, argv):
+        if poly is not None:
+            argv = argv + ["--input", write_json(tmp_path / "in.json", poly)]
+        out = tmp_path / "out.json"
+        # the cache keeps the first cone object seen, whose generator order
+        # the mu table prints; start cold as a fresh process would
+        interp.clear_mu_cache()
+        code = cli.main(argv + ["--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 class TestToddCommand:
     def test_coefficients(self, capsys):
         code, out, _ = run_cli(capsys, "todd", "--degree", "6")
