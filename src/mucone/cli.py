@@ -63,7 +63,18 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for --degree and --order."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
         if need_map:
             sp.add_argument("--map", default="ip",
                             help="'ip', 'df', or a map JSON file (default ip)")
-        sp.add_argument("--degree", type=int, default=DEFAULT_ORDER,
+        sp.add_argument("--degree", type=_nonnegative_int, default=DEFAULT_ORDER,
                         help="series truncation degree")
-        sp.add_argument("--order", type=int, default=None,
+        sp.add_argument("--order", type=_nonnegative_int, default=None,
                         help="verification order override (verify only)")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--out", help="write JSON here instead of stdout")
@@ -105,6 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _row_width(data: dict, key: str, path: str) -> int | None:
+    """Check that data[key] is a list of equal-length lists; their length."""
+    rows = data[key]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ParseError(f"{path}: '{key}' must be a list of coordinate lists")
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise ParseError(f"{path}: '{key}' mixes dimensions {sorted(widths)}")
+    return widths.pop() if widths else None
+
+
 def load_input(path: str):
     try:
         data = json.loads(Path(path).read_text())
@@ -113,8 +135,17 @@ def load_input(path: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict) and "generators" in data:
+        width = _row_width(data, "generators", path)
+        ambient = data.get("ambient", width)
+        if type(ambient) is not int or ambient < 0 or width not in (None, ambient):
+            raise ParseError(f"{path}: 'ambient' must be the generators' "
+                             "dimension, and is required when there are none")
         return Cone.from_json(data)
     if isinstance(data, dict) and "vertices" in data:
+        if _row_width(data, "vertices", path) is None:
+            raise ParseError(f"{path}: a polytope needs at least one vertex")
+        if not isinstance(data.get("name", ""), str):
+            raise ParseError(f"{path}: 'name' must be a string")
         return Polytope.from_json(data)
     raise ParseError(f"{path}: expected a 'generators' or 'vertices' object")
 
@@ -195,6 +226,9 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def _verify_one(p: Polytope, cmap, args) -> dict:
+    if args.order is None and args.degree < p.dim:
+        raise ParseError(f"--degree {args.degree} is below the dimension "
+                         f"{p.dim} of {p.name}")
     order = args.degree if args.order is None else args.order + p.dim
     report = verify_interpolator(p, cmap, order=order, seed=args.seed,
                                  cross_validate=args.cross_validate)

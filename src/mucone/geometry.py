@@ -5,11 +5,16 @@ ambient dimension up to the configured cap. Polytopes are given by their
 exact vertex sets (every input point must be a lattice point and extreme).
 Everything here is brute-force exact arithmetic; the intended ambient
 dimensions are small (up to 4).
+
+One routine, cone_facets, finds facets: a polytope's facets are those of
+the cone over it. One rule, _extreme_indices, reads the extreme rays of a
+cone and the vertices of a polytope off their facets.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -93,6 +98,26 @@ def cone_facets(rays: Sequence[Vector]) -> list[tuple[Vector, frozenset[int]]]:
             continue
         found[h] = frozenset(i for i, v in enumerate(vals) if v == 0)
     return sorted(found.items(), key=lambda it: it[0].entries)
+
+
+def _extreme_indices(count: int, facet_sets: Sequence[frozenset[int]]) -> list[int]:
+    """The indices i < count that are extreme, given the index sets of the facets.
+
+    i is extreme exactly when the facets containing it meet in {i} alone.
+    With no facet containing i, the meet is the whole index set. This
+    presumes the indexed points are distinct (rays: distinct primitive
+    generators) and that every proper face is a meet of facets, which
+    holds for a pointed cone of dimension >= 2 and for any polytope.
+    """
+    out = []
+    for i in range(count):
+        meet = frozenset(range(count))
+        for on in facet_sets:
+            if i in on:
+                meet &= on
+        if meet == {i}:
+            out.append(i)
+    return out
 
 
 def cone_contains(rays: Sequence[Vector], x: Vector,
@@ -192,12 +217,12 @@ class Cone:
 
     @cached_property
     def extreme_ray_indices(self) -> tuple[int, ...]:
-        out = []
-        for i, g in enumerate(self.generators):
-            others = [h for j, h in enumerate(self.generators) if j != i]
-            if not cone_contains(others, g):
-                out.append(i)
-        return tuple(out)
+        """Positions of the extreme rays, read off the facets; a cone of
+        dimension <= 1 keeps all its rays."""
+        if self.dim <= 1:
+            return tuple(range(len(self.generators)))
+        return tuple(_extreme_indices(len(self.generators),
+                                      [on for _, on in self.facets]))
 
     def extreme_rays(self) -> list[Vector]:
         return [self.generators[i] for i in self.extreme_ray_indices]
@@ -457,7 +482,11 @@ def subdivide_to_basic(cone: Cone) -> Subdivision:
 
 
 def in_convex_hull(p: Vector, points: Sequence[Vector]) -> bool:
-    """Exact test whether p lies in the convex hull of the points."""
+    """Exact test whether p lies in the convex hull of the points.
+
+    Scans every affinely independent subset of up to n + 1 points: a slow
+    oracle, independent of the facet route that Polytope takes.
+    """
     n = len(p)
     pts = list(points)
     if not pts:
@@ -471,20 +500,6 @@ def in_convex_hull(p: Vector, points: Sequence[Vector]) -> bool:
             if lam is not None and all(x >= 0 for x in lam):
                 return True
     return False
-
-
-def extreme_points(points: Sequence[Vector]) -> list[Vector]:
-    """The extreme points of a finite point set, in first-seen order."""
-    uniq: list[Vector] = []
-    for p in points:
-        if p not in uniq:
-            uniq.append(p)
-    out = []
-    for i, p in enumerate(uniq):
-        others = [q for j, q in enumerate(uniq) if j != i]
-        if not in_convex_hull(p, others):
-            out.append(p)
-    return out
 
 
 class Face:
@@ -517,7 +532,10 @@ class Polytope:
     """Integral polytope given by its exact vertex set.
 
     Every input point must be integral and extreme; the face lattice and
-    facet descriptions are computed once at construction.
+    facet descriptions are computed once at construction. The facets are
+    those of the cone over P (_compute_facets), and an input point is a
+    vertex when the facets through it meet in that point alone
+    (_extreme_indices).
     """
 
     def __init__(self, points: Iterable[Vector], name: str | None = None):
@@ -536,10 +554,6 @@ class Polytope:
         for p in pts:
             if p not in uniq:
                 uniq.append(p)
-        for i, p in enumerate(uniq):
-            others = [q for j, q in enumerate(uniq) if j != i]
-            if others and in_convex_hull(p, others):
-                raise NotExtremeError(f"input point {p} is not a vertex")
         self.vertices = tuple(uniq)
         self.ambient = n
         self.name = name or "polytope"
@@ -552,58 +566,33 @@ class Polytope:
             c = express_in_basis(self._span, v - self._base) if self.dim else Vector([])
             assert c is not None
             self._coords.append(c)
-        self._facet_faces, self._facet_ineqs = self._compute_facets()
+        self._facets = self._compute_facets()
+        extreme = _extreme_indices(len(uniq), [on for _, _, on in self._facets])
+        for i, p in enumerate(uniq):
+            if i not in extreme:
+                raise NotExtremeError(f"input point {p} is not a vertex")
         self.faces = self._compute_face_lattice()
 
-    # facet inequalities are stored in span coordinates: a . coords(x) >= b
-    def _compute_facets(self):
-        m = self.dim
-        nv = len(self.vertices)
-        if m == 0:
-            return [], []
-        if m == 1:
-            # two endpoint facets
-            order = sorted(range(nv), key=lambda i: self._coords[i][0])
-            lo, hi = order[0], order[-1]
-            return (
-                [frozenset([lo]), frozenset([hi])],
-                [(Vector([1]), self._coords[lo][0]),
-                 (Vector([-1]), -self._coords[hi][0])],
-            )
-        found: dict[tuple, tuple[frozenset, Vector, Fraction]] = {}
-        for subset in itertools.combinations(range(nv), m):
-            base = self._coords[subset[0]]
-            diffs = [self._coords[i] - base for i in subset[1:]]
-            if _rank_of(diffs) != m - 1:
-                continue
-            ker = rational_kernel(Matrix([list(d) for d in diffs])) if diffs else []
-            if len(ker) != 1:
-                continue
-            a = primitive(ker[0])
-            b = a.dot(base)
-            vals = [a.dot(c) for c in self._coords]
-            if all(v >= b for v in vals):
-                pass
-            elif all(v <= b for v in vals):
-                a, b = -a, -b
-                vals = [-v for v in vals]
-            else:
-                continue
-            on = frozenset(i for i, v in enumerate(vals) if v == b)
-            found[(a.entries, b)] = (on, a, b)
-        faces = []
-        ineqs = []
-        for key in sorted(found):
-            on, a, b = found[key]
-            faces.append(on)
-            ineqs.append((a, b))
-        return faces, ineqs
+    def _compute_facets(self) -> list[tuple[Vector, Fraction, frozenset[int]]]:
+        """Facets (a, b, vertex indices on it), a . coords(x) >= b on P.
+
+        The inequalities live in span coordinates. P's facets are the
+        facets of the cone over P, spanned by the rays (1, coords(v)): a
+        facet normal h of that cone reads h[1:] . coords(x) >= -h[0] on P,
+        and a is h[1:] made primitive. Sorted by (a, b).
+        """
+        rays = [Vector([1, *c]) for c in self._coords]
+        facets = []
+        for h, on in cone_facets(rays):
+            a = primitive(Vector(h[1:]))
+            facets.append((a, a.dot(self._coords[min(on)]), on))
+        return sorted(facets, key=lambda f: (f[0].entries, f[1]))
 
     def _compute_face_lattice(self) -> list[Face]:
         nv = len(self.vertices)
         full = frozenset(range(nv))
-        sets = {full} | set(self._facet_faces)
-        frontier = list(self._facet_faces)
+        frontier = [on for _, _, on in self._facets]
+        sets = {full, *frontier}
         while True:
             new = set()
             for a in sets:
@@ -646,13 +635,17 @@ class Polytope:
         """Ambient primitive inner normals (a, b, on) with <a, x> >= b on P.
 
         Only available for full-dimensional polytopes, where facet normals
-        are unique up to positive scale.
+        are unique up to positive scale. Computed once per polytope.
         """
         if not self.is_full_dimensional:
             raise NotFullDimError("facet normals need a full-dimensional polytope")
+        return list(self._facet_normals)
+
+    @cached_property
+    def _facet_normals(self) -> tuple[tuple[Vector, Fraction, frozenset[int]], ...]:
         out = []
         span_rows = Matrix([list(s) for s in self._span])
-        for on, (a, b) in zip(self._facet_faces, self._facet_ineqs):
+        for a, _, on in self._facets:
             # find the ambient normal: <amb, s_i> = a_i reproduces the
             # span-coordinate inequality (span is a basis of Q^n here)
             amb = solve_linear(span_rows, a)
@@ -663,7 +656,7 @@ class Polytope:
             assert min(vals) == bb
             assert frozenset(i for i, v in enumerate(vals) if v == bb) == on
             out.append((amb, bb, on))
-        return out
+        return tuple(out)
 
     def contains_point(self, x: Vector) -> bool:
         if self.dim == 0:
@@ -671,7 +664,7 @@ class Polytope:
         c = express_in_basis(self._span, x - self._base)
         if c is None:
             return False
-        return all(a.dot(c) >= b for a, b in self._facet_ineqs)
+        return all(a.dot(c) >= b for a, b, _ in self._facets)
 
     def lattice_points(self, cap: int = LATTICE_POINT_CAP) -> list[Vector]:
         los = [min(v[i] for v in self.vertices) for i in range(self.ambient)]
@@ -706,7 +699,13 @@ class Polytope:
 
 
 def normal_cone(p: Polytope, f: Face) -> Cone:
-    """Inner-normal cone of P along the face F (full-dimensional P only)."""
+    """Inner-normal cone of P along the face F (full-dimensional P only).
+
+    P itself lies on no facet, so its normal cone is the zero cone, for a
+    polytope of any dimension.
+    """
+    if f.dim == p.dim:
+        return zero_cone(p.ambient)
     if not p.is_full_dimensional:
         raise NotFullDimError("normal cones need a full-dimensional polytope")
     gens = [a for a, b, on in p.facet_normals() if f.indices <= on]
@@ -772,6 +771,27 @@ def triangulate_face(f: Face) -> list[tuple[int, ...]]:
     return rec(f)
 
 
+def lattice_simplices(f: Face) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(simplex, |det|) over the pulling triangulation of a face of dim >= 1.
+
+    |det| is taken in a basis of the lattice induced on the face's affine
+    span, so it is dim(F)! times the simplex's normalized volume.
+    """
+    p = f.polytope
+    verts = f.vertices
+    sat = saturation_basis([v - verts[0] for v in verts[1:]])
+    out = []
+    for simplex in triangulate_face(f):
+        z = [p.vertices[i] for i in simplex]
+        cols = []
+        for zz in z[1:]:
+            c = express_in_basis(sat, zz - z[0])
+            assert c is not None and c.is_integral
+            cols.append(list(c))
+        out.append((simplex, abs(Matrix.from_columns(cols).det())))
+    return out
+
+
 def normalized_volume(f: Face) -> Fraction:
     """Lattice-normalized volume of a face within its affine span.
 
@@ -780,19 +800,4 @@ def normalized_volume(f: Face) -> Fraction:
     """
     if f.dim == 0:
         return Fraction(1)
-    p = f.polytope
-    verts = f.vertices
-    sat = saturation_basis([v - verts[0] for v in verts[1:]])
-    total = Fraction(0)
-    fact = 1
-    for i in range(1, f.dim + 1):
-        fact *= i
-    for simplex in triangulate_face(f):
-        z = [p.vertices[i] for i in simplex]
-        cols = []
-        for zz in z[1:]:
-            c = express_in_basis(sat, zz - z[0])
-            assert c is not None and c.is_integral
-            cols.append(list(c))
-        total += abs(Matrix.from_columns(cols).det()) / fact
-    return total
+    return sum((det for _, det in lattice_simplices(f)), Fraction(0)) / math.factorial(f.dim)

@@ -25,7 +25,7 @@ from .errors import (
     NotPointedError,
     VectorNotInSubspaceError,
 )
-from .geometry import Cone, Polytope, normal_cone, subdivide_to_basic, zero_cone
+from .geometry import Cone, Polytope, normal_cone, subdivide_to_basic
 from .linalg import Vector, dual_basis, format_rational
 from .series import (
     LaurentSeries,
@@ -40,14 +40,6 @@ from .series import (
 )
 
 DEFAULT_ORDER = 6
-
-
-def _fit(series: MultiSeries, order: int) -> MultiSeries:
-    if series.order == order:
-        return series
-    if series.order > order:
-        return series.truncate(order)
-    raise ValueError(f"coefficient known only to degree {series.order}, need {order}")
 
 
 class CoefficientRing:
@@ -110,7 +102,7 @@ class RingElement:
                     raise ValueError(f"bad exponent vector {expo}")
                 if sum(expo) > cap:
                     continue
-                c = _fit(coeff, order)
+                c = coeff.truncate(order)
                 if not c.is_zero:
                     self.terms[expo] = c
 
@@ -146,7 +138,8 @@ class RingElement:
         out = dict(self.terms)
         for e, c in other.terms.items():
             got = out.get(e)
-            out[e] = _fit(c, self.order) if got is None else got + _fit(c, self.order)
+            c = c.truncate(self.order)
+            out[e] = c if got is None else got + c
         return self._like(out)
 
     def __neg__(self) -> "RingElement":
@@ -166,7 +159,7 @@ class RingElement:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 if sum(e) > self.cap:
                     continue
-                c = _fit(c1 * c2, self.order)
+                c = (c1 * c2).truncate(self.order)
                 got = out.get(e)
                 out[e] = c if got is None else got + c
         return self._like(out)
@@ -199,7 +192,7 @@ class SquarefreeExpr:
         self.nvars = cone.ambient if nvars is None else nvars
         self.coeffs: dict[frozenset[int], MultiSeries] = {}
         for s, c in coeffs.items():
-            c = _fit(c, order)
+            c = c.truncate(order)
             if not c.is_zero:
                 self.coeffs[frozenset(s)] = c
 
@@ -297,7 +290,7 @@ class SquarefreeReducer:
         out: dict[frozenset[int], MultiSeries] = {}
 
         def bump(s, c):
-            c = _fit(c, self.order)
+            c = c.truncate(self.order)
             got = out.get(s)
             out[s] = c if got is None else got + c
 
@@ -318,7 +311,7 @@ class SquarefreeReducer:
         for expo in sorted(elem.terms):
             coeff = elem.terms[expo]
             for s, c in self.reduce_monomial(expo).items():
-                add = _fit(coeff * c, self.order)
+                add = (coeff * c).truncate(self.order)
                 got = acc.get(s)
                 acc[s] = add if got is None else got + add
         return SquarefreeExpr(self.cone, self.order, acc, self.ring.nvars)
@@ -420,7 +413,7 @@ class MuValue:
         self.cone = cone
         self.map_key = map_key
         self.order = order
-        self.series = _fit(series, order)
+        self.series = series.truncate(order)
         self.provenance = provenance
 
     @property
@@ -553,7 +546,7 @@ def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
         raise InconsistentExplicitFormulaError(
             f"chain-sum numerator not divisible by its denominator: "
             f"cone={cone!r} map={cmap.describe()}") from exc
-    return MuValue(cone, cmap.key(), order, _fit(series, order), "explicit")
+    return MuValue(cone, cmap.key(), order, series.truncate(order), "explicit")
 
 
 # -- the full mu, any pointed generic cone ------------------------------------
@@ -650,12 +643,6 @@ class MuTable:
         self.order = order
         self.entries = tuple(entries)  # (Face, MuValue), face-lattice order
 
-    def value_for(self, face) -> MuValue:
-        for f, v in self.entries:
-            if f.indices == face.indices:
-                return v
-        raise KeyError(f"face {sorted(face.indices)} not in table")
-
     def to_json(self) -> list:
         out = []
         for f, v in self.entries:
@@ -677,13 +664,8 @@ class MuTable:
 def mu_table(polytope: Polytope, cmap, order: int = DEFAULT_ORDER,
              cross_validate: bool = False) -> MuTable:
     """mu over the whole face lattice; faces ordered by (dim, vertex set)."""
-    entries = []
-    for f in polytope.faces:
-        if f.indices == polytope.whole_face.indices:
-            cone = zero_cone(polytope.ambient)
-        else:
-            cone = normal_cone(polytope, f)
-        entries.append((f, mu(cone, cmap, order, cross_validate)))
+    entries = [(f, mu(normal_cone(polytope, f), cmap, order, cross_validate))
+               for f in polytope.faces]
     return MuTable(polytope, cmap.key(), order, entries)
 
 
@@ -706,5 +688,5 @@ def evaluation_map(elem: RingElement, cone: Cone):
         for i, e in enumerate(expo):
             for _ in range(e):
                 term = term * forms[i]
-        num = num + _fit(coeff * term, elem.order)
+        num = num + (coeff * term).truncate(elem.order)
     return num, tuple(duals)

@@ -96,22 +96,18 @@ class MultiSeries:
         return min(_degree(e) for e in self.coeffs)
 
     def truncate(self, order: int) -> "MultiSeries":
+        """The series through total degree `order`; ValueError above self.order."""
         if order >= self.order:
             if order == self.order:
                 return self
-            raise ValueError("cannot extend a truncated series")
+            raise ValueError(
+                f"series known only to degree {self.order}, need {order}")
         return MultiSeries._trusted(
             self.nvars, order,
             {e: c for e, c in self.coeffs.items() if _degree(e) <= order})
 
     def coefficient(self, expo: Iterable[int]) -> Fraction:
         return self.coeffs.get(tuple(expo), Fraction(0))
-
-    def homogeneous_part(self, r: int) -> "MultiSeries":
-        return MultiSeries(
-            self.nvars, self.order,
-            {e: c for e, c in self.coeffs.items() if _degree(e) == r},
-        )
 
     @property
     def is_zero(self) -> bool:
@@ -237,8 +233,7 @@ def compose_linear(coeffs: Sequence, form: Vector, order: int) -> MultiSeries:
         if c != 0:
             out = out + power.scale(c)
         if r < min(len(coeffs) - 1, order):
-            power = power * ell
-            power = MultiSeries(power.nvars, order, power.coeffs)
+            power = (power * ell).truncate(order)
     return out
 
 
@@ -255,7 +250,7 @@ def compose_multivariate(series: MultiSeries, forms: Sequence[Vector], order: in
     def power(i: int, k: int) -> MultiSeries:
         while len(powers[i]) <= k:
             nxt = powers[i][-1] * MultiSeries.from_linear(forms[i], order)
-            powers[i].append(MultiSeries(nxt.nvars, order, nxt.coeffs))
+            powers[i].append(nxt.truncate(order))
         return powers[i][k]
 
     out = MultiSeries.zero(nvars, order)
@@ -266,7 +261,7 @@ def compose_multivariate(series: MultiSeries, forms: Sequence[Vector], order: in
         for i, k in enumerate(expo):
             if k:
                 term = term * power(i, k)
-        out = out + MultiSeries(term.nvars, order, term.coeffs)
+        out = out + term.truncate(order)
     return out
 
 
@@ -581,9 +576,5 @@ def combine_over_common_denominator(
             missing = union[p] - counts.get(p, 0)
             for _ in range(missing):
                 scaled = scaled * MultiSeries.from_linear(p, target)
-        if scaled.order < target:
-            raise ValueError(
-                f"term numerator known only to degree {scaled.order}, need {target}"
-            )
-        total = total + MultiSeries(nvars, target, scaled.coeffs)
+        total = total + scaled.truncate(target)
     return total, tuple(union_list)

@@ -20,21 +20,14 @@ from .geometry import (
     Cone,
     Face,
     Polytope,
+    lattice_simplices,
     normal_cone,
     normalized_volume,
     subdivide_to_basic,
     supporting_cone,
-    triangulate_face,
-    zero_cone,
 )
 from .interp import DEFAULT_ORDER, MuTable, mu_on_line, mu_table
-from .linalg import (
-    Matrix,
-    Vector,
-    express_in_basis,
-    format_rational,
-    saturation_basis,
-)
+from .linalg import Matrix, Vector, format_rational
 from .series import LaurentSeries, restrict_to_direction
 
 DEFAULT_SEED = 1729
@@ -147,20 +140,11 @@ def i_face_series(f: Face, y0, q: int) -> LaurentSeries:
     if m == 0:
         (vi,) = f.indices
         return LaurentSeries.exp_taylor(-y.dot(p.vertices[vi]), q)
-    verts = f.vertices
-    sat = saturation_basis([v - verts[0] for v in verts[1:]])
     coeffs = [Fraction(0)] * (q + 1)
-    for simplex in triangulate_face(f):
-        z = [p.vertices[i] for i in simplex]
-        cols = []
-        for zz in z[1:]:
-            c = express_in_basis(sat, zz - z[0])
-            assert c is not None and c.is_integral
-            cols.append(list(c))
-        det = abs(Matrix.from_columns(cols).det())
+    for simplex, det in lattice_simplices(f):
         if det == 0:
             continue
-        h = _homogeneous_sums([y.dot(v) for v in z], q)
+        h = _homogeneous_sums([y.dot(p.vertices[i]) for i in simplex], q)
         denom = 1
         for i in range(1, m + 1):
             denom *= i
@@ -246,16 +230,12 @@ class IdentityReport:
 def _normal_cone_cells(p: Polytope) -> list[tuple[Face, Cone, tuple[Cone, ...]]]:
     """(face, normal cone, its basic cells) for every face, in face order.
 
-    The whole face gets the zero cone.  Each non-basic cone is subdivided
-    here once, and both the direction constraints and the mu sums use
-    these cells.
+    Each non-basic cone is subdivided here once, and both the direction
+    constraints and the mu sums use these cells.
     """
     out = []
     for f in p.faces:
-        if f.indices == p.whole_face.indices:
-            nc = zero_cone(p.ambient)
-        else:
-            nc = normal_cone(p, f)
+        nc = normal_cone(p, f)
         cells = (nc,) if nc.is_basic else subdivide_to_basic(nc).children
         out.append((f, nc, cells))
     return out

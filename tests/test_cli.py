@@ -333,6 +333,37 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "mu", "--input", quadrant, "--map", mp)
         assert code == 1 and "dimension" in err
 
+    TRIANGLE = {"vertices": [[0, 0], [2, 0], [0, 2]], "name": "tri2"}
+
+    @pytest.mark.parametrize("argv, data", [
+        (["count"], {"vertices": []}),
+        (["count"], {"vertices": [[0, 0], [1]]}),
+        (["count"], {"vertices": [[0, 0], [1, 0], [0, 1]], "name": 5}),
+        (["count"], {"vertices": 5}),
+        (["mu", "--degree", "-1"], TRIANGLE),
+        (["verify", "--degree", "1"], TRIANGLE),
+        (["verify", "--order", "-1"], TRIANGLE),
+        (["mu"], {"generators": []}),
+        (["mu"], {"generators": [[1, 0], [1]]}),
+        (["mu"], {"ambient": 3, "generators": [[1, 0]]}),
+    ], ids=["no-vertices", "mixed-dim-vertices", "non-string-name",
+            "vertices-not-a-list", "negative-degree", "degree-below-dim",
+            "negative-order", "no-generators-no-ambient",
+            "mixed-dim-generators", "ambient-mismatch"])
+    def test_malformed_input_exits_1(self, capsys, tmp_path, argv, data):
+        path = write_json(tmp_path / "in.json", data)
+        code, out, err = run_cli(capsys, *argv, "--input", path)
+        assert code == 1 and out == ""
+        assert "error:" in err and "unexpected" not in err
+        assert "Traceback" not in err
+
+    def test_non_extreme_input_exits_1(self, capsys, tmp_path):
+        path = write_json(tmp_path / "mid.json",
+                          {"vertices": [[0, 0], [1, 0], [2, 0], [0, 2]]})
+        code, _, err = run_cli(capsys, "count", "--input", path)
+        assert code == 1
+        assert "NotExtremeError: input point Vector(1, 0) is not a vertex" in err
+
     def test_non_integral_polytope(self, capsys, tmp_path):
         path = write_json(tmp_path / "half.json",
                           {"vertices": [["0", "0"], ["1/2", "0"], ["0", "1"]]})

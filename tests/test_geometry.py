@@ -25,7 +25,7 @@ from mucone.errors import (
 from mucone.geometry import (
     Cone,
     Polytope,
-    extreme_points,
+    cone_contains,
     in_convex_hull,
     normal_cone,
     normalized_volume,
@@ -173,9 +173,49 @@ class TestHullHelpers:
         assert in_convex_hull(V(0, 0), pts)
         assert not in_convex_hull(V(2, 1), pts)
 
-    def test_extreme_points(self):
-        pts = [V(0, 0), V(1, 0), V(2, 0), V(0, 2)]
-        assert extreme_points(pts) == [V(0, 0), V(2, 0), V(0, 2)]
+    @pytest.mark.parametrize("dim, trials", [(1, 40), (2, 40), (3, 16)])
+    def test_polytope_agrees_with_hull_oracle(self, dim, trials):
+        """Polytope finds vertices and facets through the cone over P;
+        in_convex_hull decides the same questions by brute force."""
+        rng = random.Random(1000 + dim)
+        for _ in range(trials):
+            pts = [Vector([rng.randint(0, 6) for _ in range(dim)])
+                   for _ in range(rng.randint(1, dim + 3))]
+            if dim > 1 and rng.random() < 0.3:
+                # a flat set: the last coordinate copies the first
+                pts = [Vector(list(p)[:-1] + [p[0]]) for p in pts]
+            uniq = list(dict.fromkeys(pts))
+            inside = [p for i, p in enumerate(uniq)
+                      if in_convex_hull(p, uniq[:i] + uniq[i + 1:])]
+            if inside:
+                with pytest.raises(NotExtremeError) as err:
+                    Polytope(pts)
+                assert str(err.value) == f"input point {inside[0]} is not a vertex"
+                continue
+            poly = Polytope(pts)
+            assert list(poly.vertices) == uniq
+            box = [range(int(min(c)), int(max(c)) + 1) for c in zip(*uniq)]
+            for xs in itertools.product(*box):
+                x = Vector(xs)
+                assert poly.contains_point(x) == in_convex_hull(x, uniq), (uniq, x)
+
+    def test_cone_extreme_rays_agree_with_membership(self):
+        """A ray is extreme exactly when the other rays do not generate it."""
+        rng = random.Random(31)
+        checked = 0
+        while checked < 60:
+            n = rng.choice([2, 3])
+            gens = [Vector([rng.randint(-3, 3) for _ in range(n)])
+                    for _ in range(rng.randint(1, n + 3))]
+            try:
+                c = Cone([g for g in gens if not g.is_zero], ambient=n)
+            except NotPointedError:
+                continue
+            rays = c.generators
+            want = tuple(i for i, g in enumerate(rays)
+                         if not cone_contains(rays[:i] + rays[i + 1:], g))
+            assert c.extreme_ray_indices == want, rays
+            checked += 1
 
 
 class TestPolytope:
