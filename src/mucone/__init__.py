@@ -46,7 +46,6 @@ from .geometry import (
     normal_cone,
     normalized_volume,
     subdivide_to_basic,
-    tangent_cone,
     zero_cone,
 )
 from .interp import (
@@ -56,18 +55,13 @@ from .interp import (
     RingElement,
     SquarefreeExpr,
     SquarefreeReducer,
-    chain_sum,
     clear_mu_cache,
-    evaluation_map,
-    ideal_generators,
-    linear_relation,
     mu,
     mu_basic,
     mu_explicit,
     mu_on_line,
     mu_table,
     pivot_vector,
-    reduce_to_squarefree,
     td_element,
 )
 from .linalg import Matrix, Vector, format_rational, parse_rational, primitive
@@ -108,12 +102,10 @@ __all__ = [
     "NotPointedError", "ParseError", "TooLargeError", "UnknownRayError",
     "VectorNotInSubspaceError",
     "Cone", "Face", "Polytope", "Subdivision", "normal_cone",
-    "normalized_volume", "subdivide_to_basic", "tangent_cone", "zero_cone",
+    "normalized_volume", "subdivide_to_basic", "zero_cone",
     "DEFAULT_ORDER", "MuTable", "MuValue", "RingElement", "SquarefreeExpr",
-    "SquarefreeReducer", "chain_sum", "clear_mu_cache", "evaluation_map",
-    "ideal_generators", "linear_relation", "mu", "mu_basic", "mu_explicit",
-    "mu_on_line", "mu_table", "pivot_vector", "reduce_to_squarefree",
-    "td_element",
+    "SquarefreeReducer", "clear_mu_cache", "mu", "mu_basic", "mu_explicit",
+    "mu_on_line", "mu_table", "pivot_vector", "td_element",
     "Matrix", "Vector", "format_rational", "parse_rational", "primitive",
     "LaurentSeries", "MultiSeries", "compose_linear", "compose_multivariate",
     "restrict_to_direction", "t2_series", "t_series", "todd_univariate",

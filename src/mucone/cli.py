@@ -277,72 +277,72 @@ def cmd_todd(args) -> tuple[dict, int]:
     return body, EXIT_PASS
 
 
-def cmd_pn_demo(args) -> tuple[dict, int]:
-    n = args.n
-    if not 1 <= n <= 4:
-        raise ParseError("--n must be between 1 and 4")
-    d = args.degree
+def pn_demo(n: int, degree: int) -> dict:
+    """mu over the projective fan of dimension n under the cyclic ray table,
+    checked against the closed forms: 1/2 on each ray, 1/3 on a pair of
+    cyclically consecutive rays and 1/4 on any other pair, with the full
+    series of each pair through `degree`.  Larger cones are tabled at
+    degree 0.  "all_checks_passed" says whether every check held.
+    """
+    d = degree
     cmap = diaconis_fulton_map(n)
     rays = projective_fan_rays(n)
     k = n + 1
+
+    def t(form):
+        return compose_linear(t_series(d), form, d)
+
     checks = []
-    ok = True
-
-    def record(cone, val, expected, label):
-        nonlocal ok
-        good = val == expected
-        ok = ok and good
-        checks.append({
-            "cone_rays": [r.to_json() for r in cone.generators],
-            "kind": label,
-            "mu0": format_rational(val),
-            "expected": format_rational(expected),
-            "ok": good,
-        })
-
     table = []
     for cone in projective_fan_cones(n):
         size = len(cone.generators)
-        order = d if size <= 2 else 0
-        val = mu(cone, cmap, order)
+        val = mu(cone, cmap, d if size <= 2 else 0)
+        cone_rays = [r.to_json() for r in cone.generators]
         table.append({
-            "cone_rays": [r.to_json() for r in cone.generators],
+            "cone_rays": cone_rays,
             "size": size,
             "mu0": format_rational(val.mu0),
             "series": val.series.to_json() if size <= 2 else None,
         })
+        if size > 2:
+            continue
+        want = None
         if size == 1:
-            record(cone, val.mu0, Fraction(1, 2), "ray")
-        elif size == 2:
+            kind, expected = "ray", Fraction(1, 2)
+        else:
             i, j = (rays.index(g) for g in cone.generators)
             if consecutive_mod(i, j, n):
-                record(cone, val.mu0, Fraction(1, 3), "consecutive-pair")
                 lo, hi = (i, j) if (j - i) % k == 1 else (j, i)
                 ui, uj = cmap.table[rays[lo]], cmap.table[rays[hi]]
-                t2 = compose_multivariate(t2_series(d), [ui, uj], d)
-                tsum = compose_linear(t_series(d), ui + uj, d)
-                tj = compose_linear(t_series(d), uj, d)
-                want = t2 + tsum * tj
-                if not val.series.agrees_with(want, through=d):
-                    ok = False
-                    checks.append({"cone_rays": [r.to_json() for r in cone.generators],
-                                   "kind": "consecutive-series", "ok": False})
-                else:
-                    checks.append({"cone_rays": [r.to_json() for r in cone.generators],
-                                   "kind": "consecutive-series", "ok": True})
+                kind, expected = "consecutive", Fraction(1, 3)
+                want = (compose_multivariate(t2_series(d), [ui, uj], d)
+                        + t(ui + uj) * t(uj))
             else:
-                record(cone, val.mu0, Fraction(1, 4), "nonconsecutive-pair")
                 ui, uj = cmap.table[rays[i]], cmap.table[rays[j]]
-                want = (compose_linear(t_series(d), ui, d)
-                        * compose_linear(t_series(d), uj, d))
-                checks.append({"cone_rays": [r.to_json() for r in cone.generators],
-                               "kind": "nonconsecutive-series",
-                               "ok": val.series.agrees_with(want, through=d)})
-                ok = ok and checks[-1]["ok"]
-    if not ok:
+                kind, expected = "nonconsecutive", Fraction(1, 4)
+                want = t(ui) * t(uj)
+        checks.append({
+            "cone_rays": cone_rays,
+            "kind": kind if want is None else kind + "-pair",
+            "mu0": format_rational(val.mu0),
+            "expected": format_rational(expected),
+            "ok": val.mu0 == expected,
+        })
+        if want is not None:
+            checks.append({"cone_rays": cone_rays, "kind": kind + "-series",
+                           "ok": val.series.agrees_with(want, through=d)})
+    return {"n": n, "degree": d, "map": cmap.describe(),
+            "all_checks_passed": all(c["ok"] for c in checks),
+            "checks": checks, "mu_table": table}
+
+
+def cmd_pn_demo(args) -> tuple[dict, int]:
+    if not 1 <= args.n <= 4:
+        raise ParseError("--n must be between 1 and 4")
+    body = pn_demo(args.n, args.degree)
+    if not body["all_checks_passed"]:
         raise InternalInconsistencyError("projective-fan demo checks failed")
-    body = {"n": n, "degree": d, "seed": args.seed, "map": cmap.describe(),
-            "all_checks_passed": ok, "checks": checks, "mu_table": table}
+    body["seed"] = args.seed
     return body, EXIT_PASS
 
 

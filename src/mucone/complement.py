@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import NotGenericError, UnknownRayError
 from .geometry import Cone, _rank_of, _span_basis, subdivide_to_basic
-from .linalg import Matrix, Vector, primitive, rational_kernel, solve_linear, unit_vector
+from .linalg import Matrix, Vector, primitive, solve_linear, unit_vector
 
 
 class PsiSubspace:

@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
-    DependentGeneratorsError,
     DimensionTooLargeError,
     InternalInconsistencyError,
     NotExtremeError,
@@ -76,6 +75,9 @@ def cone_facets(rays: Sequence[Vector]) -> list[tuple[Vector, frozenset[int]]]:
     span = _span_basis(rays)
     found: dict[Vector, frozenset[int]] = {}
     for subset in itertools.combinations(range(len(rays)), k - 1):
+        # rays on a known facet span at most its hyperplane: nothing new
+        if any(on.issuperset(subset) for on in found.values()):
+            continue
         sub = [rays[i] for i in subset]
         if _rank_of(sub) != k - 1:
             continue
@@ -142,14 +144,14 @@ def cone_contains(rays: Sequence[Vector], x: Vector,
 class Cone:
     """Pointed rational cone, stored by primitive ray generators.
 
-    Generators are primitivized and deduplicated at construction but
-    otherwise kept in the given order. Equality and hashing use the
-    generator set, so two descriptions of the same cone by the same
-    irredundant rays coincide.
+    Pointedness is an invariant: construction raises NotPointedError when
+    the generators admit a nontrivial nonnegative dependency. Generators
+    are primitivized and deduplicated at construction but otherwise kept
+    in the given order. Equality and hashing use the generator set, so two
+    descriptions of the same cone by the same irredundant rays coincide.
     """
 
-    def __init__(self, generators: Iterable[Vector], ambient: int | None = None,
-                 check_pointed: bool = True):
+    def __init__(self, generators: Iterable[Vector], ambient: int | None = None):
         gens: list[Vector] = []
         for g in generators:
             p = primitive(g)
@@ -169,7 +171,7 @@ class Cone:
             raise InternalInconsistencyError("non-integral primitive ray")
         self.generators = tuple(gens)
         self.ambient = ambient
-        if check_pointed and not self.is_pointed:
+        if not self.is_pointed:
             raise NotPointedError(f"cone is not pointed: {gens}")
 
     @cached_property
@@ -197,9 +199,12 @@ class Cone:
     @cached_property
     def is_pointed(self) -> bool:
         # pointed iff no nontrivial nonnegative dependency among the rays;
-        # it suffices to scan minimal dependent subsets (1-dim kernels)
+        # it suffices to scan minimal dependent subsets (1-dim kernels),
+        # and independent rays have no dependency at all
         rays = self.generators
-        r = _rank_of(rays)
+        r = self.dim
+        if r == len(rays):
+            return True
         for size in range(2, r + 2):
             for subset in itertools.combinations(range(len(rays)), size):
                 m = Matrix.from_columns([list(rays[i]) for i in subset])
@@ -228,38 +233,7 @@ class Cone:
         return [self.generators[i] for i in self.extreme_ray_indices]
 
     def contains(self, x: Vector) -> bool:
-        if not self.is_pointed:
-            raise NotPointedError("membership test implemented for pointed cones")
         return cone_contains(self.generators, x, self.facets)
-
-    def face_index_sets(self) -> list[frozenset[int]]:
-        """All faces, as generator index sets (zero face = empty set).
-
-        For a simplicial cone these are exactly the subsets of the
-        generators; in general they come from intersecting facets.
-        """
-        n = len(self.generators)
-        if self.is_simplicial:
-            return [frozenset(s)
-                    for size in range(n + 1)
-                    for s in itertools.combinations(range(n), size)]
-        full = frozenset(range(n))
-        sets = {full, frozenset()}
-        frontier = {fs for _, fs in self.facets}
-        sets |= frontier
-        while True:
-            new = set()
-            for a in sets:
-                for b in frontier:
-                    c = a & b
-                    if c not in sets:
-                        new.add(c)
-            if not new:
-                return sorted(sets, key=lambda s: (len(s), sorted(s)))
-            sets |= new
-
-    def face_cone(self, indices: Iterable[int]) -> "Cone":
-        return Cone([self.generators[i] for i in indices], self.ambient)
 
     def __eq__(self, other):
         return (isinstance(other, Cone)
@@ -304,11 +278,10 @@ class Subdivision:
     produced by construction, never parsed from input.
     """
 
-    def __init__(self, parent: Cone, children: Sequence[Cone], certify: bool = True):
+    def __init__(self, parent: Cone, children: Sequence[Cone]):
         self.parent = parent
         self.children = tuple(children)
-        if certify:
-            self._certify()
+        self._certify()
 
     def _certify(self):
         parent, children = self.parent, self.children
@@ -428,11 +401,7 @@ def subdivide_to_basic(cone: Cone) -> Subdivision:
     the subdivision face-to-face; each affected cell's index strictly
     drops, so the loop terminates.
     """
-    if cone.is_zero:
-        return Subdivision(cone, [cone])
-    if not cone.is_pointed:
-        raise NotPointedError("subdivide_to_basic needs a pointed cone")
-    if cone.is_basic:
+    if cone.is_zero or cone.is_basic:
         return Subdivision(cone, [cone])
 
     rays = sorted(cone.extreme_rays(), key=lambda r: r.entries)
@@ -710,25 +679,6 @@ def normal_cone(p: Polytope, f: Face) -> Cone:
         raise NotFullDimError("normal cones need a full-dimensional polytope")
     gens = [a for a, b, on in p.facet_normals() if f.indices <= on]
     return Cone(gens, ambient=p.ambient)
-
-
-def tangent_cone(p: Polytope, f: Face) -> Cone:
-    """Cone of directions into P from a relative-interior point of F.
-
-    Not pointed when dim F > 0 (it contains the span of F), so the
-    pointedness check is skipped; vertex tangent cones are pointed.
-    """
-    k = len(f.indices)
-    f0 = Vector([Fraction(0)] * p.ambient)
-    for i in f.indices:
-        f0 = f0 + p.vertices[i]
-    f0 = Vector(e / k for e in f0)
-    gens = []
-    for v in p.vertices:
-        d = v - f0
-        if not d.is_zero:
-            gens.append(d)
-    return Cone(gens, ambient=p.ambient, check_pointed=False)
 
 
 def supporting_cone(p: Polytope, f: Face) -> tuple[Vector, Cone]:

@@ -18,22 +18,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import (
-    InconsistentExplicitFormulaError,
-    InternalInconsistencyError,
-    NotFullDimError,
-    NotPointedError,
-    VectorNotInSubspaceError,
-)
+from .errors import InconsistentExplicitFormulaError, InternalInconsistencyError
 from .geometry import Cone, Polytope, normal_cone, subdivide_to_basic
-from .linalg import Vector, dual_basis, format_rational
+from .linalg import Vector, format_rational
 from .series import (
     LaurentSeries,
     MultiSeries,
     RationalFunctionTerm,
-    _sign_canonical,
     combine_over_common_denominator,
     compose_linear,
+    denominator_union,
     divide_by_linear_form,
     restrict_to_direction,
     todd_univariate,
@@ -106,15 +100,6 @@ class RingElement:
                 if not c.is_zero:
                     self.terms[expo] = c
 
-    @classmethod
-    def zero(cls, k: int, nvars: int, order: int, cap: int) -> "RingElement":
-        return cls(k, nvars, order, cap)
-
-    @classmethod
-    def one(cls, k: int, nvars: int, order: int, cap: int) -> "RingElement":
-        return cls(k, nvars, order, cap,
-                   {(0,) * k: MultiSeries.constant(1, nvars, order)})
-
     def coefficient(self, expo) -> MultiSeries:
         got = self.terms.get(tuple(expo))
         return got if got is not None else MultiSeries.zero(self.nvars, self.order)
@@ -125,52 +110,6 @@ class RingElement:
 
     def d_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def _like(self, terms) -> "RingElement":
-        return RingElement(self.k, self.nvars, self.order, self.cap, terms)
-
-    def _check(self, other: "RingElement"):
-        if (self.k, self.nvars) != (other.k, other.nvars):
-            raise ValueError("ring mismatch")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            got = out.get(e)
-            c = c.truncate(self.order)
-            out[e] = c if got is None else got + c
-        return self._like(out)
-
-    def __neg__(self) -> "RingElement":
-        return self._like({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
-
-    def scale(self, c) -> "RingElement":
-        return self._like({e: s.scale(c) for e, s in self.terms.items()})
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        out: dict[tuple[int, ...], MultiSeries] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > self.cap:
-                    continue
-                c = (c1 * c2).truncate(self.order)
-                got = out.get(e)
-                out[e] = c if got is None else got + c
-        return self._like(out)
-
-    def __eq__(self, other):
-        return (isinstance(other, RingElement)
-                and (self.k, self.nvars) == (other.k, other.nvars)
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.k, self.nvars, frozenset(self.terms)))
 
     def __repr__(self):
         bits = []
@@ -202,12 +141,6 @@ class SquarefreeExpr:
 
     def support(self) -> set[frozenset[int]]:
         return set(self.coeffs)
-
-    def as_ring_element(self) -> RingElement:
-        k = len(self.cone.generators)
-        terms = {tuple(1 if i in s else 0 for i in range(k)): c
-                 for s, c in self.coeffs.items()}
-        return RingElement(k, self.nvars, self.order, k + self.order, terms)
 
     def __eq__(self, other):
         return (isinstance(other, SquarefreeExpr)
@@ -317,57 +250,6 @@ class SquarefreeReducer:
         return SquarefreeExpr(self.cone, self.order, acc, self.ring.nvars)
 
 
-def linear_relation(cone: Cone, cmap, subset, v: Vector,
-                    order: int = DEFAULT_ORDER) -> RingElement:
-    """The ideal generator D_S (l_v - v), for v in the complement of S."""
-    k = len(cone.generators)
-    n = cone.ambient
-    idx = sorted({int(i) for i in subset})
-    if idx and (idx[0] < 0 or idx[-1] >= k):
-        raise ValueError(f"subset {idx} out of range for {k} generators")
-    out = RingElement.zero(k, n, order, k + order)
-    if v.is_zero:
-        return out
-    if not idx or not cmap.psi(tuple(cone.generators[i] for i in idx)).contains(v):
-        raise VectorNotInSubspaceError(
-            f"{v} is not in the complement subspace of subset {idx}")
-    base = tuple(1 if i in idx else 0 for i in range(k))
-    terms: dict[tuple[int, ...], MultiSeries] = {
-        base: MultiSeries.from_linear(-v, order)
-    }
-    for j, w in enumerate(cone.generators):
-        a = w.dot(v)
-        if a:
-            e = list(base)
-            e[j] += 1
-            terms[tuple(e)] = MultiSeries.constant(a, n, order)
-    return RingElement(k, n, order, k + order, terms)
-
-
-def ideal_generators(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> list[RingElement]:
-    """Generators of the rewriting ideal for this cone and map.
-
-    Ray-table maps carry one relation per ray; the other families take the
-    face-level relations D_S (l_v - v) with v over a basis of each
-    complement subspace.
-    """
-    from .complement import RayTableMap
-
-    k = len(cone.generators)
-    gens = []
-    if isinstance(cmap, RayTableMap):
-        for i in range(k):
-            v = cmap.solve_u((cone.generators[i],), 0)
-            gens.append(linear_relation(cone, cmap, (i,), v, order))
-        return gens
-    for size in range(1, k + 1):
-        for subset in combinations(range(k), size):
-            sub = cmap.psi(tuple(cone.generators[i] for i in subset))
-            for v in sub.basis:
-                gens.append(linear_relation(cone, cmap, subset, v, order))
-    return gens
-
-
 def td_element(cone: Cone, order: int = DEFAULT_ORDER,
                line: Vector | None = None) -> RingElement:
     """Product of univariate Todd series, one per generator, D-degree <= k + order.
@@ -394,11 +276,6 @@ def td_element(cone: Cone, order: int = DEFAULT_ORDER,
                 nxt[e] = add if got is None else got + add
         terms = nxt
     return RingElement(k, ring.nvars, order, cap, terms)
-
-
-def reduce_to_squarefree(elem: RingElement, cone: Cone, cmap,
-                         pivot_order=None) -> SquarefreeExpr:
-    return SquarefreeReducer(cone, cmap, elem.order, pivot_order).reduce(elem)
 
 
 class MuValue:
@@ -483,33 +360,6 @@ def _chain_terms(cone: Cone, cmap, S: frozenset, T: frozenset):
     return out
 
 
-def _union_size(form_lists) -> int:
-    union: dict[Vector, int] = {}
-    for forms in form_lists:
-        counts: dict[Vector, int] = {}
-        for f in forms:
-            p, _ = _sign_canonical(f)
-            counts[p] = counts.get(p, 0) + 1
-        for p, c in counts.items():
-            union[p] = max(union.get(p, 0), c)
-    return sum(union.values())
-
-
-def chain_sum(cone: Cone, cmap, S, T, order: int = DEFAULT_ORDER) -> RationalFunctionTerm:
-    """The alternating chain sum for the subset pair T <= S, as one fraction."""
-    S = frozenset(int(i) for i in S)
-    T = frozenset(int(i) for i in T)
-    k = len(cone.generators)
-    if not (T <= S <= frozenset(range(k))):
-        raise ValueError("need T <= S <= generator positions")
-    raw = _chain_terms(cone, cmap, S, T)
-    bound = order + _union_size(forms for _, forms in raw)
-    terms = [RationalFunctionTerm(MultiSeries.constant(sign, cone.ambient, bound), forms)
-             for sign, forms in raw]
-    num, den = combine_over_common_denominator(terms, order)
-    return RationalFunctionTerm(num, den)
-
-
 def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
     """mu assembled from the closed chain-sum formula: sum over subsets T of
     td(pivots of T) times the alternating chain sum from T to the full set.
@@ -526,7 +376,7 @@ def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
             T = frozenset(T)
             for sign, forms in _chain_terms(cone, cmap, full, T):
                 raw.append((T, sign, forms))
-    target = order + _union_size(forms for _, _, forms in raw)
+    target = order + len(denominator_union(forms for _, _, forms in raw))
     tdc = todd_univariate(target)
     numerators: dict[frozenset, MultiSeries] = {}
     for T, _, _ in raw:
@@ -568,12 +418,11 @@ def mu(cone: Cone, cmap, order: int = DEFAULT_ORDER,
     if cone.is_zero:
         return MuValue(cone, cmap.key(), order,
                        MultiSeries.constant(1, cone.ambient, order), "reduction")
-    if not cone.is_pointed:
-        raise NotPointedError("mu needs a pointed cone")
     key = (cone.canonical_key(), cmap.key(), order, bool(cross_validate))
     got = _MU_CACHE.get(key)
     if got is not None:
-        return got
+        # the key ignores generator order; report the caller's cone
+        return MuValue(cone, got.map_key, order, got.series, got.provenance)
     if cone.is_basic:
         val = mu_basic(cone, cmap, order)
         if cross_validate:
@@ -608,8 +457,6 @@ def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
     if cone.is_zero:
         total = ring.constant(1)
     else:
-        if not cone.is_pointed:
-            raise NotPointedError("mu needs a pointed cone")
         if cells is None:
             cells = subdivide_to_basic(cone).children
         total = ring.zero()
@@ -668,25 +515,3 @@ def mu_table(polytope: Polytope, cmap, order: int = DEFAULT_ORDER,
                for f in polytope.faces]
     return MuTable(polytope, cmap.key(), order, entries)
 
-
-def evaluation_map(elem: RingElement, cone: Cone):
-    """Substitute each D variable by its dual-basis linear form.
-
-    Returns (numerator, dual forms): the element represents
-    numerator / product(dual forms).  Needs a full-dimensional basic cone,
-    where the duals exist.  Used as an independent oracle on the reduction.
-    """
-    k = len(cone.generators)
-    if cone.ambient != k or not cone.is_basic:
-        raise NotFullDimError("evaluation needs a full-dimensional basic cone")
-    duals = dual_basis(cone.generators)
-    target = elem.order + elem.cap
-    forms = [MultiSeries.from_linear(v, target) for v in duals]
-    num = MultiSeries.zero(cone.ambient, elem.order)
-    for expo, coeff in elem.terms.items():
-        term = MultiSeries.constant(1, cone.ambient, target)
-        for i, e in enumerate(expo):
-            for _ in range(e):
-                term = term * forms[i]
-        num = num + (coeff * term).truncate(elem.order)
-    return num, tuple(duals)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -194,14 +195,6 @@ class MultiSeries:
                 out[e] = out.get(e, 0) + c1 * c2
         return MultiSeries._trusted(self.nvars, order,
                                     {e: c for e, c in out.items() if c})
-
-    def pow(self, k: int) -> "MultiSeries":
-        if k < 0:
-            raise ValueError("negative power")
-        result = MultiSeries.constant(1, self.nvars, self.order)
-        for _ in range(k):
-            result = result * self
-        return result
 
     # -- serialization --------------------------------------------------
 
@@ -534,6 +527,18 @@ def _sign_canonical(form: Vector) -> tuple[Vector, Fraction]:
     return p, form[i] / p[i]
 
 
+def denominator_union(form_lists: Iterable[Iterable[Vector]]) -> tuple[Vector, ...]:
+    """Canonical multiset union of several lists of denominator forms.
+
+    Each form is made primitive with positive leading entry; a form occurs
+    as often as in the list that holds it most often. Sorted.
+    """
+    union: Counter = Counter()
+    for forms in form_lists:
+        union |= Counter(_sign_canonical(f)[0] for f in forms)
+    return tuple(sorted(union.elements(), key=lambda v: v.entries))
+
+
 def combine_over_common_denominator(
     terms: Sequence[RationalFunctionTerm], d: int
 ) -> tuple[MultiSeries, tuple[Vector, ...]]:
@@ -541,40 +546,27 @@ def combine_over_common_denominator(
 
     The returned numerator is computed through total degree d + (number of
     denominator factors), enough to recover a quotient through degree d.
-    Denominator forms are normalized to primitive vectors with positive
-    leading entry; the scale factors move into the numerator.
+    Denominator forms are normalized as in denominator_union; the scale
+    factors move into the numerator.
     """
     if not terms:
         raise ValueError("no terms")
     nvars = terms[0].numerator.nvars
-    canon_terms = []
+    union = denominator_union(t.denominator for t in terms)
+    need = Counter(union)
+    target = d + len(union)
+
+    total = MultiSeries.zero(nvars, target)
     for t in terms:
         gamma = Fraction(1)
-        forms = []
+        have: Counter = Counter()
         for f in t.denominator:
             p, g = _sign_canonical(f)
             gamma *= g
-            forms.append(p)
-        counts: dict[Vector, int] = {}
-        for p in forms:
-            counts[p] = counts.get(p, 0) + 1
-        canon_terms.append((t.numerator.scale(1 / gamma), counts))
-
-    union: dict[Vector, int] = {}
-    for _, counts in canon_terms:
-        for p, k in counts.items():
-            union[p] = max(union.get(p, 0), k)
-    union_list: list[Vector] = []
-    for p in sorted(union, key=lambda v: v.entries):
-        union_list.extend([p] * union[p])
-    target = d + len(union_list)
-
-    total = MultiSeries.zero(nvars, target)
-    for num, counts in canon_terms:
-        scaled = num
-        for p in sorted(union, key=lambda v: v.entries):
-            missing = union[p] - counts.get(p, 0)
-            for _ in range(missing):
+            have[p] += 1
+        scaled = t.numerator.scale(1 / gamma)
+        for p, k in need.items():
+            for _ in range(k - have[p]):
                 scaled = scaled * MultiSeries.from_linear(p, target)
         total = total + scaled.truncate(target)
-    return total, tuple(union_list)
+    return total, union

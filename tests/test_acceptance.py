@@ -6,17 +6,18 @@ summary line per criterion is printed in the terminal summary block.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from mucone.cli import pn_demo
 from mucone.complement import (
     FlagMap,
     InnerProductMap,
-    consecutive_mod,
     diaconis_fulton_map,
     projective_fan_cones,
-    projective_fan_rays,
     standard_inner_product,
 )
 from mucone.geometry import (
@@ -30,29 +31,19 @@ from mucone.errors import NotExtremeError
 from mucone.interp import (
     RingElement,
     SquarefreeReducer,
-    clear_mu_cache,
-    evaluation_map,
-    ideal_generators,
     mu,
     mu_basic,
     mu_explicit,
     mu_table,
-    reduce_to_squarefree,
 )
 from mucone.linalg import Matrix, Vector, primitive
-from mucone.series import (
-    MultiSeries,
-    compose_linear,
-    compose_multivariate,
-    t2_series,
-    t_series,
-    todd_univariate,
-)
+from mucone.series import MultiSeries, t_series, todd_univariate
 from mucone.valuations import (
     brion_vertex_decomposition_check,
     count_via_local_formula,
     verify_interpolator,
 )
+from oracles import evaluation_map, ideal_generators, normal_form
 
 
 def V(*xs):
@@ -319,34 +310,16 @@ def test_criterion_6_interpolator_identity(acceptance, polytope_corpus):
 
 
 def test_criterion_7_projective_fan(acceptance):
+    # the pn-demo checks at degree 6: 1/2 per ray, 1/3 and 1/4 per pair,
+    # and each pair's full series against its closed form
     t0 = time.time()
     ok = True
-    d = 6
     for n in (2, 3, 4):
-        cmap = diaconis_fulton_map(n)
-        rays = projective_fan_rays(n)
-        k = n + 1
-        for i in range(k):
-            val = mu(Cone([rays[i]], ambient=n), cmap, d)
-            ok = ok and val.mu0 == Fraction(1, 2)
-        for i in range(k):
-            for j in range(i + 1, k):
-                cone = Cone([rays[i], rays[j]], ambient=n)
-                val = mu(cone, cmap, d)
-                if consecutive_mod(i, j, n):
-                    lo, hi = (i, j) if (j - i) % k == 1 else (j, i)
-                    ui, uj = cmap.table[rays[lo]], cmap.table[rays[hi]]
-                    want = (compose_multivariate(t2_series(d), [ui, uj], d)
-                            + compose_linear(t_series(d), ui + uj, d)
-                            * compose_linear(t_series(d), uj, d))
-                    ok = ok and val.mu0 == Fraction(1, 3)
-                    ok = ok and val.series.agrees_with(want, through=d)
-                else:
-                    ui, uj = cmap.table[rays[i]], cmap.table[rays[j]]
-                    want = (compose_linear(t_series(d), ui, d)
-                            * compose_linear(t_series(d), uj, d))
-                    ok = ok and val.mu0 == Fraction(1, 4)
-                    ok = ok and val.series.agrees_with(want, through=d)
+        report = pn_demo(n, 6)
+        kinds = Counter(c["kind"].rsplit("-", 1)[-1] for c in report["checks"])
+        pairs = comb(n + 1, 2)
+        ok = ok and report["all_checks_passed"]
+        ok = ok and kinds == {"ray": n + 1, "pair": pairs, "series": pairs}
         if not ok:
             break
     acceptance(7, "projective-fan-constants", ok, time.time() - t0, 30)
@@ -408,8 +381,8 @@ def test_criterion_8_property_suites(acceptance, polytope_corpus):
                 expo_small + (0,): MultiSeries.constant(1, 3, 4)})
             q_small = RingElement(2, 3, 4, 6, {
                 expo_small: MultiSeries.constant(1, 3, 4)})
-            eb = reduce_to_squarefree(q_big, big, ip3)
-            es = reduce_to_squarefree(q_small, face, ip3)
+            eb = normal_form(q_big, big, ip3)
+            es = normal_form(q_small, face, ip3)
             for s in es.support():
                 ok = ok and eb.coefficient(s) == es.coefficient(s)
             for s in eb.support():

@@ -244,8 +244,8 @@ class TestCliGoldenBytes:
         if poly is not None:
             argv = argv + ["--input", write_json(tmp_path / "in.json", poly)]
         out = tmp_path / "out.json"
-        # the cache keeps the first cone object seen, whose generator order
-        # the mu table prints; start cold as a fresh process would
+        # start cold, as a fresh process would
+        # (TestMuCache checks that the output ignores what is cached)
         interp.clear_mu_cache()
         code = cli.main(argv + ["--out", str(out)])
         capsys.readouterr()
