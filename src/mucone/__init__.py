@@ -36,7 +36,6 @@ from .errors import (
     ParseError,
     TooLargeError,
     UnknownRayError,
-    VectorNotInSubspaceError,
 )
 from .geometry import (
     Cone,
@@ -52,8 +51,6 @@ from .interp import (
     DEFAULT_ORDER,
     MuTable,
     MuValue,
-    RingElement,
-    SquarefreeExpr,
     SquarefreeReducer,
     clear_mu_cache,
     mu,
@@ -100,12 +97,11 @@ __all__ = [
     "MuconeError", "NonIntegerResultError", "NotExtremeError",
     "NotFullDimError", "NotGenericError", "NotIntegralError",
     "NotPointedError", "ParseError", "TooLargeError", "UnknownRayError",
-    "VectorNotInSubspaceError",
     "Cone", "Face", "Polytope", "Subdivision", "normal_cone",
     "normalized_volume", "subdivide_to_basic", "zero_cone",
-    "DEFAULT_ORDER", "MuTable", "MuValue", "RingElement", "SquarefreeExpr",
-    "SquarefreeReducer", "clear_mu_cache", "mu", "mu_basic", "mu_explicit",
-    "mu_on_line", "mu_table", "pivot_vector", "td_element",
+    "DEFAULT_ORDER", "MuTable", "MuValue", "SquarefreeReducer",
+    "clear_mu_cache", "mu", "mu_basic", "mu_explicit", "mu_on_line",
+    "mu_table", "pivot_vector", "td_element",
     "Matrix", "Vector", "format_rational", "parse_rational", "primitive",
     "LaurentSeries", "MultiSeries", "compose_linear", "compose_multivariate",
     "restrict_to_direction", "t2_series", "t_series", "todd_univariate",

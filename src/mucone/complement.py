@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import NotGenericError, UnknownRayError
-from .geometry import Cone, _rank_of, _span_basis, subdivide_to_basic
+from .geometry import Cone, _rank_of, _span_basis
 from .linalg import Matrix, Vector, primitive, solve_linear, unit_vector
 
 
@@ -41,11 +41,6 @@ class PsiSubspace:
             raise NotGenericError(
                 f"complement subspace for {list(self.rays)} meets the rays' "
                 "annihilator nontrivially")
-
-    def contains(self, v: Vector) -> bool:
-        if v.is_zero:
-            return True
-        return _rank_of(list(self.basis) + [v]) == len(self.basis)
 
 
 class ComplementMap:
@@ -83,35 +78,6 @@ class ComplementMap:
             cached = u
             self._u_cache[key] = cached
         return cached
-
-    def is_generic_basic(self, cone: Cone) -> bool:
-        """All generator subsets admit a valid complement subspace."""
-        gens = cone.generators
-        for size in range(1, len(gens) + 1):
-            for subset in itertools.combinations(gens, size):
-                try:
-                    self.psi(subset)
-                except NotGenericError:
-                    return False
-                except UnknownRayError:
-                    return False
-        return True
-
-    def is_generic(self, cone: Cone) -> bool:
-        """Basic cones directly; others via the canonical basic subdivision.
-
-        For non-basic cones this is a conservative test: only the canonical
-        subdivision is examined, not every possible one.
-        """
-        if cone.is_zero:
-            return True
-        if cone.is_basic:
-            return self.is_generic_basic(cone)
-        try:
-            children = subdivide_to_basic(cone)
-        except Exception:
-            return False
-        return all(self.is_generic_basic(ch) for ch in children)
 
     def key(self) -> tuple:
         raise NotImplementedError

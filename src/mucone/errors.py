@@ -62,10 +62,6 @@ class UnknownRayError(MuconeError):
     """Ray-table complement map queried on a ray it has no entry for."""
 
 
-class VectorNotInSubspaceError(MuconeError):
-    """Vector expected to lie in the complement subspace of a face."""
-
-
 class ZeroDenominatorFormError(MuconeError):
     """Zero linear form used as a denominator."""
 

@@ -11,6 +11,14 @@ the unique squarefree normal form.  mu is the coefficient of the full
 product D_1...D_k in the normal form of the Todd element, and is computed
 a second, independent way from an explicit alternating sum over chains of
 subsets.
+
+Grading: with each D_i and each coordinate v_i of degree 1 the relation
+is homogeneous, so the coefficient of D_S in the normal form of D^e is a
+homogeneous polynomial of degree |e| - |S|, and every coefficient of the
+Todd element is a constant.  The degree of an entry never falls under a
+rewrite and supports only grow, so the reducer drops every entry with
+|e| - |S| > order: it cannot reach the full subset at degree <= order.
+The degree-r part of mu collects the monomials with |e| = k + r.
 """
 
 from __future__ import annotations
@@ -36,126 +44,6 @@ from .series import (
 DEFAULT_ORDER = 6
 
 
-class CoefficientRing:
-    """The ring the D-expansion coefficients live in, truncated at `order`.
-
-    The reduction only ever embeds pivot vectors u as linear forms and
-    multiplies, scales and adds the results, so the ring is fixed by how u
-    embeds.  The full ring (line=None) keeps series in the ambient
-    coordinates and embeds u as sum u_i v_i.  The line ring keeps
-    one-variable series in t and embeds u as <u, line> t: that is the full
-    ring followed by v_i |-> t*line_i, a ring homomorphism commuting with
-    every step of the reduction and the subdivision sum, so line-ring
-    results are exactly the restrictions of full-ring ones.
-    """
-
-    __slots__ = ("nvars", "order", "line")
-
-    def __init__(self, ambient: int, order: int, line: Vector | None = None):
-        if line is not None and len(line) != ambient:
-            raise ValueError("direction dimension mismatch")
-        self.nvars = ambient if line is None else 1
-        self.order = order
-        self.line = line
-
-    def constant(self, c) -> MultiSeries:
-        return MultiSeries.constant(c, self.nvars, self.order)
-
-    def zero(self) -> MultiSeries:
-        return MultiSeries.zero(self.nvars, self.order)
-
-    def linear(self, u: Vector) -> MultiSeries:
-        if self.line is not None:
-            u = Vector([u.dot(self.line)])
-        return MultiSeries.from_linear(u, self.order)
-
-
-class RingElement:
-    """Finite D-expansion with truncated power-series coefficients.
-
-    `terms` maps a length-k exponent tuple to its coefficient series; the
-    exponent total degree never exceeds `cap`, and coefficients are kept at
-    total degree `order` in the ambient coordinates.  Exponents of degree
-    above the cap are dropped at construction: by the weight argument in
-    SquarefreeReducer they cannot reach any squarefree coefficient within
-    the tracked degree.
-    """
-
-    __slots__ = ("k", "nvars", "order", "cap", "terms")
-
-    def __init__(self, k: int, nvars: int, order: int, cap: int, terms=None):
-        self.k = k
-        self.nvars = nvars
-        self.order = order
-        self.cap = cap
-        self.terms: dict[tuple[int, ...], MultiSeries] = {}
-        if terms:
-            for expo, coeff in terms.items():
-                expo = tuple(int(e) for e in expo)
-                if len(expo) != k or any(e < 0 for e in expo):
-                    raise ValueError(f"bad exponent vector {expo}")
-                if sum(expo) > cap:
-                    continue
-                c = coeff.truncate(order)
-                if not c.is_zero:
-                    self.terms[expo] = c
-
-    def coefficient(self, expo) -> MultiSeries:
-        got = self.terms.get(tuple(expo))
-        return got if got is not None else MultiSeries.zero(self.nvars, self.order)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def d_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __repr__(self):
-        bits = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            mono = "*".join(f"D{i+1}" + (f"^{x}" if x > 1 else "")
-                            for i, x in enumerate(e) if x)
-            bits.append(f"({self.terms[e]!r})" + (f"*{mono}" if mono else ""))
-        return f"RingElement({' + '.join(bits) or '0'})"
-
-
-class SquarefreeExpr:
-    """Normal form: map from generator index subsets to coefficient series."""
-
-    __slots__ = ("cone", "order", "nvars", "coeffs")
-
-    def __init__(self, cone: Cone, order: int, coeffs, nvars: int | None = None):
-        self.cone = cone
-        self.order = order
-        self.nvars = cone.ambient if nvars is None else nvars
-        self.coeffs: dict[frozenset[int], MultiSeries] = {}
-        for s, c in coeffs.items():
-            c = c.truncate(order)
-            if not c.is_zero:
-                self.coeffs[frozenset(s)] = c
-
-    def coefficient(self, subset) -> MultiSeries:
-        got = self.coeffs.get(frozenset(subset))
-        return got if got is not None else MultiSeries.zero(self.nvars, self.order)
-
-    def support(self) -> set[frozenset[int]]:
-        return set(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, SquarefreeExpr)
-                and self.cone == other.cone
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.cone, frozenset(self.coeffs)))
-
-    def __repr__(self):
-        bits = [f"{sorted(s)}: {c!r}" for s, c in
-                sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
-        return f"SquarefreeExpr({'; '.join(bits) or '0'})"
-
-
 def pivot_vector(cone: Cone, cmap, subset, i: int) -> Vector:
     """u with <w_i,u> = 1 and <w_j,u> = 0 for the other j in the subset."""
     idx = sorted(subset)
@@ -166,11 +54,12 @@ def pivot_vector(cone: Cone, cmap, subset, i: int) -> Vector:
 class SquarefreeReducer:
     """Memoized rewriting of D-monomials into squarefree normal form.
 
-    Each rewrite of D_i D_S trades one D-degree for at most one coefficient
-    degree and never lowers either, so a monomial of D-degree m only
-    reaches the subset S with coefficient degree m - |S|.  Monomials above
-    D-degree k + order are therefore irrelevant to any tracked coefficient.
-    Coefficients live in CoefficientRing(cone.ambient, order, line).
+    reduce_monomial(e) maps each subset S to the coefficient of D_S, which
+    is homogeneous of degree |e| - |S| (see the module docstring).  With
+    line=None it is a MultiSeries of that order in the ambient coordinates;
+    on a line it is one Fraction c standing for c * t^(|e| - |S|).  The
+    two rings differ only in how a pivot u and the unit embed, fixed here
+    once: u as sum u_i v_i or as <u, line>.
     """
 
     def __init__(self, cone: Cone, cmap, order: int = DEFAULT_ORDER,
@@ -180,16 +69,27 @@ class SquarefreeReducer:
         self.cone = cone
         self.cmap = cmap
         self.order = order
-        self.ring = CoefficientRing(cone.ambient, order, line)
         self.rays = cone.generators
         self.k = len(self.rays)
+        self.full = frozenset(range(self.k))
         if pivot_order is None:
             pivot_order = range(self.k)
         pivot_order = tuple(int(i) for i in pivot_order)
         if sorted(pivot_order) != list(range(self.k)):
             raise ValueError("pivot_order must permute the generator positions")
         self.pivot_order = pivot_order
-        self._memo: dict[tuple[int, ...], dict[frozenset[int], MultiSeries]] = {}
+        if line is None:
+            n = cone.ambient
+            self._unit = MultiSeries.constant(1, n, 0)
+            self._embed = lambda u: MultiSeries.from_linear(u, 1)
+            self._finish = lambda parts: MultiSeries(
+                n, order, {m: x for p in parts.values() for m, x in p.coeffs.items()})
+        else:
+            self._unit = Fraction(1)
+            self._embed = line.dot
+            self._finish = lambda parts: [parts.get(r, Fraction(0))
+                                          for r in range(order + 1)]
+        self._memo: dict[tuple[int, ...], dict] = {}
         self._rewrites: dict[tuple[frozenset[int], int], tuple] = {}
 
     def _rewrite(self, s: frozenset[int], i: int):
@@ -204,26 +104,26 @@ class SquarefreeReducer:
                     w = self.rays[j].dot(u)
                     if w:
                         spill.append((s | {j}, -w))
-            got = self._rewrites[(s, i)] = (self.ring.linear(u), spill)
+            got = self._rewrites[(s, i)] = (self._embed(u), spill)
         return got
 
-    def reduce_monomial(self, expo) -> dict[frozenset[int], MultiSeries]:
+    def reduce_monomial(self, expo) -> dict[frozenset[int], object]:
         expo = tuple(int(e) for e in expo)
         got = self._memo.get(expo)
         if got is not None:
             return got
+        out: dict[frozenset[int], object] = {}
         if all(e <= 1 for e in expo):
-            out = {frozenset(i for i, e in enumerate(expo) if e):
-                   self.ring.constant(1)}
+            out[frozenset(i for i, e in enumerate(expo) if e)] = self._unit
             self._memo[expo] = out
             return out
+        # D^e = D_i * D^(e - e_i), rewriting every term that repeats D_i
         i = next(j for j in self.pivot_order if expo[j] >= 2)
         inner = list(expo)
         inner[i] -= 1
-        out: dict[frozenset[int], MultiSeries] = {}
+        low = sum(expo) - self.order  # the drop rule: keep |S| >= |e| - order
 
         def bump(s, c):
-            c = c.truncate(self.order)
             got = out.get(s)
             out[s] = c if got is None else got + c
 
@@ -232,50 +132,38 @@ class SquarefreeReducer:
                 bump(s | {i}, c)
                 continue
             u, spill = self._rewrite(s, i)
-            bump(s, c * u)
+            if len(s) >= low:
+                bump(s, c * u)
             for t, w in spill:
-                bump(t, c.scale(w))
-        out = {s: c for s, c in out.items() if not c.is_zero}
+                bump(t, w * c)
         self._memo[expo] = out
         return out
 
-    def reduce(self, elem: RingElement) -> SquarefreeExpr:
-        acc: dict[frozenset[int], MultiSeries] = {}
-        for expo in sorted(elem.terms):
-            coeff = elem.terms[expo]
-            for s, c in self.reduce_monomial(expo).items():
-                add = (coeff * c).truncate(self.order)
-                got = acc.get(s)
-                acc[s] = add if got is None else got + add
-        return SquarefreeExpr(self.cone, self.order, acc, self.ring.nvars)
+    def reduce(self, td: dict[tuple[int, ...], Fraction]):
+        """Full-subset coefficient of sum_e td[e] D^e, which has degree
+        |e| - k per term: a MultiSeries, or on a line its Taylor
+        coefficients through t^order."""
+        parts: dict[int, object] = {}
+        for expo, a in td.items():
+            c = self.reduce_monomial(expo).get(self.full)
+            if c is not None:
+                r = sum(expo) - self.k
+                got = parts.get(r)
+                parts[r] = a * c if got is None else got + a * c
+        return self._finish(parts)
 
 
-def td_element(cone: Cone, order: int = DEFAULT_ORDER,
-               line: Vector | None = None) -> RingElement:
-    """Product of univariate Todd series, one per generator, D-degree <= k + order.
-
-    Coefficients live in CoefficientRing(cone.ambient, order, line).
-    """
+def td_element(cone: Cone, order: int = DEFAULT_ORDER) -> dict[tuple[int, ...], Fraction]:
+    """The Todd element prod_i td(D_i) as {exponent: constant}, D-degree <= k + order."""
     k = len(cone.generators)
-    ring = CoefficientRing(cone.ambient, order, line)
     cap = k + order
     td = todd_univariate(cap)
-    terms = {(0,) * k: ring.constant(1)}
+    terms = {(0,) * k: Fraction(1)}
     for i in range(k):
-        nxt: dict[tuple[int, ...], MultiSeries] = {}
-        for expo, c in terms.items():
-            room = cap - sum(expo)
-            for m in range(room + 1):
-                if td[m] == 0:
-                    continue
-                e = list(expo)
-                e[i] += m
-                e = tuple(e)
-                add = c.scale(td[m])
-                got = nxt.get(e)
-                nxt[e] = add if got is None else got + add
-        terms = nxt
-    return RingElement(k, ring.nvars, order, cap, terms)
+        terms = {expo[:i] + (m,) + expo[i + 1:]: c * td[m]
+                 for expo, c in terms.items()
+                 for m in range(cap - sum(expo) + 1) if td[m]}
+    return terms
 
 
 class MuValue:
@@ -311,18 +199,10 @@ class MuValue:
                 f"cone={self.cone!r})")
 
 
-def _reduced_mu(cone: Cone, cmap, order: int, line: Vector | None = None,
-                pivot_order=None) -> MultiSeries:
-    """Full-subset coefficient of the Todd element of a generic basic cone."""
-    reducer = SquarefreeReducer(cone, cmap, order, pivot_order, line)
-    expr = reducer.reduce(td_element(cone, order, line))
-    return expr.coefficient(range(len(cone.generators)))
-
-
 def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER,
              pivot_order=None) -> MuValue:
     """mu of a generic basic cone: full-subset coefficient of the Todd element."""
-    series = _reduced_mu(cone, cmap, order, pivot_order=pivot_order)
+    series = SquarefreeReducer(cone, cmap, order, pivot_order).reduce(td_element(cone, order))
     return MuValue(cone, cmap.key(), order, series, "reduction")
 
 
@@ -446,37 +326,30 @@ def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
     """mu of a pointed generic cone restricted to the line t*line.
 
     Equals restrict_to_direction(mu(cone, cmap, order).series, line)
-    exactly, but runs the reduction and the subdivision sum in the
-    one-variable line ring (see CoefficientRing).  Values depend on the
-    line, so nothing is cached.  `cells` is the cone's basic subdivision
-    when the caller already has it.  cross_validate also computes each
-    basic cell's full mu by both pipelines (see mu) and aborts unless its
+    exactly, but runs the reduction with scalar coefficients on the line
+    and sums the cells' Taylor coefficients.  Values depend on the line,
+    so nothing is cached.  `cells` is the cone's basic subdivision when
+    the caller already has it.  cross_validate also computes each basic
+    cell's full mu by both pipelines (see mu) and aborts unless its
     restriction matches the line value.
     """
-    ring = CoefficientRing(cone.ambient, order, line)
+    if len(line) != cone.ambient:
+        raise ValueError("direction dimension mismatch")
     if cone.is_zero:
-        total = ring.constant(1)
-    else:
-        if cells is None:
-            cells = subdivide_to_basic(cone).children
-        total = ring.zero()
-        for cell in cells:
-            val = _reduced_mu(cell, cmap, order, line)
-            if cross_validate:
-                full = mu(cell, cmap, order, cross_validate=True).series
-                if restrict_to_direction(full, line) != _taylor(val):
-                    raise InternalInconsistencyError(
-                        "line-ring and full reduction disagree: "
-                        f"cone={cell!r} map={cmap.describe()} line={line}")
-            total = total + val
-    return _taylor(total)
-
-
-def _taylor(series: MultiSeries) -> LaurentSeries:
-    """A one-variable series as a Taylor series in t."""
-    return LaurentSeries.from_taylor(
-        [series.coefficient((r,)) for r in range(series.order + 1)],
-        series.order)
+        return LaurentSeries.from_taylor([1], order)
+    if cells is None:
+        cells = subdivide_to_basic(cone).children
+    total = [Fraction(0)] * (order + 1)
+    for cell in cells:
+        val = SquarefreeReducer(cell, cmap, order, line=line).reduce(td_element(cell, order))
+        if cross_validate:
+            full = mu(cell, cmap, order, cross_validate=True).series
+            if restrict_to_direction(full, line) != LaurentSeries.from_taylor(val, order):
+                raise InternalInconsistencyError(
+                    "line and full reduction disagree: "
+                    f"cone={cell!r} map={cmap.describe()} line={line}")
+        total = [a + b for a, b in zip(total, val)]
+    return LaurentSeries.from_taylor(total, order)
 
 
 class MuTable:

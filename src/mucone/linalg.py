@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DependentGeneratorsError,
-    NotUnimodularError,
     ParseError,
     ZeroVectorError,
 )
@@ -175,10 +174,6 @@ class Matrix:
 
     def matvec(self, v: Vector) -> Vector:
         return Vector(Vector(r).dot(v) for r in self.rows)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        cols = [other.column(j) for j in range(other.ncols)]
-        return Matrix([[Vector(r).dot(c) for c in cols] for r in self.rows])
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
@@ -407,14 +402,3 @@ def cone_index(generators: Sequence[Vector]) -> int:
     assert d.denominator == 1 and d != 0
     return abs(int(d))
 
-
-def dual_basis(basis: Sequence[Vector]) -> list[Vector]:
-    """For a lattice basis w_1..w_n, the dual basis v_1..v_n with <w_i, v_j> = delta_ij."""
-    mat = Matrix([list(w) for w in basis])
-    if mat.nrows != mat.ncols:
-        raise NotUnimodularError("dual basis needs n vectors in dimension n")
-    d = mat.det()
-    if abs(d) != 1:
-        raise NotUnimodularError(f"not a lattice basis (determinant {d})")
-    inv = mat.inverse()
-    return [inv.column(j) for j in range(mat.ncols)]

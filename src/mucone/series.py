@@ -196,6 +196,10 @@ class MultiSeries:
         return MultiSeries._trusted(self.nvars, order,
                                     {e: c for e, c in out.items() if c})
 
+    def __rmul__(self, c) -> "MultiSeries":
+        """c * series for a rational scalar c."""
+        return self.scale(c)
+
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
@@ -387,10 +391,6 @@ class LaurentSeries:
     def valuation(self) -> int:
         """Least exponent with a known nonzero coefficient (known_to + 1 if none)."""
         return self.shift if self.coeffs else self.known_to + 1
-
-    @property
-    def pole_order(self) -> int:
-        return max(0, -self.valuation) if self.coeffs else 0
 
     def __eq__(self, other):
         return (

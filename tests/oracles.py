@@ -1,9 +1,12 @@
-"""Reference oracles on the reduction and the chain-sum formula.
+"""Reference oracles and helpers that only the tests use.
 
-Only the tests use these: the ideal generators D_S (l_v - v), the
-evaluation map that substitutes each D variable by its dual linear form
-(the ideal's kernel must vanish under it, and a Todd element must keep its
-value through reduction), and the alternating chain sum for one subset pair.
+The ideal generators D_S (l_v - v), the evaluation map that substitutes
+each D variable by its dual linear form (the ideal's kernel must vanish
+under it, and a Todd element must keep its value through reduction), the
+squarefree normal form of a whole D-expansion by linearity, and the
+alternating chain sum for one subset pair.  A D-expansion is a plain dict
+from exponent tuples to coefficients (Fractions or MultiSeries).  Also
+here: small linear-algebra and genericity checks the library never calls.
 """
 
 from __future__ import annotations
@@ -11,17 +14,18 @@ from __future__ import annotations
 from itertools import combinations
 
 from mucone.complement import RayTableMap
-from mucone.errors import NotFullDimError, VectorNotInSubspaceError
-from mucone.geometry import Cone
-from mucone.interp import (
-    DEFAULT_ORDER,
-    RingElement,
-    SquarefreeExpr,
-    SquarefreeReducer,
-    _chain_terms,
+from mucone.errors import (
+    MuconeError,
+    NotFullDimError,
+    NotGenericError,
+    NotUnimodularError,
+    UnknownRayError,
 )
-from mucone.linalg import Vector, dual_basis
+from mucone.geometry import Cone, _rank_of, subdivide_to_basic
+from mucone.interp import DEFAULT_ORDER, SquarefreeReducer, _chain_terms
+from mucone.linalg import Matrix, Vector
 from mucone.series import (
+    LaurentSeries,
     MultiSeries,
     RationalFunctionTerm,
     combine_over_common_denominator,
@@ -29,46 +33,93 @@ from mucone.series import (
 )
 
 
-def normal_form(elem: RingElement, cone: Cone, cmap, pivot_order=None) -> SquarefreeExpr:
-    """The squarefree normal form of elem, at elem's own order."""
-    return SquarefreeReducer(cone, cmap, elem.order, pivot_order).reduce(elem)
+class VectorNotInSubspaceError(MuconeError):
+    """Vector expected to lie in the complement subspace of a face."""
 
 
-def as_ring_element(expr: SquarefreeExpr) -> RingElement:
+def dual_basis(basis) -> list[Vector]:
+    """For a lattice basis w_1..w_n, the dual basis v_1..v_n with <w_i, v_j> = delta_ij."""
+    mat = Matrix([list(w) for w in basis])
+    if mat.nrows != mat.ncols:
+        raise NotUnimodularError("dual basis needs n vectors in dimension n")
+    d = mat.det()
+    if abs(d) != 1:
+        raise NotUnimodularError(f"not a lattice basis (determinant {d})")
+    inv = mat.inverse()
+    return [inv.column(j) for j in range(mat.ncols)]
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    cols = [b.column(j) for j in range(b.ncols)]
+    return Matrix([[Vector(r).dot(c) for c in cols] for r in a.rows])
+
+
+def pole_order(s: LaurentSeries) -> int:
+    return max(0, -s.valuation) if s.coeffs else 0
+
+
+def psi_contains(sub, v: Vector) -> bool:
+    """Whether v lies in the complement subspace `sub` (a PsiSubspace)."""
+    return v.is_zero or _rank_of(list(sub.basis) + [v]) == len(sub.basis)
+
+
+def is_generic(cmap, cone: Cone) -> bool:
+    """Every generator subset of every cell of the canonical basic
+    subdivision admits a complement subspace.  For a non-basic cone this is
+    conservative: only that one subdivision is examined."""
+    cells = [cone] if cone.is_basic else subdivide_to_basic(cone).children
+    try:
+        for cell in cells:
+            for size in range(1, len(cell.generators) + 1):
+                for subset in combinations(cell.generators, size):
+                    cmap.psi(subset)
+    except (NotGenericError, UnknownRayError):
+        return False
+    return True
+
+
+def normal_form(terms: dict, cone: Cone, cmap, order: int,
+                pivot_order=None) -> dict[frozenset[int], MultiSeries]:
+    """sum of coeff * reduce_monomial(e) over constant-coefficient terms,
+    each coefficient as a series through `order`."""
+    red = SquarefreeReducer(cone, cmap, order, pivot_order)
+    zero = MultiSeries.zero(cone.ambient, order)
+    out: dict[frozenset[int], MultiSeries] = {}
+    for expo, a in terms.items():
+        for s, c in red.reduce_monomial(expo).items():
+            out[s] = out.get(s, zero) + a * MultiSeries(cone.ambient, order, c.coeffs)
+    return {s: c for s, c in out.items() if not c.is_zero}
+
+
+def as_ring_element(expr: dict, k: int) -> dict:
     """A normal form read back as a D-expansion with 0/1 exponents."""
-    k = len(expr.cone.generators)
-    terms = {tuple(1 if i in s else 0 for i in range(k)): c
-             for s, c in expr.coeffs.items()}
-    return RingElement(k, expr.nvars, expr.order, k + expr.order, terms)
+    return {tuple(int(i in s) for i in range(k)): c for s, c in expr.items()}
 
 
 def linear_relation(cone: Cone, cmap, subset, v: Vector,
-                    order: int = DEFAULT_ORDER) -> RingElement:
+                    order: int = DEFAULT_ORDER) -> dict:
     """The ideal generator D_S (l_v - v), for v in the complement of S."""
     k = len(cone.generators)
-    n = cone.ambient
     idx = sorted({int(i) for i in subset})
     if idx and (idx[0] < 0 or idx[-1] >= k):
         raise ValueError(f"subset {idx} out of range for {k} generators")
     if v.is_zero:
-        return RingElement(k, n, order, k + order)
-    if not idx or not cmap.psi(tuple(cone.generators[i] for i in idx)).contains(v):
+        return {}
+    if not idx or not psi_contains(cmap.psi(tuple(cone.generators[i] for i in idx)), v):
         raise VectorNotInSubspaceError(
             f"{v} is not in the complement subspace of subset {idx}")
     base = tuple(1 if i in idx else 0 for i in range(k))
-    terms: dict[tuple[int, ...], MultiSeries] = {
-        base: MultiSeries.from_linear(-v, order)
-    }
+    terms = {base: MultiSeries.from_linear(-v, order)}
     for j, w in enumerate(cone.generators):
         a = w.dot(v)
         if a:
             e = list(base)
             e[j] += 1
-            terms[tuple(e)] = MultiSeries.constant(a, n, order)
-    return RingElement(k, n, order, k + order, terms)
+            terms[tuple(e)] = a
+    return terms
 
 
-def ideal_generators(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> list[RingElement]:
+def ideal_generators(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> list[dict]:
     """Generators of the rewriting ideal for this cone and map.
 
     Ray-table maps carry one relation per ray; the other families take the
@@ -90,8 +141,8 @@ def ideal_generators(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> list[RingE
     return gens
 
 
-def evaluation_map(elem: RingElement, cone: Cone):
-    """Substitute each D variable by its dual-basis linear form.
+def evaluation_map(terms: dict, cone: Cone, order: int):
+    """Substitute each D variable by its dual-basis linear form, through `order`.
 
     Returns (numerator, dual forms): the element represents
     numerator / product(dual forms).  Needs a full-dimensional basic cone,
@@ -101,15 +152,14 @@ def evaluation_map(elem: RingElement, cone: Cone):
     if cone.ambient != k or not cone.is_basic:
         raise NotFullDimError("evaluation needs a full-dimensional basic cone")
     duals = dual_basis(cone.generators)
-    target = elem.order + elem.cap
-    forms = [MultiSeries.from_linear(v, target) for v in duals]
-    num = MultiSeries.zero(cone.ambient, elem.order)
-    for expo, coeff in elem.terms.items():
-        term = MultiSeries.constant(1, cone.ambient, target)
+    forms = [MultiSeries.from_linear(v, order) for v in duals]
+    num = MultiSeries.zero(cone.ambient, order)
+    for expo, coeff in terms.items():
+        term = MultiSeries.constant(1, cone.ambient, order)
         for i, e in enumerate(expo):
             for _ in range(e):
                 term = term * forms[i]
-        num = num + (coeff * term).truncate(elem.order)
+        num = num + (coeff * term).truncate(order)
     return num, tuple(duals)
 
 

@@ -20,6 +20,7 @@ from mucone.complement import (
 from mucone.errors import NotGenericError, UnknownRayError
 from mucone.geometry import Cone, _rank_of
 from mucone.linalg import Matrix, Vector, rational_kernel
+from oracles import is_generic, psi_contains
 
 
 def V(*xs):
@@ -36,7 +37,7 @@ class TestInnerProduct:
     def test_psi_standard_singleton(self):
         m = standard_inner_product(2)
         sub = m.psi([V(0, 1)])
-        assert sub.contains(V(0, 1)) and not sub.contains(V(1, 0))
+        assert psi_contains(sub, V(0, 1)) and not psi_contains(sub, V(1, 0))
 
     def test_solve_u_pair(self):
         m = standard_inner_product(2)
@@ -64,7 +65,7 @@ class TestInnerProduct:
                 c = Cone([g for g in gens if not g.is_zero], ambient=3)
             except Exception:
                 continue
-            assert m.is_generic(c)
+            assert is_generic(m, c)
 
     def test_set_not_order_dependence(self):
         m = standard_inner_product(2)
@@ -80,9 +81,9 @@ class TestFlag:
 
     def test_explicit_generic_and_not(self):
         m = FlagMap([V(1, 0), V(0, 1)])
-        assert m.is_generic(Cone([V(1, 0)]))
+        assert is_generic(m, Cone([V(1, 0)]))
         # psi(Cone((0,1))) = span{e1} coincides with the ray's annihilator
-        assert not m.is_generic(Cone([V(0, 1)]))
+        assert not is_generic(m, Cone([V(0, 1)]))
         with pytest.raises(NotGenericError):
             m.psi([V(0, 1)])
 
@@ -105,8 +106,8 @@ class TestRayTable:
     def test_df_psi_single(self):
         m = diaconis_fulton_map(2)
         sub = m.psi([V(1, 0)])
-        assert sub.contains(V(1, -1))
-        assert not sub.contains(V(1, 0))
+        assert psi_contains(sub, V(1, -1))
+        assert not psi_contains(sub, V(1, 0))
 
     def test_df_pairing_pattern(self):
         for n in (1, 2, 3, 4):
@@ -123,7 +124,7 @@ class TestRayTable:
         for n in (1, 2, 3, 4):
             m = diaconis_fulton_map(n)
             for c in projective_fan_cones(n):
-                assert m.is_generic(c), f"fan cone {c} not generic, n={n}"
+                assert is_generic(m, c), f"fan cone {c} not generic, n={n}"
 
     def test_consecutive_mod(self):
         assert consecutive_mod(0, 1, 3) and consecutive_mod(3, 0, 3)
@@ -164,7 +165,7 @@ class TestSharedInvariants:
                     except NotGenericError:
                         continue
                     for b in small.basis:
-                        assert large.contains(b)
+                        assert psi_contains(large, b)
                     perp = rational_kernel(Matrix([list(g) for g in gens]))
                     assert _rank_of(list(large.basis) + perp) == n
 
@@ -184,7 +185,7 @@ class TestSharedInvariants:
                         continue
                     for t in range(n):
                         u = m.solve_u(tuple(gens), t)
-                        assert sub.contains(u)
+                        assert psi_contains(sub, u)
                         for j, w in enumerate(gens):
                             assert w.dot(u) == (1 if j == t else 0)
 

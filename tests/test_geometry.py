@@ -34,7 +34,8 @@ from mucone.geometry import (
     triangulate_face,
     zero_cone,
 )
-from mucone.linalg import Matrix, Vector, dual_basis
+from mucone.linalg import Matrix, Vector
+from oracles import dual_basis
 
 
 def V(*xs):

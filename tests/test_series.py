@@ -19,6 +19,7 @@ from mucone.series import (
     t_series,
     todd_univariate,
 )
+from oracles import pole_order
 
 F = Fraction
 
@@ -239,7 +240,7 @@ def test_laurent_inverse_gives_todd():
     one = LaurentSeries.from_taylor([1], q)
     f = one - LaurentSeries.exp_taylor(-1, q)
     inv = f.inverse()
-    assert inv.pole_order == 1
+    assert pole_order(inv) == 1
     td = todd_univariate(q)
     for k in range(q):
         assert inv.coefficient(k - 1) == td[k]
@@ -251,7 +252,7 @@ def test_laurent_mul_pole_accounting():
     f = LaurentSeries(-1, [1, 1], q)        # t^-1 + 1
     g = LaurentSeries(-2, [2], q)           # 2 t^-2
     p = f * g
-    assert p.pole_order == 3
+    assert pole_order(p) == 3
     assert p.coefficient(-3) == 2
     assert p.coefficient(-2) == 2
     assert p.known_to == q - 2
