@@ -22,10 +22,6 @@ class DependentGeneratorsError(MuconeError):
     """Generators were required to be linearly independent."""
 
 
-class NotUnimodularError(MuconeError):
-    """A lattice basis was required (determinant +-1)."""
-
-
 class NotSimplicialError(MuconeError):
     """Operation defined only for simplicial cones."""
 

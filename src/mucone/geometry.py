@@ -33,6 +33,7 @@ from .linalg import (
     Matrix,
     Vector,
     cone_index,
+    dual_rows,
     express_in_basis,
     hermite_normal_form,
     primitive,
@@ -122,23 +123,9 @@ def _extreme_indices(count: int, facet_sets: Sequence[frozenset[int]]) -> list[i
     return out
 
 
-def cone_contains(rays: Sequence[Vector], x: Vector,
-                  facets: Sequence[tuple[Vector, frozenset[int]]] | None = None) -> bool:
+def cone_contains(rays: Sequence[Vector], x: Vector) -> bool:
     """Exact membership of x in the pointed cone spanned by the rays."""
-    if x.is_zero:
-        return True
-    if not rays:
-        return False
-    span = _span_basis(rays)
-    c = express_in_basis(span, x)
-    if c is None:
-        return False
-    if len(span) == 1:
-        t = express_in_basis([rays[0]], x)
-        return t is not None and t[0] >= 0
-    if facets is None:
-        facets = cone_facets(rays)
-    return all(h.dot(x) >= 0 for h, _ in facets)
+    return Cone(rays, ambient=len(x)).contains(x)
 
 
 class Cone:
@@ -232,8 +219,21 @@ class Cone:
     def extreme_rays(self) -> list[Vector]:
         return [self.generators[i] for i in self.extreme_ray_indices]
 
+    @cached_property
+    def _annihilator(self) -> list[Vector]:
+        return rational_kernel(Matrix([list(g) for g in self.generators]))
+
     def contains(self, x: Vector) -> bool:
-        return cone_contains(self.generators, x, self.facets)
+        """Exact membership: x is orthogonal to the annihilator (the vectors
+        orthogonal to every ray) and on the inner side of every facet."""
+        if x.is_zero:
+            return True
+        if self.is_zero or any(z.dot(x) != 0 for z in self._annihilator):
+            return False
+        if not self.facets:
+            # dimension 1: x is a multiple of the ray
+            return self.generators[0].dot(x) > 0
+        return all(h.dot(x) >= 0 for h, _ in self.facets)
 
     def __eq__(self, other):
         return (isinstance(other, Cone)
@@ -337,32 +337,26 @@ def _half_open_parallelepiped_points(rays: Sequence[Vector]) -> list[tuple[Vecto
     """
     m = len(rays)
     sat = saturation_basis(rays)
-    cols = []
-    for r in rays:
-        c = express_in_basis(sat, r)
-        assert c is not None and c.is_integral
-        cols.append(c)
-    cmat = Matrix.from_columns([list(c) for c in cols])
-    h, _ = hermite_normal_form(cmat)
+    cols = [express_in_basis(sat, r) for r in rays]
+    assert all(c is not None and c.is_integral for c in cols)
+    h, _ = hermite_normal_form(Matrix.from_columns([list(c) for c in cols]))
     diag = [int(h.rows[i][i]) for i in range(m)]
-    index = 1
-    for dd in diag:
-        index *= dd
+    index = math.prod(diag)
     if index > PARALLELEPIPED_CAP:
         raise TooLargeError(f"parallelepiped with {index} lattice points")
-    inv = cmat.inverse()
+    # the HNF's digit boxes z are the cosets of the rays' lattice, with
+    # coefficients (index C^-1 z mod index) / index; dual_rows(cols) = index C^-1
+    inv = dual_rows(cols)
+    ints = [[int(e) for e in r] for r in rays]
     out = []
     for digits in itertools.product(*(range(dd) for dd in diag)):
-        t = inv.matvec(Vector(digits))
-        frac = Vector(ti - (ti.numerator // ti.denominator) for ti in t)
-        if frac.is_zero:
+        num = [sum(a * b for a, b in zip(row, digits)) % index for row in inv]
+        if not any(num):
             continue
-        point_coords = cmat.matvec(frac)
-        assert point_coords.is_integral
-        point = zero_vector(len(rays[0]))
-        for pc, s in zip(point_coords, sat):
-            point = point + pc * s
-        out.append((point, frac))
+        point = [sum(a * r[j] for a, r in zip(num, ints)) for j in range(len(ints[0]))]
+        assert all(x % index == 0 for x in point)
+        out.append((Vector(x // index for x in point),
+                    Vector(Fraction(a, index) for a in num)))
     return out
 
 
@@ -399,51 +393,47 @@ def subdivide_to_basic(cone: Cone) -> Subdivision:
     half-open parallelepiped of some non-basic cell. The star step is
     applied fan-wide (every cell containing the point splits), which keeps
     the subdivision face-to-face; each affected cell's index strictly
-    drops, so the loop terminates.
+    drops, so the loop terminates. Each cell's dual rows are computed when
+    it appears; their pairings with the point decide containment.
     """
     if cone.is_zero or cone.is_basic:
         return Subdivision(cone, [cone])
 
     rays = sorted(cone.extreme_rays(), key=lambda r: r.entries)
-    cells = [[rays[i] for i in cell] for cell in _pulling_triangulation(rays)]
 
-    indices: dict[tuple[Vector, ...], int] = {}
+    # (rays, dual rows, index) per cell
+    def cell(gens: list[Vector]) -> tuple[list[Vector], list[tuple[int, ...]], int]:
+        return gens, dual_rows(gens), cone_index(gens)
 
-    def cell_det(cell: list[Vector]) -> int:
-        key = tuple(cell)
-        if key not in indices:
-            indices[key] = cone_index(cell)
-        return indices[key]
+    cells = [cell([rays[i] for i in c]) for c in _pulling_triangulation(rays)]
 
     rounds = 0
     while True:
         rounds += 1
         if rounds > 10_000:
             raise InternalInconsistencyError("stellar subdivision did not terminate")
-        victim = None
-        for cell in cells:
-            if cell_det(cell) != 1:
-                victim = cell
-                break
+        victim = next((gens for gens, _, index in cells if index != 1), None)
         if victim is None:
             break
         points = _half_open_parallelepiped_points(victim)
         w, _ = min(points, key=lambda pc: (sum(pc[1].entries), pc[1].entries))
-        new_cells: list[list[Vector]] = []
-        for cell in cells:
-            coords = solve_linear(Matrix.from_columns([list(r) for r in cell]), w)
-            if coords is None or any(c < 0 for c in coords):
-                new_cells.append(cell)
+        wi = [int(e) for e in w]
+        new_cells = []
+        for c in cells:
+            # w lies in the span, so the row pairings are its coordinates times d > 0
+            signs = [sum(a * b for a, b in zip(h, wi)) for h in c[1]]
+            if any(x < 0 for x in signs):
+                new_cells.append(c)
                 continue
             # cell contains w: replace each positively-weighted ray by w
-            for i, ci in enumerate(coords):
-                if ci > 0:
-                    child = list(cell)
+            for i, x in enumerate(signs):
+                if x > 0:
+                    child = list(c[0])
                     child[i] = w
-                    new_cells.append(child)
+                    new_cells.append(cell(child))
         cells = new_cells
 
-    children = [Cone(cell, cone.ambient) for cell in cells]
+    children = [Cone(gens, cone.ambient) for gens, _, _ in cells]
     return Subdivision(cone, children)
 
 
@@ -627,6 +617,18 @@ class Polytope:
             out.append((amb, bb, on))
         return tuple(out)
 
+    @cached_property
+    def normal_cone_cells(self) -> tuple[tuple[Face, Cone, tuple[Cone, ...]], ...]:
+        """(face, normal cone, its basic cells) for every face, in face order.
+        The cells depend only on the normal fan, so every complement map and
+        direction shares them: a normal cone is subdivided once per polytope."""
+        out = []
+        for f in self.faces:
+            nc = normal_cone(self, f)
+            cells = (nc,) if nc.is_basic else subdivide_to_basic(nc).children
+            out.append((f, nc, cells))
+        return tuple(out)
+
     def contains_point(self, x: Vector) -> bool:
         if self.dim == 0:
             return x == self._base
@@ -721,24 +723,17 @@ def triangulate_face(f: Face) -> list[tuple[int, ...]]:
     return rec(f)
 
 
-def lattice_simplices(f: Face) -> list[tuple[tuple[int, ...], Fraction]]:
+def lattice_simplices(f: Face) -> list[tuple[tuple[int, ...], int]]:
     """(simplex, |det|) over the pulling triangulation of a face of dim >= 1.
 
     |det| is taken in a basis of the lattice induced on the face's affine
-    span, so it is dim(F)! times the simplex's normalized volume.
+    span, so it is dim(F)! times the simplex's normalized volume: it is the
+    index of the lattice of the simplex's edges in that lattice.
     """
-    p = f.polytope
-    verts = f.vertices
-    sat = saturation_basis([v - verts[0] for v in verts[1:]])
     out = []
     for simplex in triangulate_face(f):
-        z = [p.vertices[i] for i in simplex]
-        cols = []
-        for zz in z[1:]:
-            c = express_in_basis(sat, zz - z[0])
-            assert c is not None and c.is_integral
-            cols.append(list(c))
-        out.append((simplex, abs(Matrix.from_columns(cols).det())))
+        z = [f.polytope.vertices[i] for i in simplex]
+        out.append((simplex, cone_index([zz - z[0] for zz in z[1:]])))
     return out
 
 

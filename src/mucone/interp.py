@@ -23,8 +23,11 @@ The degree-r part of mu collects the monomials with |e| = k + r.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import InconsistentExplicitFormulaError, InternalInconsistencyError
 from .geometry import Cone, Polytope, normal_cone, subdivide_to_basic
@@ -139,7 +142,7 @@ class SquarefreeReducer:
         self._memo[expo] = out
         return out
 
-    def reduce(self, td: dict[tuple[int, ...], Fraction]):
+    def reduce(self, td: Mapping[tuple[int, ...], Fraction]):
         """Full-subset coefficient of sum_e td[e] D^e, which has degree
         |e| - k per term: a MultiSeries, or on a line its Taylor
         coefficients through t^order."""
@@ -153,9 +156,14 @@ class SquarefreeReducer:
         return self._finish(parts)
 
 
-def td_element(cone: Cone, order: int = DEFAULT_ORDER) -> dict[tuple[int, ...], Fraction]:
-    """The Todd element prod_i td(D_i) as {exponent: constant}, D-degree <= k + order."""
-    k = len(cone.generators)
+def td_element(cone: Cone, order: int = DEFAULT_ORDER) -> Mapping[tuple[int, ...], Fraction]:
+    """The Todd element prod_i td(D_i) as {exponent: constant}, D-degree <= k + order.
+    Built once per (k, order) and shared read-only."""
+    return _td_element(len(cone.generators), order)
+
+
+@cache
+def _td_element(k: int, order: int) -> Mapping[tuple[int, ...], Fraction]:
     cap = k + order
     td = todd_univariate(cap)
     terms = {(0,) * k: Fraction(1)}
@@ -163,7 +171,7 @@ def td_element(cone: Cone, order: int = DEFAULT_ORDER) -> dict[tuple[int, ...], 
         terms = {expo[:i] + (m,) + expo[i + 1:]: c * td[m]
                  for expo, c in terms.items()
                  for m in range(cap - sum(expo) + 1) if td[m]}
-    return terms
+    return MappingProxyType(terms)
 
 
 class MuValue:

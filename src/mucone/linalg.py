@@ -7,6 +7,7 @@ is the coordinate dot product throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -204,34 +205,19 @@ class Matrix:
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        m = [list(r) for r in self.rows]
-        n = len(m)
-        det = Fraction(1)
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pr is None:
-                return Fraction(0)
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+        return Fraction(_det(self.rows))
 
-    def inverse(self) -> "Matrix":
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        aug = Matrix([list(self.rows[i]) + [1 if j == i else 0 for j in range(n)]
-                      for i in range(n)])
-        red, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
-            raise ValueError("singular matrix")
-        return Matrix([row[n:] for row in red.rows])
+
+def _det(m: Sequence[Sequence]):
+    """Determinant of a small square matrix, by cofactor expansion along
+    the first row: exact, and an int for integer entries."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, a in enumerate(m[0]) if a)
 
 
 def rational_kernel(a: Matrix) -> list[Vector]:
@@ -384,21 +370,57 @@ def express_in_basis(basis: Sequence[Vector], v: Vector) -> Vector | None:
     return solve_linear(Matrix.from_columns([list(b) for b in basis]), v)
 
 
+def _coordinate_rows(generators: Sequence[Vector]) -> list[list[int]]:
+    """The integer matrix with the generators as columns, by rows."""
+    if any(e.denominator != 1 for g in generators for e in g):
+        raise ValueError("integer generators required")
+    return [[int(g[i]) for g in generators] for i in range(len(generators[0]))]
+
+
 def cone_index(generators: Sequence[Vector]) -> int:
     """Index of the sublattice spanned by independent integer generators
-    inside the saturated lattice of their span (|det| in a lattice basis)."""
+    inside the saturated lattice of their span: by the Smith normal form,
+    the gcd of the k x k minors of the generator matrix (|det| if k = n)."""
     gens = list(generators)
     if not gens:
         return 1
-    if Matrix([list(g) for g in gens]).rank() != len(gens):
+    g = 0
+    for sub in itertools.combinations(_coordinate_rows(gens), len(gens)):
+        g = math.gcd(g, _det(sub))
+    if g == 0:
         raise DependentGeneratorsError("generators are linearly dependent")
-    sat = saturation_basis(gens)
-    cols = []
-    for g in gens:
-        c = express_in_basis(sat, g)
-        assert c is not None and c.is_integral
-        cols.append(list(c))
-    d = Matrix.from_columns(cols).det()
-    assert d.denominator == 1 and d != 0
-    return abs(int(d))
+    return g
 
+
+def dual_rows(generators: Sequence[Vector]) -> list[tuple[int, ...]]:
+    """Integer rows h_1..h_k for independent integer generators g_1..g_k,
+    with h_i . g_j = 0 for j != i and h_i . g_i = d, one d > 0 for all i.
+
+    On the span of the generators h_i . w / d is the i-th coordinate of w
+    in the generator basis: a point w of the span lies in the cone exactly
+    when every h_i . w >= 0, and its coordinates have the signs of the
+    h_i . w.  The rows are d times the inverse of the k x k submatrix on
+    the first coordinates whose minor is nonzero, padded by zeros: the
+    inverse of the generator matrix for a full-dimensional cone, a left
+    inverse of it otherwise.
+    """
+    gens = list(generators)
+    k = len(gens)
+    rows = _coordinate_rows(gens)
+    for coords in itertools.combinations(range(len(rows)), k):
+        sub = [rows[c] for c in coords]
+        det = _det(sub)
+        if det:
+            break
+    else:
+        raise DependentGeneratorsError("generators are linearly dependent")
+    sign = 1 if det > 0 else -1
+    out = []
+    for i in range(k):
+        # row i of the adjugate: (-1)^(i+j) times the minor without row j, column i
+        h = [0] * len(rows)
+        for j, c in enumerate(coords):
+            minor = [r[:i] + r[i + 1:] for jj, r in enumerate(sub) if jj != j]
+            h[c] = sign * (-1) ** (i + j) * _det(minor)
+        out.append(tuple(h))
+    return out

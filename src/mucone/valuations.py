@@ -21,13 +21,12 @@ from .geometry import (
     Face,
     Polytope,
     lattice_simplices,
-    normal_cone,
     normalized_volume,
     subdivide_to_basic,
     supporting_cone,
 )
 from .interp import DEFAULT_ORDER, MuTable, mu_on_line, mu_table
-from .linalg import Matrix, Vector, format_rational
+from .linalg import Vector, dual_rows, format_rational
 from .series import LaurentSeries, restrict_to_direction
 
 DEFAULT_SEED = 1729
@@ -227,29 +226,14 @@ class IdentityReport:
                 f"{self.map_description}, q={self.q})")
 
 
-def _normal_cone_cells(p: Polytope) -> list[tuple[Face, Cone, tuple[Cone, ...]]]:
-    """(face, normal cone, its basic cells) for every face, in face order.
-
-    Each non-basic cone is subdivided here once, and both the direction
-    constraints and the mu sums use these cells.
-    """
-    out = []
-    for f in p.faces:
-        nc = normal_cone(p, f)
-        cells = (nc,) if nc.is_basic else subdivide_to_basic(nc).children
-        out.append((f, nc, cells))
-    return out
-
-
-def _corner_data_vectors(p: Polytope, faces) -> list[Vector]:
+def _corner_data_vectors(p: Polytope) -> list[Vector]:
     """Vectors a verification direction must not annihilate: edge directions
-    plus every generator in every normal-cone subdivision (`faces` as from
-    _normal_cone_cells)."""
+    plus every generator in every normal-cone subdivision."""
     avoid: list[Vector] = []
     for e in p.faces_of_dim(1):
         a, b = e.vertices
         avoid.append(b - a)
-    for _, nc, cells in faces:
+    for _, nc, cells in p.normal_cone_cells:
         avoid.extend(nc.generators)
         for cell in cells:
             avoid.extend(cell.generators)
@@ -276,19 +260,17 @@ def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
     q = order - p.dim
     if q < 0:
         raise ValueError(f"order {order} below polytope dimension {p.dim}")
-    faces = _normal_cone_cells(p)
     attempts: list[dict] = []
     if y0 is None:
-        direction, attempts = sample_direction(
-            p.ambient, _corner_data_vectors(p, faces), seed)
+        direction, attempts = sample_direction(p.ambient, _corner_data_vectors(p), seed)
     elif isinstance(y0, Direction):
         direction = y0
     else:
-        direction = certify_direction(y0, _corner_data_vectors(p, faces))
+        direction = certify_direction(y0, _corner_data_vectors(p))
     y = direction.y0
     if table is None:
         mu_lines = [(f, mu_on_line(nc, cmap, y, order, cells, cross_validate))
-                    for f, nc, cells in faces]
+                    for f, nc, cells in p.normal_cone_cells]
     else:
         mu_lines = [(f, restrict_to_direction(v.series, y))
                     for f, v in table.entries]
@@ -330,10 +312,7 @@ def _interior_probe(parent: Cone, cells, seed: int) -> tuple[Vector, list]:
     Returns the point together with each cell's dual rows, which the
     half-open selection reuses.
     """
-    duals = []
-    for cell in cells:
-        inv = Matrix([list(g) for g in cell.generators]).transpose().inverse()
-        duals.append([Vector(row) for row in inv.rows])
+    duals = [dual_rows(cell.generators) for cell in cells]
     rng = random.Random(seed)
     rays = parent.extreme_rays()
     for _ in range(64):
@@ -341,7 +320,7 @@ def _interior_probe(parent: Cone, cells, seed: int) -> tuple[Vector, list]:
         probe = Vector([Fraction(0)] * parent.ambient)
         for w, r in zip(weights, rays):
             probe = probe + Vector([w * e for e in r])
-        if all(h.dot(probe) != 0 for rows in duals for h in rows):
+        if all(Vector(h).dot(probe) != 0 for rows in duals for h in rows):
             return probe, duals
     raise DirectionDegenerateError("no interior probe avoided all facet planes")
 
@@ -355,7 +334,7 @@ def brion_vertex_decomposition_check(p: Polytope, y0=None, q: int = 6,
     partition the cone, and each half-open basic cell contributes a
     closed-form product of geometric series.
     """
-    avoid = _corner_data_vectors(p, _normal_cone_cells(p))
+    avoid = _corner_data_vectors(p)
     if y0 is None:
         direction, _ = sample_direction(p.ambient, avoid, seed)
     elif isinstance(y0, Direction):
@@ -372,7 +351,7 @@ def brion_vertex_decomposition_check(p: Polytope, y0=None, q: int = 6,
         cells = list(subdivide_to_basic(scone).children)
         probe, duals = _interior_probe(scone, cells, seed)
         for cell, rows in zip(cells, duals):
-            open_facets = {i for i, h in enumerate(rows) if h.dot(probe) < 0}
+            open_facets = {i for i, h in enumerate(rows) if Vector(h).dot(probe) < 0}
             piece = _half_open_cone_series(apex, cell, open_facets, y, q)
             total = piece if total is None else total + piece
     return total.agrees_with(s_series(p, direction, q), through=q)

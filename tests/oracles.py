@@ -6,7 +6,9 @@ under it, and a Todd element must keep its value through reduction), the
 squarefree normal form of a whole D-expansion by linearity, and the
 alternating chain sum for one subset pair.  A D-expansion is a plain dict
 from exponent tuples to coefficients (Fractions or MultiSeries).  Also
-here: small linear-algebra and genericity checks the library never calls.
+here: the star step and the lattice index by linear solves and the
+Hermite normal form, and small linear-algebra and genericity checks the
+library never calls.
 """
 
 from __future__ import annotations
@@ -18,12 +20,25 @@ from mucone.errors import (
     MuconeError,
     NotFullDimError,
     NotGenericError,
-    NotUnimodularError,
     UnknownRayError,
 )
-from mucone.geometry import Cone, _rank_of, subdivide_to_basic
+from mucone.errors import DependentGeneratorsError, InternalInconsistencyError
+from mucone.geometry import (
+    Cone,
+    _half_open_parallelepiped_points,
+    _pulling_triangulation,
+    _rank_of,
+    subdivide_to_basic,
+)
 from mucone.interp import DEFAULT_ORDER, SquarefreeReducer, _chain_terms
-from mucone.linalg import Matrix, Vector
+from mucone.linalg import (
+    Matrix,
+    Vector,
+    express_in_basis,
+    hermite_normal_form,
+    saturation_basis,
+    solve_linear,
+)
 from mucone.series import (
     LaurentSeries,
     MultiSeries,
@@ -37,6 +52,10 @@ class VectorNotInSubspaceError(MuconeError):
     """Vector expected to lie in the complement subspace of a face."""
 
 
+class NotUnimodularError(MuconeError):
+    """A lattice basis was required (determinant +-1)."""
+
+
 def dual_basis(basis) -> list[Vector]:
     """For a lattice basis w_1..w_n, the dual basis v_1..v_n with <w_i, v_j> = delta_ij."""
     mat = Matrix([list(w) for w in basis])
@@ -45,8 +64,90 @@ def dual_basis(basis) -> list[Vector]:
     d = mat.det()
     if abs(d) != 1:
         raise NotUnimodularError(f"not a lattice basis (determinant {d})")
-    inv = mat.inverse()
+    inv = inverse(mat)
     return [inv.column(j) for j in range(mat.ncols)]
+
+
+def inverse(a: Matrix) -> Matrix:
+    n = a.nrows
+    if n != a.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    aug = Matrix([list(a.rows[i]) + [1 if j == i else 0 for j in range(n)]
+                  for i in range(n)])
+    red, pivots = aug.rref()
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return Matrix([row[n:] for row in red.rows])
+
+
+def saturation_index(generators) -> int:
+    """Index of the lattice of independent integer generators in the
+    saturated lattice of their span: |det| of their coordinates in a
+    saturation basis, that basis found by two integer kernels (HNF)."""
+    gens = list(generators)
+    if not gens:
+        return 1
+    if Matrix([list(g) for g in gens]).rank() != len(gens):
+        raise DependentGeneratorsError("generators are linearly dependent")
+    sat = saturation_basis(gens)
+    cols = []
+    for g in gens:
+        c = express_in_basis(sat, g)
+        assert c is not None and c.is_integral
+        cols.append(list(c))
+    h, _ = hermite_normal_form(Matrix.from_columns(cols))
+    d = 1
+    for i in range(len(gens)):
+        d *= int(h.rows[i][i])
+    assert d == abs(Matrix.from_columns(cols).det())
+    return d
+
+
+def star_subdivision_cells(cone: Cone) -> list[list[Vector]]:
+    """The ray lists of subdivide_to_basic's cells, by the star step that
+    solves one linear system per cell and round for the new ray's
+    coordinates, with indices from saturation_index."""
+    if cone.is_zero or cone.is_basic:
+        return [list(cone.generators)]
+    rays = sorted(cone.extreme_rays(), key=lambda r: r.entries)
+    cells = [[rays[i] for i in cell] for cell in _pulling_triangulation(rays)]
+
+    indices: dict[tuple[Vector, ...], int] = {}
+
+    def cell_det(cell: list[Vector]) -> int:
+        key = tuple(cell)
+        if key not in indices:
+            indices[key] = saturation_index(cell)
+        return indices[key]
+
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > 10_000:
+            raise InternalInconsistencyError("stellar subdivision did not terminate")
+        victim = None
+        for cell in cells:
+            if cell_det(cell) != 1:
+                victim = cell
+                break
+        if victim is None:
+            break
+        points = _half_open_parallelepiped_points(victim)
+        w, _ = min(points, key=lambda pc: (sum(pc[1].entries), pc[1].entries))
+        new_cells: list[list[Vector]] = []
+        for cell in cells:
+            coords = solve_linear(Matrix.from_columns([list(r) for r in cell]), w)
+            if coords is None or any(c < 0 for c in coords):
+                new_cells.append(cell)
+                continue
+            # cell contains w: replace each positively-weighted ray by w
+            for i, ci in enumerate(coords):
+                if ci > 0:
+                    child = list(cell)
+                    child[i] = w
+                    new_cells.append(child)
+        cells = new_cells
+    return cells
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

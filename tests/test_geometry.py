@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mucone.errors import (
     DimensionTooLargeError,
@@ -34,8 +36,8 @@ from mucone.geometry import (
     triangulate_face,
     zero_cone,
 )
-from mucone.linalg import Matrix, Vector
-from oracles import dual_basis
+from mucone.linalg import Matrix, Vector, dual_rows, saturation_basis
+from oracles import dual_basis, saturation_index, star_subdivision_cells
 
 
 def V(*xs):
@@ -150,6 +152,55 @@ class TestSubdivision:
                 assert owners, f"{x} lost by subdivision of {c}"
                 if len(owners) > 1 and not x.is_zero:
                     assert any(h.dot(x) == 0 for ch in owners for h, _ in ch.facets)
+
+
+@st.composite
+def star_cones(draw):
+    """A pointed cone of dimension d <= n with 1-4 small integer rays in
+    R^2 or R^3: for d < n the rays are images under an integer n x d
+    matrix of rank d, so the cone is lower-dimensional."""
+    n = draw(st.sampled_from([3, 2]))
+    d = draw(st.sampled_from(range(n, 0, -1)))
+    nonzero = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    if d == n:
+        embed = Matrix.identity(n)
+    else:
+        embed = Matrix([[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(n)])
+        assume(embed.rank() == d)
+    rays = [embed.matvec(Vector(draw(nonzero)))
+            for _ in range(draw(st.sampled_from([3, 4, 2, 1])))]
+    try:
+        cone = Cone(rays, ambient=n)
+    except NotPointedError:
+        assume(False)
+    assume(cone.dim == d)
+    return cone
+
+
+class TestStarStep:
+    """The star step by dual rows against solving for each cell's coordinates."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(star_cones(), st.data())
+    def test_matches_solving_oracle(self, cone, data):
+        sub = subdivide_to_basic(cone)
+        cells = [list(ch.generators) for ch in sub]
+        assert cells == star_subdivision_cells(cone)
+        assert all(ch.is_basic and saturation_index(ch.generators) == 1 for ch in sub)
+        lattice = saturation_basis(list(cone.generators))
+
+        def point(basis):
+            cs = data.draw(st.lists(st.integers(-6, 6), min_size=len(basis),
+                                    max_size=len(basis)))
+            return sum((c * b for c, b in zip(cs, basis)), Vector([0] * cone.ambient))
+
+        for ch in {cone, *sub} if cone.is_simplicial else sub:
+            rows = dual_rows(ch.generators)
+            # lattice points of the span, and combinations of the cell's rays
+            # that often land on its boundary
+            for x in [point(lattice) for _ in range(4)] + [point(ch.generators) for _ in range(4)]:
+                by_rows = all(sum(a * b for a, b in zip(h, x)) >= 0 for h in rows)
+                assert by_rows == cone_contains(ch.generators, x), (ch, x)
 
 
 class TestHullHelpers:

@@ -109,6 +109,20 @@ class TestTdElement:
         assert td[(0, 2)] == Fraction(1, 12)
         assert max(map(sum, td)) == 2 + 3
 
+    def test_shared_read_only_value(self):
+        # built once per (k, order): the reductions read it and leave it as it was
+        c = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 1)])
+        first = td_element(c, order=4)
+        snapshot = dict(first)
+        mu_basic(c, IP3, 4)
+        mu_on_line(c, IP3, V(2, 3, 5), 4)
+        second = td_element(Cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)]), order=4)
+        assert second is first
+        assert second == snapshot
+        with pytest.raises(TypeError):
+            first[(0, 0, 0)] = 2
+        assert td_element(c, order=3) != snapshot
+
 
 class TestReduction:
     def test_1d_square(self):

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mucone.errors import (
     DependentGeneratorsError,
-    NotUnimodularError,
     ParseError,
     ZeroVectorError,
 )
@@ -22,7 +23,7 @@ from mucone.linalg import (
     saturation_basis,
     solve_linear,
 )
-from oracles import dual_basis, matmul
+from oracles import NotUnimodularError, dual_basis, inverse, matmul, saturation_index
 
 
 def V(*xs):
@@ -154,6 +155,31 @@ def test_cone_index_matches_hnf_diagonal():
         assert cone_index(gens) == abs(prod)
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_cone_index_is_minor_gcd(data):
+    """The gcd of the k x k minors equals the index found through a
+    saturation basis and the Hermite normal form."""
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, n))
+    gens = [Vector(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+            for _ in range(k)]
+    assume(Matrix([list(g) for g in gens]).rank() == k)
+    assert cone_index(gens) == saturation_index(gens)
+
+
+def test_cone_index_lower_dimensional():
+    # two rays spanning a plane of R^3; the saturation of the span is
+    # generated by (1, 0, 0), (0, 1, 0) and by (1, 0, 1), (0, 1, 0)
+    assert cone_index([V(1, 1, 0), V(1, -1, 0)]) == 2
+    assert cone_index([V(1, 0, 1), V(1, 3, 1)]) == 3
+    assert cone_index([V(1, 0, 1), V(0, 1, 0)]) == 1
+    with pytest.raises(DependentGeneratorsError):
+        cone_index([V(1, 2, 3), V(2, 4, 6)])
+    with pytest.raises(DependentGeneratorsError):
+        cone_index([V(1, 0), V(0, 1), V(1, 1)])
+
+
 def test_primitive():
     assert primitive(V(4, -2)) == V(2, -1)
     assert primitive(V(Fraction(1, 2), Fraction(1, 3))) == V(3, 2)
@@ -193,9 +219,9 @@ def test_dual_basis_involution():
 def test_matrix_basics():
     a = Matrix([[1, 2], [3, 4]])
     assert a.det() == -2
-    assert matmul(a.inverse(), a) == Matrix.identity(2)
+    assert matmul(inverse(a), a) == Matrix.identity(2)
     assert a.rank() == 2
     assert Matrix([[1, 2], [2, 4]]).rank() == 1
     assert a.transpose() == Matrix([[1, 3], [2, 4]])
     with pytest.raises(ValueError):
-        Matrix([[1, 2], [2, 4]]).inverse()
+        inverse(Matrix([[1, 2], [2, 4]]))

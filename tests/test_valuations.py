@@ -1,9 +1,11 @@
 """Exponential sums/integrals, local counting, and the identity harness."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from mucone import geometry
 from mucone.complement import (
     FlagMap,
     InnerProductMap,
@@ -322,6 +324,29 @@ class TestMuOnLine:
                  mu_table(p, IP2, 6, cross_validate).entries]
         assert all(s.nvars == p.ambient for s in after)
         assert after == fresh
+
+
+class TestCellsKeptOnPolytope:
+    def test_each_normal_cone_subdivided_once(self, monkeypatch):
+        calls = Counter()
+        subdivide = geometry.subdivide_to_basic
+
+        def counting(cone):
+            calls[cone] += 1
+            return subdivide(cone)
+
+        monkeypatch.setattr(geometry, "subdivide_to_basic", counting)
+        p = Polytope(PYRAMID.vertices, name="pyramid")
+        reports = [verify_interpolator(p, cmap, order=6) for cmap in (IP3, GRAM3)]
+        assert brion_vertex_decomposition_check(p, q=4)
+        nonbasic = [nc for _, nc, _ in p.normal_cone_cells if not nc.is_basic]
+        assert nonbasic
+        assert calls == Counter(nonbasic)
+        # nothing that depends on the map is kept with the cells
+        for cmap, rep in zip((IP3, GRAM3), reports):
+            assert rep.passed
+            fresh = Polytope(PYRAMID.vertices, name="pyramid")
+            assert verify_interpolator(fresh, cmap, order=6).to_json() == rep.to_json()
 
 
 class TestBrion:
