@@ -194,11 +194,14 @@ class TestStarStep:
                                     max_size=len(basis)))
             return sum((c * b for c, b in zip(cs, basis)), Vector([0] * cone.ambient))
 
-        for ch in {cone, *sub} if cone.is_simplicial else sub:
+        simplicial = list(sub) + [cone] * (cone.is_simplicial and not cone.is_basic)
+        for ch in simplicial:
             rows = dual_rows(ch.generators)
-            # lattice points of the span, and combinations of the cell's rays
-            # that often land on its boundary
-            for x in [point(lattice) for _ in range(4)] + [point(ch.generators) for _ in range(4)]:
+            # lattice points of the span, and combinations of the cell's rays,
+            # which often land on its boundary
+            points = [point(lattice) for _ in range(4)]
+            points += [point(ch.generators) for _ in range(4)]
+            for x in points:
                 by_rows = all(sum(a * b for a, b in zip(h, x)) >= 0 for h in rows)
                 assert by_rows == cone_contains(ch.generators, x), (ch, x)
 
