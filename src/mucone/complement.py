@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import NotGenericError, UnknownRayError
 from .geometry import Cone, _rank_of, _span_basis
-from .linalg import Matrix, Vector, primitive, solve_linear, unit_vector
+from .linalg import Matrix, Vector, primitive, unit_vector
 
 
 class PsiSubspace:
@@ -62,21 +62,31 @@ class ComplementMap:
         return cached
 
     def solve_u(self, rays: Sequence[Vector], target: int) -> Vector:
-        """The unique u in psi(rays) pairing to 1 with rays[target], 0 with the rest."""
-        key = (tuple(rays), target)
-        cached = self._u_cache.get(key)
+        """The unique u in psi(rays) pairing to 1 with rays[target], 0 with the rest.
+
+        One elimination of [pairing | I] per ray subset solves for every
+        target at once, and the cache keeps all of them.
+        """
+        rays = tuple(rays)
+        cached = self._u_cache.get((rays, target))
         if cached is None:
             sub = self.psi(rays)
             k = len(sub.rays)
-            rhs = unit_vector(k, target)
-            coeffs = solve_linear(sub.pairing, rhs)
-            if coeffs is None:
+            if not 0 <= target < k:
+                raise ValueError(f"target {target} out of range for {k} rays")
+            aug = Matrix([list(row) + [int(i == j) for j in range(k)]
+                          for i, row in enumerate(sub.pairing.rows)])
+            red, pivots = aug.rref()
+            if pivots[:k] != list(range(k)):
                 raise NotGenericError(f"no complement vector for {list(rays)}")
-            u = Vector([Fraction(0)] * self.ambient)
-            for c, b in zip(coeffs, sub.basis):
-                u = u + c * b
-            cached = u
-            self._u_cache[key] = cached
+            # column j of the inverse pairing holds the coefficients of u_j
+            inv = [row[k:] for row in red.rows]
+            basis = [b.entries for b in sub.basis]
+            for j in range(k):
+                u = [sum((inv[i][j] * b[c] for i, b in enumerate(basis)), Fraction(0))
+                     for c in range(self.ambient)]
+                self._u_cache[(rays, j)] = Vector(u)
+            cached = self._u_cache[(rays, target)]
         return cached
 
     def key(self) -> tuple:

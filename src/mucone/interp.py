@@ -26,23 +26,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
 
 from .errors import InconsistentExplicitFormulaError, InternalInconsistencyError
 from .geometry import Cone, Polytope, normal_cone, subdivide_to_basic
 from .linalg import Vector, format_rational
-from .series import (
-    LaurentSeries,
-    MultiSeries,
-    RationalFunctionTerm,
-    combine_over_common_denominator,
-    compose_linear,
-    denominator_union,
-    divide_by_linear_form,
-    restrict_to_direction,
-    todd_univariate,
-)
+from .series import LaurentSeries, MultiSeries, restrict_to_direction, todd_univariate
 
 DEFAULT_ORDER = 6
 
@@ -248,43 +239,212 @@ def _chain_terms(cone: Cone, cmap, S: frozenset, T: frozenset):
     return out
 
 
+class _Lattice:
+    """The principal lattice of interpolation nodes in the chart y_1 = 1.
+
+    Axis d (0-based, over the coordinates y_2..y_n) has the equally spaced
+    nodes x_s = s*h_d + shift**(d + 1) with h_d = d + 2, s = 0..levels; the
+    points are the node tuples `coords` of the multi-indices alpha with
+    |alpha| <= levels.  `lines[d]` lists, per line along axis d, the point
+    positions in increasing alpha_d.  On equally spaced nodes the Newton
+    coefficient of alpha is the forward difference D^alpha f over
+    prod_d alpha_d! h_d^alpha_d, so `newton[p]` expands the basis polynomial
+    prod_d prod_{s < alpha_d} (x_d - x_s) over that weight into (exponent,
+    integer) pairs, all over the one common `denominator`.
+    """
+
+    __slots__ = ("points", "coords", "lines", "newton", "denominator")
+
+    def __init__(self, m: int, levels: int, shift: int):
+        steps = [d + 2 for d in range(m)]
+        axes = [[s * h + shift ** (d + 1) for s in range(levels + 1)]
+                for d, h in enumerate(steps)]
+        self.points = [a for a in product(range(levels + 1), repeat=m) if sum(a) <= levels]
+        self.coords = [tuple(xs[a] for xs, a in zip(axes, alpha)) for alpha in self.points]
+        self.lines = []
+        for d in range(m):
+            lines: dict[tuple, list[int]] = {}
+            for pos, alpha in enumerate(self.points):  # lexicographic: alpha_d increases
+                lines.setdefault(alpha[:d] + alpha[d + 1:], []).append(pos)
+            self.lines.append(list(lines.values()))
+        # per axis, prod_{s < a} (x - x_s) as a coefficient list, for a = 0..levels
+        basis = []
+        for xs in axes:
+            polys = [[1]]
+            for x in xs:
+                p = polys[-1] + [0]
+                polys.append([(p[i - 1] if i else 0) - x * p[i] for i in range(len(p))])
+            basis.append(polys)
+        weights = [prod(factorial(a) * h ** a for a, h in zip(alpha, steps))
+                   for alpha in self.points]
+        self.denominator = lcm(*weights)
+        self.newton = []
+        for alpha, w in zip(self.points, weights):
+            terms = [((), self.denominator // w)]
+            for polys, a in zip(basis, alpha):
+                terms = [(beta + (b,), c * e) for beta, c in terms
+                         for b, e in enumerate(polys[a]) if e]
+            self.newton.append(terms)
+
+
+@cache
+def _lattice(m: int, levels: int, shift: int) -> _Lattice:
+    return _Lattice(m, levels, shift)
+
+
+def _explicit_terms(cone: Cone, cmap):
+    """The chain sum for the full subset, indexed for evaluation.
+
+    Returns (forms, groups): the entry tuples of the distinct pivot vectors,
+    and per subset T the pair (positions of T's own pivots, [(sign,
+    positions of the chain's denominator forms)]) over chains from T to
+    the full set.
+    """
+    k = len(cone.generators)
+    full = frozenset(range(k))
+    index: dict[Vector, int] = {}
+    groups = []
+    for size in range(k + 1):
+        for T in combinations(range(k), size):
+            T = frozenset(T)
+            pivots = [index.setdefault(pivot_vector(cone, cmap, T, i), len(index))
+                      for i in sorted(T)]
+            chains = [(int(sign), [index.setdefault(f, len(index)) for f in forms])
+                      for sign, forms in _chain_terms(cone, cmap, full, T)]
+            groups.append((pivots, chains))
+    return [v.entries for v in index], groups
+
+
+@cache
+def _todd_over_integers(cap: int) -> tuple[int, list[int]]:
+    """(d, [d*td_0, ..., d*td_cap]) with d the least common denominator."""
+    td = todd_univariate(cap)
+    d = lcm(*(c.denominator for c in td))
+    return d, [int(c * d) for c in td]
+
+
+def _chain_sum_on_line(groups, values, k: int, order: int) -> list[Fraction]:
+    """t^k times the chain sum on the line t*y, through t^(k + order).
+
+    values[j] = <form j, y>, all nonzero.  On the line each chain term is
+    sign * num_T(t) / (t^k prod <f,y>), so the sum is t^-k sum_T c_T num_T(t)
+    with c_T = sum over chains of sign / prod <f,y> and num_T(t) the
+    product of td(<u,y> t) over T's pivots u.  Where mu is a power series,
+    the coefficients of t^0..t^(k-1) cancel and the t^(k+r) coefficient is
+    p_r(y), the degree-r part of mu at y.
+
+    The products run in integers: with <u,y> = p/q, d*q^cap * td(<u,y> t)
+    has the integer coefficients (d td_m) p^m q^(cap-m).
+    """
+    cap = k + order
+    d, tdn = _todd_over_integers(cap)
+    pq = [(v.numerator, v.denominator) for v in values]
+    total, total_den = [0] * (cap + 1), 1
+    for pivots, chains in groups:
+        c, den = 0, 1  # c_T = c / den
+        for sign, forms in chains:
+            p = prod(pq[j][0] for j in forms)
+            c = c * p + sign * prod(pq[j][1] for j in forms) * den
+            den *= p
+        if not c:
+            continue
+        g = gcd(c, den)
+        num, den = [c // g], den // g
+        for j in pivots:
+            p, q = pq[j]
+            factor, pm, qm = [], 1, q ** cap
+            for m in range(cap + 1):
+                factor.append(tdn[m] * pm * qm)
+                pm *= p
+                qm //= q
+            out = [0] * (cap + 1)
+            for i, x in enumerate(num):
+                for m in range(cap + 1 - i):
+                    if factor[m]:
+                        out[i + m] += x * factor[m]
+            num = out
+            den *= d * q ** cap
+        common = lcm(total_den, den)
+        total = [a * (common // total_den) for a in total]
+        for i, x in enumerate(num):
+            total[i] += x * (common // den)
+        total_den = common
+    return [Fraction(x, total_den) for x in total]
+
+
+def _nodes(forms, m: int, levels: int):
+    """The lattice with the least shift = 1, 2, ... on which no form vanishes,
+    and the forms' values at each of its points y = (1, x).  Terminates: a
+    form that vanishes at a node for infinitely many shifts is zero."""
+    scaled = []
+    for f in forms:
+        den = lcm(*(e.denominator for e in f))
+        scaled.append(([int(e * den) for e in f], den))
+    shift = 1
+    while True:
+        lattice = _lattice(m, levels, shift)
+        rows = [[f[0] + sum(a * b for a, b in zip(f[1:], x)) for f, _ in scaled]
+                for x in lattice.coords]
+        if all(all(row) for row in rows):
+            return lattice, [[Fraction(v, den) for v, (_, den) in zip(row, scaled)]
+                             for row in rows]
+        shift += 1
+
+
 def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
     """mu assembled from the closed chain-sum formula: sum over subsets T of
     td(pivots of T) times the alternating chain sum from T to the full set.
 
-    All fractions go over one common denominator; the combined numerator
-    must divide out exactly, or the run aborts as an internal inconsistency.
+    The degree-r part p_r of mu is a homogeneous polynomial.  The chain sum
+    is evaluated on lines t*y with y = (1, x) at the points x of a
+    principal lattice one level deeper than any degree needs; differences
+    taken axis by axis give each p_r's Newton coefficients in the chart
+    y_1 = 1, which expand to monomials and homogenize.  A pole on any line,
+    a nonzero Newton coefficient of p_r above degree r, or (for n = 1) a
+    mismatch at the second point y = 2 aborts the run as an internal
+    inconsistency.
     """
     k = len(cone.generators)
     n = cone.ambient
-    full = frozenset(range(k))
-    raw: list[tuple[frozenset, Fraction, list[Vector]]] = []
-    for size in range(k + 1):
-        for T in combinations(range(k), size):
-            T = frozenset(T)
-            for sign, forms in _chain_terms(cone, cmap, full, T):
-                raw.append((T, sign, forms))
-    target = order + len(denominator_union(forms for _, _, forms in raw))
-    tdc = todd_univariate(target)
-    numerators: dict[frozenset, MultiSeries] = {}
-    for T, _, _ in raw:
-        if T not in numerators:
-            prod = MultiSeries.constant(1, n, target)
-            for i in sorted(T):
-                prod = prod * compose_linear(tdc, pivot_vector(cone, cmap, T, i), target)
-            numerators[T] = prod
-    terms = [RationalFunctionTerm(numerators[T].scale(sign), forms)
-             for T, sign, forms in raw]
-    num, den = combine_over_common_denominator(terms, order)
-    series = num
-    try:
-        for f in den:
-            series = divide_by_linear_form(series, f)
-    except ValueError as exc:
+    forms, groups = _explicit_terms(cone, cmap)
+
+    def fail(what: str):
         raise InconsistentExplicitFormulaError(
-            f"chain-sum numerator not divisible by its denominator: "
-            f"cone={cone!r} map={cmap.describe()}") from exc
-    return MuValue(cone, cmap.key(), order, series.truncate(order), "explicit")
+            f"{what}: cone={cone!r} map={cmap.describe()}")
+
+    def taylor(row):
+        line = _chain_sum_on_line(groups, row, k, order)
+        if any(line[:k]):
+            fail("chain sum has a pole on a line")
+        return line[k:]
+
+    lattice, rows = _nodes(forms, n - 1, order + 1)
+    values = [taylor(row) for row in rows]
+    if n == 1:
+        second = taylor([2 * v for v in rows[0]])
+        if any(b != a * 2 ** r for r, (a, b) in enumerate(zip(values[0], second))):
+            fail("chain sum is not homogeneous on the line")
+    # forward differences, in integers over the common denominator
+    den = lcm(*(v.denominator for vals in values for v in vals))
+    diffs = [[v.numerator * (den // v.denominator) for v in vals] for vals in values]
+    for lines in lattice.lines:
+        for line in lines:
+            for j in range(1, len(line)):
+                for i in range(len(line) - 1, j - 1, -1):
+                    diffs[line[i]] = [a - b for a, b in zip(diffs[line[i]], diffs[line[i - 1]])]
+    coeffs: dict[tuple[int, ...], int] = {}
+    for alpha, newton, row in zip(lattice.points, lattice.newton, diffs):
+        for r, c in enumerate(row):
+            if not c:
+                continue
+            if sum(alpha) > r:
+                fail(f"degree-{r} part of the chain sum is not a polynomial of degree {r}")
+            for beta, e in newton:
+                expo = (r - sum(beta),) + beta
+                coeffs[expo] = coeffs.get(expo, 0) + c * e
+    den *= lattice.denominator
+    series = MultiSeries(n, order, {e: Fraction(c, den) for e, c in coeffs.items()})
+    return MuValue(cone, cmap.key(), order, series, "explicit")
 
 
 # -- the full mu, any pointed generic cone ------------------------------------

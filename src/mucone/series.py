@@ -9,7 +9,11 @@ specialization of everything onto a sampled direction.
 There is deliberately no general series division. Quotients appear either
 as RationalFunctionTerm values (numerator plus a list of linear denominator
 forms) or through exact division by a single linear form, which fails
-loudly whenever the dividend is not a multiple.
+loudly whenever the dividend is not a multiple.  Neither is on the path
+that computes mu any more: the explicit chain sum is evaluated on lines
+and interpolated (interp.mu_explicit).  RationalFunctionTerm,
+combine_over_common_denominator and divide_by_linear_form remain for the
+test oracle that combines the chain sum over one common denominator.
 """
 
 from __future__ import annotations

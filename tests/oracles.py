@@ -3,12 +3,13 @@
 The ideal generators D_S (l_v - v), the evaluation map that substitutes
 each D variable by its dual linear form (the ideal's kernel must vanish
 under it, and a Todd element must keep its value through reduction), the
-squarefree normal form of a whole D-expansion by linearity, and the
-alternating chain sum for one subset pair.  A D-expansion is a plain dict
-from exponent tuples to coefficients (Fractions or MultiSeries).  Also
-here: the star step and the lattice index by linear solves and the
-Hermite normal form, and small linear-algebra and genericity checks the
-library never calls.
+squarefree normal form of a whole D-expansion by linearity, the
+alternating chain sum for one subset pair, and the whole chain-sum mu as
+multivariate rational functions over one common denominator.  A
+D-expansion is a plain dict from exponent tuples to coefficients
+(Fractions or MultiSeries).  Also here: the star step and the lattice
+index by linear solves and the Hermite normal form, and small
+linear-algebra and genericity checks the library never calls.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from itertools import combinations
 
 from mucone.complement import RayTableMap
 from mucone.errors import (
+    DependentGeneratorsError,
+    InconsistentExplicitFormulaError,
+    InternalInconsistencyError,
     MuconeError,
     NotFullDimError,
     NotGenericError,
     UnknownRayError,
 )
-from mucone.errors import DependentGeneratorsError, InternalInconsistencyError
 from mucone.geometry import (
     Cone,
     _half_open_parallelepiped_points,
@@ -30,7 +33,13 @@ from mucone.geometry import (
     _rank_of,
     subdivide_to_basic,
 )
-from mucone.interp import DEFAULT_ORDER, SquarefreeReducer, _chain_terms
+from mucone.interp import (
+    DEFAULT_ORDER,
+    MuValue,
+    SquarefreeReducer,
+    _chain_terms,
+    pivot_vector,
+)
 from mucone.linalg import (
     Matrix,
     Vector,
@@ -44,7 +53,10 @@ from mucone.series import (
     MultiSeries,
     RationalFunctionTerm,
     combine_over_common_denominator,
+    compose_linear,
     denominator_union,
+    divide_by_linear_form,
+    todd_univariate,
 )
 
 
@@ -277,3 +289,38 @@ def chain_sum(cone: Cone, cmap, S, T, order: int = DEFAULT_ORDER) -> RationalFun
              for sign, forms in raw]
     num, den = combine_over_common_denominator(terms, order)
     return RationalFunctionTerm(num, den)
+
+
+def mu_explicit_combined(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
+    """The chain-sum formula as multivariate rational functions: every term
+    goes over one common denominator, and the combined numerator must
+    divide out exactly."""
+    k = len(cone.generators)
+    n = cone.ambient
+    full = frozenset(range(k))
+    raw = []
+    for size in range(k + 1):
+        for T in combinations(range(k), size):
+            T = frozenset(T)
+            for sign, forms in _chain_terms(cone, cmap, full, T):
+                raw.append((T, sign, forms))
+    target = order + len(denominator_union(forms for _, _, forms in raw))
+    tdc = todd_univariate(target)
+    numerators: dict[frozenset, MultiSeries] = {}
+    for T, _, _ in raw:
+        if T not in numerators:
+            prod = MultiSeries.constant(1, n, target)
+            for i in sorted(T):
+                prod = prod * compose_linear(tdc, pivot_vector(cone, cmap, T, i), target)
+            numerators[T] = prod
+    terms = [RationalFunctionTerm(numerators[T].scale(sign), forms)
+             for T, sign, forms in raw]
+    series, den = combine_over_common_denominator(terms, order)
+    try:
+        for f in den:
+            series = divide_by_linear_form(series, f)
+    except ValueError as exc:
+        raise InconsistentExplicitFormulaError(
+            f"chain-sum numerator not divisible by its denominator: "
+            f"cone={cone!r} map={cmap.describe()}") from exc
+    return MuValue(cone, cmap.key(), order, series.truncate(order), "explicit")

@@ -121,6 +121,10 @@ def _unimodular_cone(rng, n, shears):
 
 @pytest.fixture(scope="module")
 def basic_cone_corpus():
+    return make_basic_cone_corpus()
+
+
+def make_basic_cone_corpus():
     rng = random.Random(97)
     cones = [
         Cone([V(1)]),

@@ -46,6 +46,20 @@ class TestInnerProduct:
         assert u == Vector([1, Fraction(-1, 2)])
         assert rays[0].dot(u) == 1 and rays[1].dot(u) == 0
 
+    def test_solve_u_one_elimination_per_subset(self, monkeypatch):
+        m = InnerProductMap(Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]))
+        rays = (V(1, 0, 0), V(1, 1, 0), V(1, 1, 1))
+        m.psi(rays)
+        calls = []
+        real = Matrix.rref
+        monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(1) or real(self))
+        us = [m.solve_u(rays, i) for i in (2, 0, 1)]
+        assert len(calls) == 1
+        for i, u in zip((2, 0, 1), us):
+            assert [w.dot(u) for w in rays] == [int(j == i) for j in range(3)]
+        with pytest.raises(ValueError):
+            m.solve_u(rays, 3)
+
     def test_solve_u_singleton_formula(self):
         m = standard_inner_product(2)
         w = V(1, 2)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mucone
+from mucone import interp
 from mucone.complement import (
     FlagMap,
     InnerProductMap,
@@ -18,6 +19,7 @@ from mucone.complement import (
     projective_fan_rays,
     standard_inner_product,
 )
+from mucone.errors import InconsistentExplicitFormulaError
 from mucone.geometry import Cone, Polytope, zero_cone
 from mucone.interp import (
     MuValue,
@@ -47,8 +49,10 @@ from oracles import (
     evaluation_map,
     ideal_generators,
     linear_relation,
+    mu_explicit_combined,
     normal_form,
 )
+from test_acceptance import _flag_generic_on, _flag_map, _gram_maps, make_basic_cone_corpus
 
 
 def V(*xs):
@@ -183,9 +187,9 @@ class TestReduction:
 
 
 @st.composite
-def graded_cases(draw):
-    """A unimodular basic cone of dimension k <= n in ambient n = 1..3, a
-    positive-definite Gram map, and an integer line no pivot annihilates."""
+def unimodular_cases(draw):
+    """A unimodular basic cone of dimension k <= n in ambient n = 1..3 and a
+    positive-definite Gram map."""
     n = draw(st.integers(1, 3))
     small = st.integers(-2, 2)
     gens = [Vector([int(i == j) for j in range(n)]) for i in range(n)]
@@ -196,11 +200,17 @@ def graded_cases(draw):
             if i != j:
                 gens[i] = gens[i] + a * gens[j]
     k = draw(st.integers(1, n))
-    cone = Cone(gens[:k], ambient=n)
     b = Matrix([[draw(small) for _ in range(n)] for _ in range(n)])
     gram = [[b.row(i).dot(b.row(j)) + int(i == j) for j in range(n)] for i in range(n)]
-    cmap = InnerProductMap(Matrix(gram))
-    line = Vector([draw(st.integers(-5, 5)) for _ in range(n)])
+    return Cone(gens[:k], ambient=n), InnerProductMap(Matrix(gram))
+
+
+@st.composite
+def graded_cases(draw):
+    """A case of unimodular_cases and an integer line no pivot annihilates."""
+    cone, cmap = draw(unimodular_cases())
+    k = len(cone.generators)
+    line = Vector([draw(st.integers(-5, 5)) for _ in range(cone.ambient)])
     for size in range(1, k + 1):
         for s in combinations(range(k), size):
             assume(all(line.dot(pivot_vector(cone, cmap, s, i)) for i in s))
@@ -408,6 +418,103 @@ class TestMuExplicit:
     def test_3d_matches(self):
         c = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 1)])
         assert mu_basic(c, IP3, order=2).series == mu_explicit(c, IP3, order=2).series
+
+
+CONE3 = Cone([V(2, 1, 0), V(1, 1, 0), V(3, 2, 1)])
+BY_K = {2: (SLANT, IP2), 3: (CONE3, IP3)}  # a k-generator cone and its map
+
+
+def _chain_positions(cone, cmap):
+    """(T, chain index) for every chain of the full-subset chain sum."""
+    k = len(cone.generators)
+    full = frozenset(range(k))
+    return [(frozenset(T), i)
+            for size in range(k + 1) for T in combinations(range(k), size)
+            for i in range(len(interp._chain_terms(cone, cmap, full, frozenset(T))))]
+
+
+class TestExplicitChecks:
+    """The exactness checks of the explicit route fire on broken input."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_flipped_chain_raises(self, monkeypatch, k):
+        cone, cmap = BY_K[k]
+        real = interp._chain_terms
+        positions = _chain_positions(cone, cmap)
+        assert len(positions) == {2: 6, 3: 26}[k]
+        for flip_T, flip_i in positions:
+            def flipped(cone_, cmap_, S, T, flip_T=flip_T, flip_i=flip_i):
+                out = real(cone_, cmap_, S, T)
+                if T == flip_T:
+                    sign, forms = out[flip_i]
+                    out[flip_i] = (-sign, forms)
+                return out
+
+            monkeypatch.setattr(interp, "_chain_terms", flipped)
+            with pytest.raises(InconsistentExplicitFormulaError, match="pole"):
+                mu_explicit(cone, cmap, order=2)
+        monkeypatch.setattr(interp, "_chain_terms", real)
+        assert mu_explicit(cone, cmap, order=2).series == mu_basic(cone, cmap, 2).series
+
+    @staticmethod
+    def _perturb(monkeypatch, node, entry):
+        """Move one entry of the node-th line evaluation, after the pole
+        check; returns the list of calls made."""
+        real = interp._chain_sum_on_line
+        calls = []
+
+        def perturbed(*args):
+            out = real(*args)
+            if len(calls) == node:
+                out[entry] += Fraction(1, 7)
+            calls.append(args)
+            return out
+
+        monkeypatch.setattr(interp, "_chain_sum_on_line", perturbed)
+        return calls
+
+    @pytest.mark.parametrize("k, node, degree", [
+        (2, 0, 0), (2, 0, 3), (2, 3, 2), (2, 4, 3),
+        (3, 0, 0), (3, 0, 3), (3, 7, 1), (3, 14, 3),
+    ])
+    def test_one_perturbed_node_raises(self, monkeypatch, k, node, degree):
+        # the pole check cannot see it, only the spare lattice level can
+        cone, cmap = BY_K[k]
+        calls = self._perturb(monkeypatch, node, k + degree)
+        with pytest.raises(InconsistentExplicitFormulaError, match="not a polynomial"):
+            mu_explicit(cone, cmap, order=3)
+        assert len(calls) > node
+
+    @pytest.mark.parametrize("node", [0, 1])
+    def test_n1_second_point(self, monkeypatch, node):
+        calls = self._perturb(monkeypatch, node, 1 + 2)
+        with pytest.raises(InconsistentExplicitFormulaError, match="homogeneous"):
+            mu_explicit(Cone([V(-3)]), InnerProductMap(Matrix([[2]])), order=4)
+        assert len(calls) == 2
+
+
+class TestExplicitRoutes:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(unimodular_cases(), st.integers(0, 4))
+    def test_explicit_equals_reduction(self, case, order):
+        cone, cmap = case
+        assert mu_explicit(cone, cmap, order).series == mu_basic(cone, cmap, order).series
+
+    def test_matches_combined_oracle(self):
+        # the criterion-4 pairs; the oracle combines the chain sum over one
+        # common denominator and divides it out
+        pairs = []
+        for c in make_basic_cone_corpus():
+            maps = list(_gram_maps(c.ambient))
+            fl = _flag_map(c.ambient)
+            if _flag_generic_on(c, fl):
+                maps.append(fl)
+            pairs.extend((c, m) for m in maps)
+        for n in (2, 3):
+            pairs.extend((c, diaconis_fulton_map(n)) for c in projective_fan_cones(n))
+        assert len(pairs) >= 60
+        for c, m in pairs:
+            assert mu_explicit(c, m, 4).series == mu_explicit_combined(c, m, 4).series, (c, m)
 
 
 class TestMu:
