@@ -163,7 +163,7 @@ def load_map(spec: str, ambient: int):
         raise ParseError(f"map {spec} is not valid JSON: {exc}") from exc
     try:
         cmap = map_from_json(data)
-    except (ValueError, KeyError) as exc:
+    except (ParseError, ValueError, KeyError) as exc:
         raise ParseError(f"map {spec}: {exc}") from exc
     if cmap.ambient != ambient:
         raise ParseError(

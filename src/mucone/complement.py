@@ -13,34 +13,44 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotGenericError, UnknownRayError
-from .geometry import Cone, _rank_of, _span_basis
-from .linalg import Matrix, Vector, primitive, unit_vector
+from .errors import NotGenericError, ParseError, UnknownRayError
+from .geometry import Cone, _rank_of
+from .linalg import Matrix, Vector, parse_rational, primitive, unit_vector
 
 
 class PsiSubspace:
-    """A verified complement subspace for a set of independent rays.
+    """The complement subspace assigned to a set of rays, with its pivot vectors.
 
-    The basis spans the assigned subspace; construction checks that it has
-    the rays' rank and pairs invertibly against the rays, which is exactly
-    complementarity with the rays' annihilator.
+    `basis` spans the assigned subspace. One elimination of [pairing | I],
+    with pairing[i][j] = <rays[i], basis[j]>, decides genericity and solves
+    for every pivot vector at once. The I block gives the elimination k
+    pivots, so they are the basis columns exactly when the pairing is
+    square and invertible, which is complementarity with the rays'
+    annihilator; otherwise the subset is not generic. Then duals[j] is the
+    unique u in the subspace with <rays[i], u> = 1 if i = j, else 0.
     """
 
-    __slots__ = ("rays", "basis", "pairing")
+    __slots__ = ("rays", "basis", "duals")
 
     def __init__(self, rays: Sequence[Vector], basis: Sequence[Vector]):
         self.rays = tuple(rays)
         self.basis = tuple(basis)
         k = len(self.rays)
-        if len(self.basis) != k:
+        aug = Matrix([[w.dot(b) for b in self.basis] + [int(i == j) for j in range(k)]
+                      for i, w in enumerate(self.rays)])
+        red, pivots = aug.rref()
+        if pivots != list(range(len(self.basis))):
             raise NotGenericError(
-                f"complement subspace for {list(self.rays)} has dimension "
-                f"{len(self.basis)}, expected {k}")
-        self.pairing = Matrix([[w.dot(b) for b in self.basis] for w in self.rays])
-        if k and self.pairing.rank() < k:
-            raise NotGenericError(
-                f"complement subspace for {list(self.rays)} meets the rays' "
-                "annihilator nontrivially")
+                f"complement subspace for {list(self.rays)} does not pair "
+                "invertibly with the rays")
+        # column j of the inverse pairing holds the coefficients of u_j
+        inv = [row[k:] for row in red.rows]
+        basis = [b.entries for b in self.basis]
+        n = len(self.rays[0]) if k else 0
+        self.duals = tuple(
+            Vector([sum((inv[i][j] * b[c] for i, b in enumerate(basis)), Fraction(0))
+                    for c in range(n)])
+            for j in range(k))
 
 
 class ComplementMap:
@@ -52,42 +62,20 @@ class ComplementMap:
         raise NotImplementedError
 
     def psi(self, rays: Sequence[Vector]) -> PsiSubspace:
-        """The complement subspace for independent rays; raises NotGeneric."""
+        """The complement subspace and pivot vectors for the rays; raises NotGeneric."""
         rays = tuple(rays)
         cached = self._psi_cache.get(rays)
         if cached is None:
-            raw = self.raw_basis(rays)
-            cached = PsiSubspace(rays, _span_basis(raw))
+            cached = PsiSubspace(rays, self.raw_basis(rays))
             self._psi_cache[rays] = cached
         return cached
 
     def solve_u(self, rays: Sequence[Vector], target: int) -> Vector:
-        """The unique u in psi(rays) pairing to 1 with rays[target], 0 with the rest.
-
-        One elimination of [pairing | I] per ray subset solves for every
-        target at once, and the cache keeps all of them.
-        """
-        rays = tuple(rays)
-        cached = self._u_cache.get((rays, target))
-        if cached is None:
-            sub = self.psi(rays)
-            k = len(sub.rays)
-            if not 0 <= target < k:
-                raise ValueError(f"target {target} out of range for {k} rays")
-            aug = Matrix([list(row) + [int(i == j) for j in range(k)]
-                          for i, row in enumerate(sub.pairing.rows)])
-            red, pivots = aug.rref()
-            if pivots[:k] != list(range(k)):
-                raise NotGenericError(f"no complement vector for {list(rays)}")
-            # column j of the inverse pairing holds the coefficients of u_j
-            inv = [row[k:] for row in red.rows]
-            basis = [b.entries for b in sub.basis]
-            for j in range(k):
-                u = [sum((inv[i][j] * b[c] for i, b in enumerate(basis)), Fraction(0))
-                     for c in range(self.ambient)]
-                self._u_cache[(rays, j)] = Vector(u)
-            cached = self._u_cache[(rays, target)]
-        return cached
+        """The unique u in psi(rays) pairing to 1 with rays[target], 0 with the rest."""
+        duals = self.psi(rays).duals
+        if not 0 <= target < len(duals):
+            raise ValueError(f"target {target} out of range for {len(duals)} rays")
+        return duals[target]
 
     def key(self) -> tuple:
         raise NotImplementedError
@@ -100,7 +88,6 @@ class ComplementMap:
 
     def _init_caches(self):
         self._psi_cache: dict = {}
-        self._u_cache: dict = {}
 
 
 class InnerProductMap(ComplementMap):
@@ -193,6 +180,8 @@ class RayTableMap(ComplementMap):
             raise ValueError("ambient dimension required for an empty table")
         self.table = table
         self.ambient = ambient if ambient is not None else len(next(iter(table)))
+        if any(len(ray) != self.ambient for ray in table):
+            raise ValueError(f"table rays must all have dimension {self.ambient}")
         self._init_caches()
 
     def raw_basis(self, rays: Sequence[Vector]) -> list[Vector]:
@@ -218,21 +207,28 @@ class RayTableMap(ComplementMap):
                                                key=lambda it: it[0].entries)]}
 
 
+def _vectors(value, what: str) -> list[Vector]:
+    """A JSON list of coordinate lists as Vectors; ParseError for any other shape."""
+    if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
+        raise ParseError(f"{what} must be coordinate lists")
+    return [Vector([parse_rational(e) for e in v]) for v in value]
+
+
 def map_from_json(data: dict) -> ComplementMap:
-    from .linalg import parse_rational
+    if not isinstance(data, dict):
+        raise ParseError("a complement map must be a JSON object")
     kind = data.get("type")
     if kind == "inner_product":
-        rows = [[parse_rational(e) for e in row] for row in data["gram"]]
-        return InnerProductMap(Matrix(rows))
+        return InnerProductMap(Matrix(_vectors(data["gram"], "'gram' rows")))
     if kind == "flag":
-        return FlagMap([Vector([parse_rational(e) for e in v]) for v in data["basis"]])
+        return FlagMap(_vectors(data["basis"], "'basis' vectors"))
     if kind == "ray_table":
-        entries = []
-        for item in data["entries"]:
-            ray = Vector([parse_rational(e) for e in item["ray"]])
-            u = Vector([parse_rational(e) for e in item["u"]])
-            entries.append((ray, u))
-        return RayTableMap(entries)
+        items = data["entries"]
+        if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
+            raise ParseError("'entries' must be a list of objects with 'ray' and 'u'")
+        rays = _vectors([it["ray"] for it in items], "'ray' entries")
+        us = _vectors([it["u"] for it in items], "'u' entries")
+        return RayTableMap(list(zip(rays, us)))
     raise ValueError(f"unknown complement map type: {kind!r}")
 
 

@@ -13,7 +13,9 @@ loudly whenever the dividend is not a multiple.  Neither is on the path
 that computes mu any more: the explicit chain sum is evaluated on lines
 and interpolated (interp.mu_explicit).  RationalFunctionTerm,
 combine_over_common_denominator and divide_by_linear_form remain for the
-test oracle that combines the chain sum over one common denominator.
+test oracle that combines the chain sum over one common denominator; the
+last two also stay because the benchmark's tracer (bench/tracing.py)
+wraps them by name.
 """
 
 from __future__ import annotations
@@ -224,18 +226,8 @@ class MultiSeries:
 
 def compose_linear(coeffs: Sequence, form: Vector, order: int) -> MultiSeries:
     """Substitute the linear form into a univariate series: sum_r c_r * form^r."""
-    ell = MultiSeries.from_linear(form, order)
-    out = MultiSeries.zero(len(form), order)
-    power = MultiSeries.constant(1, len(form), order)
-    for r, c in enumerate(coeffs):
-        if r > order:
-            break
-        c = Fraction(c)
-        if c != 0:
-            out = out + power.scale(c)
-        if r < min(len(coeffs) - 1, order):
-            power = (power * ell).truncate(order)
-    return out
+    series = MultiSeries(1, order, {(r,): c for r, c in enumerate(coeffs)})
+    return compose_multivariate(series, [form], order)
 
 
 def compose_multivariate(series: MultiSeries, forms: Sequence[Vector], order: int) -> MultiSeries:

@@ -8,8 +8,9 @@ alternating chain sum for one subset pair, and the whole chain-sum mu as
 multivariate rational functions over one common denominator.  A
 D-expansion is a plain dict from exponent tuples to coefficients
 (Fractions or MultiSeries).  Also here: the star step and the lattice
-index by linear solves and the Hermite normal form, and small
-linear-algebra and genericity checks the library never calls.
+index by linear solves and the Hermite normal form, the complement
+map's pivot vectors by way of a span basis, and small linear-algebra and
+genericity checks the library never calls.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from mucone.geometry import (
     _half_open_parallelepiped_points,
     _pulling_triangulation,
     _rank_of,
+    _span_basis,
     subdivide_to_basic,
 )
 from mucone.interp import (
@@ -174,6 +176,28 @@ def pole_order(s: LaurentSeries) -> int:
 def psi_contains(sub, v: Vector) -> bool:
     """Whether v lies in the complement subspace `sub` (a PsiSubspace)."""
     return v.is_zero or _rank_of(list(sub.basis) + [v]) == len(sub.basis)
+
+
+def span_route_duals(cmap, rays) -> list[Vector]:
+    """The pivot vectors of `rays` under `cmap` by a second route: a
+    rational basis of the raw basis' span, a check that it has the rays'
+    rank and pairs invertibly with them, then the inverse pairing by its
+    own elimination of [pairing | I].  Raises NotGenericError when the
+    subset is not generic."""
+    rays = tuple(rays)
+    k = len(rays)
+    basis = _span_basis(cmap.raw_basis(rays))
+    if len(basis) != k:
+        raise NotGenericError(f"complement subspace for {list(rays)} has "
+                              f"dimension {len(basis)}, expected {k}")
+    pairing = Matrix([[w.dot(b) for b in basis] for w in rays])
+    if k and pairing.rank() < k:
+        raise NotGenericError(f"complement subspace for {list(rays)} meets "
+                              "the rays' annihilator nontrivially")
+    inv = inverse(pairing) if k else Matrix([])
+    return [sum((b * inv.rows[i][j] for i, b in enumerate(basis)),
+                Vector([0] * len(rays[0])))
+            for j in range(k)]
 
 
 def is_generic(cmap, cone: Cone) -> bool:

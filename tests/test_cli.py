@@ -357,6 +357,24 @@ class TestExitCodes:
         assert "error:" in err and "unexpected" not in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("data", [
+        [1, 2],
+        "ip",
+        {"type": "inner_product", "gram": 5},
+        {"type": "flag", "basis": 5},
+        {"type": "ray_table", "entries": 5},
+        {"type": "ray_table", "entries": [5]},
+        {"type": "ray_table", "entries": [{"ray": [1, 0], "u": [1, 0]},
+                                          {"ray": [0, 1, 0], "u": [0, 1, 0]}]},
+    ], ids=["map-is-a-list", "map-is-a-string", "gram-is-a-number",
+            "basis-is-a-number", "entries-is-a-number", "table-entry-not-an-object",
+            "table-mixes-dimensions"])
+    def test_malformed_map_exits_1(self, capsys, tmp_path, triangle2, data):
+        mp = write_json(tmp_path / "m.json", data)
+        code, out, err = run_cli(capsys, "mu", "--input", triangle2, "--map", mp)
+        assert code == 1 and out == ""
+        assert "error:" in err and "unexpected" not in err
+
     def test_non_extreme_input_exits_1(self, capsys, tmp_path):
         path = write_json(tmp_path / "mid.json",
                           {"vertices": [[0, 0], [1, 0], [2, 0], [0, 2]]})

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mucone.complement import (
     ComplementMap,
@@ -20,7 +22,7 @@ from mucone.complement import (
 from mucone.errors import NotGenericError, UnknownRayError
 from mucone.geometry import Cone, _rank_of
 from mucone.linalg import Matrix, Vector, rational_kernel
-from oracles import is_generic, psi_contains
+from oracles import is_generic, psi_contains, span_route_duals
 
 
 def V(*xs):
@@ -49,11 +51,14 @@ class TestInnerProduct:
     def test_solve_u_one_elimination_per_subset(self, monkeypatch):
         m = InnerProductMap(Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]))
         rays = (V(1, 0, 0), V(1, 1, 0), V(1, 1, 1))
-        m.psi(rays)
         calls = []
         real = Matrix.rref
         monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(1) or real(self))
+        m.psi(rays)
         us = [m.solve_u(rays, i) for i in (2, 0, 1)]
+        assert len(calls) == 1
+        m.psi(rays)
+        assert [m.solve_u(rays, i) for i in (2, 0, 1)] == us
         assert len(calls) == 1
         for i, u in zip((2, 0, 1), us):
             assert [w.dot(u) for w in rays] == [int(j == i) for j in range(3)]
@@ -202,6 +207,52 @@ class TestSharedInvariants:
                         assert psi_contains(sub, u)
                         for j, w in enumerate(gens):
                             assert w.dot(u) == (1 if j == t else 0)
+
+
+@st.composite
+def maps_and_rays(draw):
+    """A Gram, flag or ray-table map on R^n (n <= 4) and 0..n+1 small
+    nonzero rays, so that dependent rays, flag steps that pair singularly
+    and flag steps shorter than the ray set all occur."""
+    n = draw(st.integers(1, 4))
+    small = st.integers(-1, 1)
+    vec = st.lists(small, min_size=n, max_size=n).map(Vector)
+    k = draw(st.integers(0, n + 1))
+    rays = draw(st.lists(vec.filter(lambda v: not v.is_zero), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["gram", "flag", "table"]))
+    if kind == "gram":
+        a = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+        gram = [[sum(a[r][i] * a[r][j] for r in range(n)) + int(i == j)
+                 for j in range(n)] for i in range(n)]
+        return InnerProductMap(Matrix(gram)), rays
+    if kind == "flag":
+        flag = draw(st.lists(vec, min_size=n, max_size=n)
+                    .filter(lambda b: _rank_of(b) == n))
+        if 0 < k < n and draw(st.booleans()):
+            # a last ray orthogonal to flag step k: the step pairs singularly
+            step = Matrix([list(f) for f in flag[:k]])
+            rays[-1] = rational_kernel(step)[0]
+        return FlagMap(flag), rays
+    table = []
+    for w in rays:
+        u = draw(vec)
+        table.append((w, u if w.dot(u) else w))
+    return RayTableMap(table, ambient=n), rays
+
+
+class TestSpanRoute:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(maps_and_rays())
+    def test_one_elimination_matches_span_route(self, case):
+        cmap, rays = case
+        try:
+            want = span_route_duals(cmap, rays)
+        except NotGenericError:
+            with pytest.raises(NotGenericError):
+                cmap.psi(rays)
+            return
+        assert [cmap.solve_u(rays, j) for j in range(len(rays))] == want
 
 
 class TestJson:

@@ -32,3 +32,22 @@ def test_methods_defined_on_their_class():
 
 def test_mu_cache_exists():
     assert isinstance(mucone.interp._MU_CACHE, dict)
+
+
+def test_pivot_vector_goes_through_solve_u(monkeypatch):
+    # the tracer's complement.solve_u_* metrics time this method and read
+    # its positional (cmap, rays, target) arguments
+    calls = []
+    real = mucone.complement.ComplementMap.solve_u
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mucone.complement.ComplementMap, "solve_u", counting)
+    V = mucone.linalg.Vector
+    cone = mucone.geometry.Cone([V([1, 0]), V([1, 2])])
+    cmap = mucone.complement.standard_inner_product(2)
+    u = mucone.interp.pivot_vector(cone, cmap, (1, 0), 1)
+    assert calls == [((cmap, tuple(cone.generators), 1), {})]
+    assert u == real(cmap, tuple(cone.generators), 1)
