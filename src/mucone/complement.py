@@ -11,46 +11,52 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import NotGenericError, ParseError, UnknownRayError
 from .geometry import Cone, _rank_of
-from .linalg import Matrix, Vector, parse_rational, primitive, unit_vector
+from .linalg import (Matrix, Vector, cleared, dot, parse_rational, primitive,
+                     scaled_inverse, unit_vector)
 
 
 class PsiSubspace:
     """The complement subspace assigned to a set of rays, with its pivot vectors.
 
-    `basis` spans the assigned subspace. One elimination of [pairing | I],
-    with pairing[i][j] = <rays[i], basis[j]>, decides genericity and solves
-    for every pivot vector at once. The I block gives the elimination k
-    pivots, so they are the basis columns exactly when the pairing is
-    square and invertible, which is complementarity with the rays'
-    annihilator; otherwise the subset is not generic. Then duals[j] is the
-    unique u in the subspace with <rays[i], u> = 1 if i = j, else 0.
+    `basis` spans the assigned subspace.  Clearing the denominators of rays
+    and basis changes neither the subspace nor, mapped back to each ray's
+    scale, the pivot vectors, so one fraction-free elimination of the
+    integer pairing[i][j] = <rays[i], basis[j]> (linalg.scaled_inverse)
+    decides genericity, which is a square invertible pairing, and solves for
+    every pivot vector: u_j, the unique u in the subspace with <rays[i], u>
+    = 1 if i = j, else 0, is numerators[j] / denominator (one positive
+    denominator for all j).  `duals` reads them as Vectors.
     """
 
-    __slots__ = ("rays", "basis", "duals")
+    __slots__ = ("rays", "basis", "numerators", "denominator")
 
     def __init__(self, rays: Sequence[Vector], basis: Sequence[Vector]):
         self.rays = tuple(rays)
         self.basis = tuple(basis)
-        k = len(self.rays)
-        aug = Matrix([[w.dot(b) for b in self.basis] + [int(i == j) for j in range(k)]
-                      for i, w in enumerate(self.rays)])
-        red, pivots = aug.rref()
-        if pivots != list(range(len(self.basis))):
+        scaled = [cleared(w) for w in self.rays]  # w = ints / scale
+        cols = [cleared(b)[0] for b in self.basis]
+        pairing = [[dot(w, b) for b in cols] for w, _ in scaled]
+        got = scaled_inverse(pairing) if len(cols) == len(scaled) else None
+        if got is None:
             raise NotGenericError(
                 f"complement subspace for {list(self.rays)} does not pair "
                 "invertibly with the rays")
-        # column j of the inverse pairing holds the coefficients of u_j
-        inv = [row[k:] for row in red.rows]
-        basis = [b.entries for b in self.basis]
-        n = len(self.rays[0]) if k else 0
-        self.duals = tuple(
-            Vector([sum((inv[i][j] * b[c] for i, b in enumerate(basis)), Fraction(0))
-                    for c in range(n)])
-            for j in range(k))
+        # u_j = scale_j * sum_i (pairing^-1)[i][j] basis_i, over d
+        d, inv = got
+        nums = [[a * sum(row[j] * x for row, x in zip(inv, coord)) for coord in zip(*cols)]
+                for j, (_, a) in enumerate(scaled)]
+        g = gcd(d, *itertools.chain.from_iterable(nums)) * (1 if d > 0 else -1)
+        self.numerators = tuple(tuple(x // g for x in u) for u in nums)
+        self.denominator = d // g
+
+    @property
+    def duals(self) -> tuple[Vector, ...]:
+        return tuple(Vector([Fraction(x, self.denominator) for x in u]) for u in self.numerators)
 
 
 class ComplementMap:
@@ -86,9 +92,6 @@ class ComplementMap:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def _init_caches(self):
-        self._psi_cache: dict = {}
-
 
 class InnerProductMap(ComplementMap):
     """psi(S) = the pairing image of span{w_s} under a positive-definite Gram matrix.
@@ -108,13 +111,13 @@ class InnerProductMap(ComplementMap):
                 raise ValueError("Gram matrix must be positive definite")
         self.gram = gram
         self.ambient = n
-        self._init_caches()
+        ints = cleared(itertools.chain.from_iterable(gram.rows))[0]
+        self._gram_ints = [ints[i * n:(i + 1) * n] for i in range(n)]
+        self._psi_cache: dict = {}
 
     def raw_basis(self, rays: Sequence[Vector]) -> list[Vector]:
-        return [self.gram.matvec(w) for w in rays]
-
-    def inner(self, a: Vector, b: Vector) -> Fraction:
-        return a.dot(self.gram.matvec(b))
+        # the Gram images, each up to a positive scale that psi does not see
+        return [Vector([dot(row, w) for row in self._gram_ints]) for w, _ in map(cleared, rays)]
 
     def key(self) -> tuple:
         return ("inner_product", tuple(self.gram.rows))
@@ -149,7 +152,7 @@ class FlagMap(ComplementMap):
             raise ValueError("flag basis must be linearly independent")
         self.basis = tuple(basis)
         self.ambient = n
-        self._init_caches()
+        self._psi_cache: dict = {}
 
     def raw_basis(self, rays: Sequence[Vector]) -> list[Vector]:
         return list(self.basis[: len(rays)])
@@ -182,7 +185,7 @@ class RayTableMap(ComplementMap):
         self.ambient = ambient if ambient is not None else len(next(iter(table)))
         if any(len(ray) != self.ambient for ray in table):
             raise ValueError(f"table rays must all have dimension {self.ambient}")
-        self._init_caches()
+        self._psi_cache: dict = {}
 
     def raw_basis(self, rays: Sequence[Vector]) -> list[Vector]:
         out = []

@@ -18,7 +18,9 @@ homogeneous polynomial of degree |e| - |S|, and every coefficient of the
 Todd element is a constant.  The degree of an entry never falls under a
 rewrite and supports only grow, so the reducer drops every entry with
 |e| - |S| > order: it cannot reach the full subset at degree <= order.
-The degree-r part of mu collects the monomials with |e| = k + r.
+The degree-r part of mu collects the monomials with |e| = k + r.  On a
+line t*y that coefficient is a scalar times t^(|e| - |S|), and mu_on_line
+reduces in Python ints over one denominator per cell (SquarefreeReducer).
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
 
-from .errors import InconsistentExplicitFormulaError, InternalInconsistencyError
+from .errors import (InconsistentExplicitFormulaError, InternalInconsistencyError,
+                     NotGenericError, UnknownRayError)
 from .geometry import Cone, Polytope, normal_cone, subdivide_to_basic
-from .linalg import Vector, format_rational
+from .linalg import Vector, cleared, dot, format_rational
 from .series import LaurentSeries, MultiSeries, restrict_to_direction, todd_univariate
 
 DEFAULT_ORDER = 6
@@ -50,65 +53,75 @@ class SquarefreeReducer:
 
     reduce_monomial(e) maps each subset S to the coefficient of D_S, which
     is homogeneous of degree |e| - |S| (see the module docstring).  With
-    line=None it is a MultiSeries of that order in the ambient coordinates;
-    on a line it is one Fraction c standing for c * t^(|e| - |S|).  The
-    two rings differ only in how a pivot u and the unit embed, fixed here
-    once: u as sum u_i v_i or as <u, line>.
+    line=None it is a MultiSeries of that order in the ambient coordinates.
+    On a line t*y it is an int N for N / L^|e| times t^(|e| - |S|): L is the
+    line's denominator times the lcm of the cell's pivot denominators
+    (PsiSubspace.denominator), so L*<u,y> and L*<w_j,u> are integers, and a
+    squarefree D^e starts at L^|e|.  A subset whose psi fails is left out of
+    L; the rewrite that needs it raises.
     """
 
     def __init__(self, cone: Cone, cmap, order: int = DEFAULT_ORDER,
                  pivot_order=None, line: Vector | None = None):
         if not cone.is_basic:
             raise ValueError("reduction is defined over basic cones")
-        self.cone = cone
-        self.cmap = cmap
-        self.order = order
+        self.cone, self.cmap, self.order = cone, cmap, order
         self.rays = cone.generators
-        self.k = len(self.rays)
-        self.full = frozenset(range(self.k))
-        if pivot_order is None:
-            pivot_order = range(self.k)
-        pivot_order = tuple(int(i) for i in pivot_order)
-        if sorted(pivot_order) != list(range(self.k)):
+        self.k = k = len(self.rays)
+        self.full = frozenset(range(k))
+        self.pivot_order = tuple(range(k) if pivot_order is None else map(int, pivot_order))
+        if sorted(self.pivot_order) != list(range(k)):
             raise ValueError("pivot_order must permute the generator positions")
-        self.pivot_order = pivot_order
-        if line is None:
-            n = cone.ambient
-            self._unit = MultiSeries.constant(1, n, 0)
-            self._embed = lambda u: MultiSeries.from_linear(u, 1)
-            self._finish = lambda parts: MultiSeries(
-                n, order, {m: x for p in parts.values() for m, x in p.coeffs.items()})
-        else:
-            self._unit = Fraction(1)
-            self._embed = line.dot
-            self._finish = lambda parts: [parts.get(r, Fraction(0))
-                                          for r in range(order + 1)]
         self._memo: dict[tuple[int, ...], dict] = {}
         self._rewrites: dict[tuple[frozenset[int], int], tuple] = {}
+        if line is None:
+            n = cone.ambient
+            self._scale, self._td = None, td_element(cone, order)
+            self._unit = MultiSeries.constant(1, n, 0)
+            self._finish = lambda parts: MultiSeries(
+                n, order, {m: x for p in parts.values() for m, x in p.coeffs.items()})
+            return
+        self._y, self._q = cleared(line)
+        self._ints = [[x.numerator for x in w] for w in self.rays]
+        lcm_d = 1
+        for s in chain.from_iterable(combinations(self.rays, m) for m in range(1, k + 1)):
+            try:
+                lcm_d = lcm(lcm_d, cmap.psi(s).denominator)
+            except (NotGenericError, UnknownRayError):
+                pass
+        L = self._scale = lcm_d * self._q
+        self._td, dk = _td_numerators(k, order)
+        self._finish = lambda parts: [Fraction(parts.get(r, 0), dk * L ** (k + r))
+                                      for r in range(order + 1)]
 
     def _rewrite(self, s: frozenset[int], i: int):
-        """D_i D_S = u D_S - sum_{j not in S} <w_j,u> D_j D_S, as the pair
-        (u embedded in the coefficient ring, [(S + j, -<w_j,u>), ...])."""
+        """D_i D_S = u D_S - sum_{j not in S} <w_j,u> D_j D_S, as the pair (u in
+        the coefficient ring, [(S + j, -<w_j,u>), ...]), on a line times L."""
         got = self._rewrites.get((s, i))
         if got is None:
-            u = pivot_vector(self.cone, self.cmap, s, i)
-            spill = []
-            for j in range(self.k):
-                if j not in s:
-                    w = self.rays[j].dot(u)
-                    if w:
-                        spill.append((s | {j}, -w))
-            got = self._rewrites[(s, i)] = (self._embed(u), spill)
+            if self._scale is None:
+                u = pivot_vector(self.cone, self.cmap, s, i)
+                spill = [(s | {j}, -w.dot(u)) for j, w in enumerate(self.rays) if j not in s]
+                u = MultiSeries.from_linear(u, 1)
+            else:
+                idx = sorted(s)
+                sub = self.cmap.psi(tuple(self.rays[j] for j in idx))
+                u, per = sub.numerators[idx.index(i)], self._scale // sub.denominator
+                spill = [(s | {j}, -per * dot(w, u))
+                         for j, w in enumerate(self._ints) if j not in s]
+                u = per // self._q * dot(u, self._y)
+            got = self._rewrites[(s, i)] = (u, [(t, w) for t, w in spill if w])
         return got
 
     def reduce_monomial(self, expo) -> dict[frozenset[int], object]:
-        expo = tuple(int(e) for e in expo)
+        expo = tuple(expo)
         got = self._memo.get(expo)
         if got is not None:
             return got
         out: dict[frozenset[int], object] = {}
         if all(e <= 1 for e in expo):
-            out[frozenset(i for i, e in enumerate(expo) if e)] = self._unit
+            out[frozenset(i for i, e in enumerate(expo) if e)] = (
+                self._unit if self._scale is None else self._scale ** sum(expo))
             self._memo[expo] = out
             return out
         # D^e = D_i * D^(e - e_i), rewriting every term that repeats D_i
@@ -122,10 +135,7 @@ class SquarefreeReducer:
             out[s] = c if got is None else got + c
 
         for s, c in self.reduce_monomial(tuple(inner)).items():
-            if i not in s:
-                bump(s | {i}, c)
-                continue
-            u, spill = self._rewrite(s, i)
+            u, spill = self._rewrite(s, i)  # i is in s: supports only grow
             if len(s) >= low:
                 bump(s, c * u)
             for t, w in spill:
@@ -133,12 +143,12 @@ class SquarefreeReducer:
         self._memo[expo] = out
         return out
 
-    def reduce(self, td: Mapping[tuple[int, ...], Fraction]):
-        """Full-subset coefficient of sum_e td[e] D^e, which has degree
-        |e| - k per term: a MultiSeries, or on a line its Taylor
-        coefficients through t^order."""
+    def reduce(self):
+        """Full-subset coefficient of the Todd element sum_e td[e] D^e, whose
+        term of exponent e has degree |e| - k: a MultiSeries, or on a line
+        its Taylor coefficients through t^order, one Fraction each."""
         parts: dict[int, object] = {}
-        for expo, a in td.items():
+        for expo, a in self._td.items():
             c = self.reduce_monomial(expo).get(self.full)
             if c is not None:
                 r = sum(expo) - self.k
@@ -155,14 +165,21 @@ def td_element(cone: Cone, order: int = DEFAULT_ORDER) -> Mapping[tuple[int, ...
 
 @cache
 def _td_element(k: int, order: int) -> Mapping[tuple[int, ...], Fraction]:
+    terms, dk = _td_numerators(k, order)
+    return MappingProxyType({e: Fraction(c, dk) for e, c in terms.items()})
+
+
+@cache
+def _td_numerators(k: int, order: int) -> tuple[Mapping[tuple[int, ...], int], int]:
+    """The Todd element as (integer numerators, d^k), d as in _todd_over_integers."""
     cap = k + order
-    td = todd_univariate(cap)
-    terms = {(0,) * k: Fraction(1)}
+    tdn, d = _todd_over_integers(cap)
+    terms = {(0,) * k: 1}
     for i in range(k):
-        terms = {expo[:i] + (m,) + expo[i + 1:]: c * td[m]
+        terms = {expo[:i] + (m,) + expo[i + 1:]: c * tdn[m]
                  for expo, c in terms.items()
-                 for m in range(cap - sum(expo) + 1) if td[m]}
-    return MappingProxyType(terms)
+                 for m in range(cap - sum(expo) + 1) if tdn[m]}
+    return MappingProxyType(terms), d ** k
 
 
 class MuValue:
@@ -201,7 +218,7 @@ class MuValue:
 def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER,
              pivot_order=None) -> MuValue:
     """mu of a generic basic cone: full-subset coefficient of the Todd element."""
-    series = SquarefreeReducer(cone, cmap, order, pivot_order).reduce(td_element(cone, order))
+    series = SquarefreeReducer(cone, cmap, order, pivot_order).reduce()
     return MuValue(cone, cmap.key(), order, series, "reduction")
 
 
@@ -316,11 +333,9 @@ def _explicit_terms(cone: Cone, cmap):
 
 
 @cache
-def _todd_over_integers(cap: int) -> tuple[int, list[int]]:
-    """(d, [d*td_0, ..., d*td_cap]) with d the least common denominator."""
-    td = todd_univariate(cap)
-    d = lcm(*(c.denominator for c in td))
-    return d, [int(c * d) for c in td]
+def _todd_over_integers(cap: int) -> tuple[list[int], int]:
+    """([d*td_0, ..., d*td_cap], d) with d the least common denominator."""
+    return cleared(todd_univariate(cap))
 
 
 def _chain_sum_on_line(groups, values, k: int, order: int) -> list[Fraction]:
@@ -337,7 +352,7 @@ def _chain_sum_on_line(groups, values, k: int, order: int) -> list[Fraction]:
     has the integer coefficients (d td_m) p^m q^(cap-m).
     """
     cap = k + order
-    d, tdn = _todd_over_integers(cap)
+    tdn, d = _todd_over_integers(cap)
     pq = [(v.numerator, v.denominator) for v in values]
     total, total_den = [0] * (cap + 1), 1
     for pivots, chains in groups:
@@ -376,10 +391,7 @@ def _nodes(forms, m: int, levels: int):
     """The lattice with the least shift = 1, 2, ... on which no form vanishes,
     and the forms' values at each of its points y = (1, x).  Terminates: a
     form that vanishes at a node for infinitely many shifts is zero."""
-    scaled = []
-    for f in forms:
-        den = lcm(*(e.denominator for e in f))
-        scaled.append(([int(e * den) for e in f], den))
+    scaled = [cleared(f) for f in forms]
     shift = 1
     while True:
         lattice = _lattice(m, levels, shift)
@@ -509,7 +521,7 @@ def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
         cells = subdivide_to_basic(cone).children
     total = [Fraction(0)] * (order + 1)
     for cell in cells:
-        val = SquarefreeReducer(cell, cmap, order, line=line).reduce(td_element(cell, order))
+        val = SquarefreeReducer(cell, cmap, order, line=line).reduce()
         if cross_validate:
             full = mu(cell, cmap, order, cross_validate=True).series
             if restrict_to_direction(full, line) != LaurentSeries.from_taylor(val, order):

@@ -109,6 +109,18 @@ def unit_vector(n: int, i: int) -> Vector:
     return Vector([1 if j == i else 0 for j in range(n)])
 
 
+def dot(a: Sequence, b: Sequence):
+    """Coordinate pairing of two equal-length sequences, e.g. of ints."""
+    return sum(x * y for x, y in zip(a, b, strict=True))
+
+
+def cleared(entries: Iterable[Fraction]) -> tuple[list[int], int]:
+    """(integer numerators, least common denominator) of rational entries."""
+    entries = list(entries)
+    den = math.lcm(*(e.denominator for e in entries))
+    return [e.numerator * (den // e.denominator) for e in entries], den
+
+
 def primitive(v: Vector) -> Vector:
     """Scale a nonzero rational vector to the primitive integer vector on its ray.
 
@@ -116,13 +128,8 @@ def primitive(v: Vector) -> Vector:
     """
     if v.is_zero:
         raise ZeroVectorError("primitive() of the zero vector")
-    lcm = 1
-    for e in v.entries:
-        lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-    ints = [int(e * lcm) for e in v.entries]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
+    ints = cleared(v.entries)[0]
+    g = math.gcd(*ints)
     return Vector(x // g for x in ints)
 
 
@@ -173,9 +180,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows)) if self.rows else Matrix([])
 
-    def matvec(self, v: Vector) -> Vector:
-        return Vector(Vector(r).dot(v) for r in self.rows)
-
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
         m = [list(r) for r in self.rows]
@@ -218,6 +222,25 @@ def _det(m: Sequence[Sequence]):
         return m[0][0]
     return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
                for j, a in enumerate(m[0]) if a)
+
+
+def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]] | None:
+    """(d, d * A^-1) with d = +-det A for a square integer matrix A, None if
+    A is singular: one fraction-free (Bareiss) elimination of [A | I], each
+    step divided exactly by the previous pivot, ending at [d I | d A^-1]."""
+    k = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    d = 1
+    for c in range(k):
+        p = next((r for r in range(c, k) if aug[r][c]), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        top, piv = aug[c], aug[c][c]
+        aug = [row if r == c else [(piv * x - row[c] * y) // d for x, y in zip(row, top)]
+               for r, row in enumerate(aug)]
+        d = piv
+    return d, [row[k:] for row in aug]
 
 
 def rational_kernel(a: Matrix) -> list[Vector]:
@@ -408,19 +431,11 @@ def dual_rows(generators: Sequence[Vector]) -> list[tuple[int, ...]]:
     k = len(gens)
     rows = _coordinate_rows(gens)
     for coords in itertools.combinations(range(len(rows)), k):
-        sub = [rows[c] for c in coords]
-        det = _det(sub)
-        if det:
+        got = scaled_inverse([rows[c] for c in coords])
+        if got:
             break
     else:
         raise DependentGeneratorsError("generators are linearly dependent")
-    sign = 1 if det > 0 else -1
-    out = []
-    for i in range(k):
-        # row i of the adjugate: (-1)^(i+j) times the minor without row j, column i
-        h = [0] * len(rows)
-        for j, c in enumerate(coords):
-            minor = [r[:i] + r[i + 1:] for jj, r in enumerate(sub) if jj != j]
-            h[c] = sign * (-1) ** (i + j) * _det(minor)
-        out.append(tuple(h))
-    return out
+    d, inv = got
+    sign, at = (1 if d > 0 else -1), {c: j for j, c in enumerate(coords)}
+    return [tuple(sign * row[at[c]] if c in at else 0 for c in range(len(rows))) for row in inv]

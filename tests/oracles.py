@@ -164,6 +164,10 @@ def star_subdivision_cells(cone: Cone) -> list[list[Vector]]:
     return cells
 
 
+def matvec(a: Matrix, v: Vector) -> Vector:
+    return Vector(Vector(r).dot(v) for r in a.rows)
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     cols = [b.column(j) for j in range(b.ncols)]
     return Matrix([[Vector(r).dot(c) for c in cols] for r in a.rows])

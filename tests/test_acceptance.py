@@ -42,7 +42,7 @@ from mucone.valuations import (
     count_via_local_formula,
     verify_interpolator,
 )
-from oracles import evaluation_map, ideal_generators, normal_form
+from oracles import evaluation_map, ideal_generators, matvec, normal_form
 
 
 def V(*xs):
@@ -218,9 +218,9 @@ def test_criterion_3_2d_closed_form(acceptance):
     for c in cones:
         w1, w2 = c.generators
         for g in grams:
-            pair = w1.dot(g.matvec(w2))
-            n11 = w1.dot(g.matvec(w1))
-            n22 = w2.dot(g.matvec(w2))
+            pair = w1.dot(matvec(g, w2))
+            n11 = w1.dot(matvec(g, w1))
+            n22 = w2.dot(matvec(g, w2))
             expect = Fraction(1, 4) - Fraction(1, 12) * (
                 pair / n11 + pair / n22)
             got = mu_basic(c, InnerProductMap(g), order=0).mu0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mucone import complement
 from mucone.complement import (
     ComplementMap,
     FlagMap,
@@ -22,7 +23,7 @@ from mucone.complement import (
 from mucone.errors import NotGenericError, UnknownRayError
 from mucone.geometry import Cone, _rank_of
 from mucone.linalg import Matrix, Vector, rational_kernel
-from oracles import is_generic, psi_contains, span_route_duals
+from oracles import is_generic, matvec, psi_contains, span_route_duals
 
 
 def V(*xs):
@@ -51,19 +52,35 @@ class TestInnerProduct:
     def test_solve_u_one_elimination_per_subset(self, monkeypatch):
         m = InnerProductMap(Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]))
         rays = (V(1, 0, 0), V(1, 1, 0), V(1, 1, 1))
-        calls = []
-        real = Matrix.rref
-        monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(1) or real(self))
+        eliminations, rrefs = [], []
+        real_inverse, real_rref = complement.scaled_inverse, Matrix.rref
+        monkeypatch.setattr(complement, "scaled_inverse",
+                            lambda rows: eliminations.append(1) or real_inverse(rows))
+        monkeypatch.setattr(Matrix, "rref", lambda self: rrefs.append(1) or real_rref(self))
         m.psi(rays)
         us = [m.solve_u(rays, i) for i in (2, 0, 1)]
-        assert len(calls) == 1
+        assert len(eliminations) == 1
         m.psi(rays)
         assert [m.solve_u(rays, i) for i in (2, 0, 1)] == us
-        assert len(calls) == 1
+        assert len(eliminations) == 1
+        m.solve_u(rays[:2], 0)
+        assert len(eliminations) == 2
+        assert rrefs == []
         for i, u in zip((2, 0, 1), us):
             assert [w.dot(u) for w in rays] == [int(j == i) for j in range(3)]
         with pytest.raises(ValueError):
             m.solve_u(rays, 3)
+
+    def test_integer_pivot_vectors(self):
+        # the cleared pairing [[1, 0], [3, -2]] eliminates to d = -2
+        m = FlagMap([V(1, 0), V(0, -1)])
+        rays = (V(1, 0), V(Fraction(1, 2), Fraction(1, 3)))
+        sub = m.psi(rays)
+        assert sub.denominator > 0
+        assert all(isinstance(x, int) for u in sub.numerators for x in u)
+        assert sub.duals == tuple(m.solve_u(rays, j) for j in range(2))
+        for j, u in enumerate(sub.duals):
+            assert [w.dot(u) for w in rays] == [int(i == j) for i in range(2)]
 
     def test_solve_u_singleton_formula(self):
         m = standard_inner_product(2)
@@ -72,8 +89,8 @@ class TestInnerProduct:
         g = InnerProductMap(Matrix([[2, 1], [1, 3]]))
         w = V(1, 0)
         u = g.solve_u((w,), 0)
-        qw = g.gram.matvec(w)
-        assert u == Vector([e / g.inner(w, w) for e in qw])
+        qw = matvec(g.gram, w)
+        assert u == Vector([e / w.dot(qw) for e in qw])
 
     def test_always_generic(self):
         m = standard_inner_product(3)
@@ -241,18 +258,66 @@ def maps_and_rays(draw):
     return RayTableMap(table, ambient=n), rays
 
 
+@st.composite
+def rational_maps_and_rays(draw):
+    """As maps_and_rays, with rational Gram entries, flag vectors, table
+    vectors and rays, and a sign flip of one flag or table vector so that
+    pairings of negative determinant occur."""
+    n = draw(st.integers(1, 4))
+    small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4))
+    vec = st.lists(small, min_size=n, max_size=n).map(Vector)
+    k = draw(st.integers(0, n + 1))
+    rays = draw(st.lists(vec.filter(lambda v: not v.is_zero), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["gram", "flag", "table"]))
+    if kind == "gram":
+        a = draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+        gram = [[sum(a[r][i] * a[r][j] for r in range(n)) + Fraction(int(i == j), 3)
+                 for j in range(n)] for i in range(n)]
+        return InnerProductMap(Matrix(gram)), rays
+    flip = draw(st.booleans())
+    if kind == "flag":
+        flag = draw(st.lists(vec, min_size=n, max_size=n)
+                    .filter(lambda b: _rank_of(b) == n))
+        if flip:
+            flag[0] = -flag[0]
+        if 0 < k < n and draw(st.booleans()):
+            step = Matrix([list(f) for f in flag[:k]])
+            rays[-1] = rational_kernel(step)[0]
+        return FlagMap(flag), rays
+    table = []
+    for w in rays:
+        u = draw(vec)
+        u = u if w.dot(u) else w
+        table.append((w, -u if flip else u))
+    return RayTableMap(table, ambient=n), rays
+
+
 class TestSpanRoute:
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(maps_and_rays())
     def test_one_elimination_matches_span_route(self, case):
-        cmap, rays = case
+        self.check(*case)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(rational_maps_and_rays())
+    def test_rational_inputs_match_span_route(self, case):
+        self.check(*case)
+
+    @staticmethod
+    def check(cmap, rays):
         try:
             want = span_route_duals(cmap, rays)
         except NotGenericError:
             with pytest.raises(NotGenericError):
                 cmap.psi(rays)
             return
+        sub = cmap.psi(rays)
+        assert sub.denominator > 0
         assert [cmap.solve_u(rays, j) for j in range(len(rays))] == want
+        if isinstance(cmap, InnerProductMap):
+            # raw_basis works on a scaled integer Gram matrix; the span is G's
+            assert all(psi_contains(sub, matvec(cmap.gram, w)) for w in rays)
 
 
 class TestJson:

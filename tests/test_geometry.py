@@ -37,7 +37,7 @@ from mucone.geometry import (
     zero_cone,
 )
 from mucone.linalg import Matrix, Vector, dual_rows, saturation_basis
-from oracles import dual_basis, saturation_index, star_subdivision_cells
+from oracles import dual_basis, matvec, saturation_index, star_subdivision_cells
 
 
 def V(*xs):
@@ -167,7 +167,7 @@ def star_cones(draw):
     else:
         embed = Matrix([[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(n)])
         assume(embed.rank() == d)
-    rays = [embed.matvec(Vector(draw(nonzero)))
+    rays = [matvec(embed, Vector(draw(nonzero)))
             for _ in range(draw(st.sampled_from([3, 4, 2, 1])))]
     try:
         cone = Cone(rays, ambient=n)

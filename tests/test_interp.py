@@ -19,8 +19,8 @@ from mucone.complement import (
     projective_fan_rays,
     standard_inner_product,
 )
-from mucone.errors import InconsistentExplicitFormulaError
-from mucone.geometry import Cone, Polytope, zero_cone
+from mucone.errors import InconsistentExplicitFormulaError, MuconeError
+from mucone.geometry import Cone, Polytope, _rank_of, zero_cone
 from mucone.interp import (
     MuValue,
     SquarefreeReducer,
@@ -49,6 +49,7 @@ from oracles import (
     evaluation_map,
     ideal_generators,
     linear_relation,
+    matvec,
     mu_explicit_combined,
     normal_form,
 )
@@ -217,6 +218,42 @@ def graded_cases(draw):
     return cone, cmap, line
 
 
+@st.composite
+def any_line_cases(draw):
+    """A case of unimodular_cases and a rational line, which may annihilate
+    pivots or be zero."""
+    cone, cmap = draw(unimodular_cases())
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    return cone, cmap, Vector([draw(coord) for _ in range(cone.ambient)])
+
+
+@st.composite
+def partial_map_cases(draw):
+    """A unimodular basic cone, a flag map that need not be generic on it or
+    a ray table that may lack some of its rays, and an integer line."""
+    cone, _ = draw(unimodular_cases())
+    n = cone.ambient
+    vec = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(Vector)
+    if draw(st.booleans()):
+        cmap = FlagMap(draw(st.lists(vec, min_size=n, max_size=n)
+                            .filter(lambda b: _rank_of(b) == n)))
+    else:
+        table = []
+        for w in cone.generators:
+            u = draw(vec)
+            if draw(st.integers(0, 3)):
+                table.append((w, u if w.dot(u) else w))
+        cmap = RayTableMap(table, ambient=n)
+    return cone, cmap, draw(vec)
+
+
+def _outcome(route):
+    try:
+        return route()
+    except MuconeError as exc:
+        return type(exc), str(exc)
+
+
 class TestGradedRoute:
     ORDER = 4
 
@@ -226,6 +263,24 @@ class TestGradedRoute:
         cone, cmap, line = case
         full = mu_basic(cone, cmap, self.ORDER).series
         assert mu_on_line(cone, cmap, line, self.ORDER) == restrict_to_direction(full, line)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(any_line_cases())
+    def test_agree_on_any_rational_line(self, case):
+        cone, cmap, line = case
+        full = mu_basic(cone, cmap, self.ORDER).series
+        assert mu_on_line(cone, cmap, line, self.ORDER) == restrict_to_direction(full, line)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(partial_map_cases())
+    def test_line_route_raises_what_full_route_raises(self, case):
+        # the line route reads every subset's psi up front; a failure there
+        # surfaces only at the rewrite that needs the subset, as in mu_basic
+        cone, cmap, line = case
+        for order in range(7):
+            full = _outcome(lambda: restrict_to_direction(
+                mu_basic(cone, cmap, order).series, line))
+            assert _outcome(lambda: mu_on_line(cone, cmap, line, order)) == full
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(graded_cases(), st.lists(st.integers(0, 6), min_size=3, max_size=3))
@@ -608,7 +663,7 @@ class TestRayTableConsistency:
         # a ray table built from the inner-product images must reproduce mu
         cones = [Cone([V(1, 0), V(1, 1)]), SLANT]
         for c in cones:
-            table = [(w, IP2.gram.matvec(w)) for w in c.generators]
+            table = [(w, matvec(IP2.gram, w)) for w in c.generators]
             rt = RayTableMap(table)
             assert mu(c, rt, order=4).series == mu(c, IP2, order=4).series
 

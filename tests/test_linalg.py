@@ -21,6 +21,7 @@ from mucone.linalg import (
     parse_rational,
     primitive,
     saturation_basis,
+    scaled_inverse,
     solve_linear,
 )
 from oracles import NotUnimodularError, dual_basis, inverse, matmul, saturation_index
@@ -178,6 +179,24 @@ def test_cone_index_lower_dimensional():
         cone_index([V(1, 2, 3), V(2, 4, 6)])
     with pytest.raises(DependentGeneratorsError):
         cone_index([V(1, 0), V(0, 1), V(1, 1)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_scaled_inverse_matches_rational_inverse(data):
+    # small entries make singular matrices and zero leading pivots common
+    n = data.draw(st.integers(0, 5))
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    det = Matrix(rows).det() if n else 1
+    got = scaled_inverse(rows)
+    if det == 0:
+        assert got is None
+        return
+    d, inv = got
+    assert abs(d) == abs(det)
+    want = inverse(Matrix(rows)) if n else Matrix([])
+    assert Matrix([[Fraction(x, d) for x in row] for row in inv]) == want
 
 
 def test_primitive():
