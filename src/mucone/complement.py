@@ -23,19 +23,20 @@ from .linalg import (Matrix, Vector, cleared, dot, parse_rational, primitive,
 class PsiSubspace:
     """The complement subspace assigned to a set of rays, with its pivot vectors.
 
-    `basis` spans the assigned subspace.  Clearing the denominators of rays
-    and basis changes neither the subspace nor, mapped back to each ray's
-    scale, the pivot vectors, so one fraction-free elimination of the
-    integer pairing[i][j] = <rays[i], basis[j]> (linalg.scaled_inverse)
-    decides genericity, which is a square invertible pairing, and solves for
-    every pivot vector: u_j, the unique u in the subspace with <rays[i], u>
-    = 1 if i = j, else 0, is numerators[j] / denominator (one positive
-    denominator for all j).  `duals` reads them as Vectors.
+    `basis` spans the assigned subspace (int tuples for an InnerProductMap,
+    else Vectors).  Clearing the denominators of rays and basis changes
+    neither the subspace nor, mapped back to each ray's scale, the pivot
+    vectors, so one fraction-free elimination of the integer pairing[i][j]
+    = <rays[i], basis[j]> (linalg.scaled_inverse) decides genericity, which
+    is a square invertible pairing, and solves for every pivot vector: u_j,
+    the unique u in the subspace with <rays[i], u> = 1 if i = j, else 0, is
+    numerators[j] / denominator (one positive denominator for all j).
+    `duals` reads them as Vectors.
     """
 
     __slots__ = ("rays", "basis", "numerators", "denominator")
 
-    def __init__(self, rays: Sequence[Vector], basis: Sequence[Vector]):
+    def __init__(self, rays: Sequence[Vector], basis: Sequence[Sequence]):
         self.rays = tuple(rays)
         self.basis = tuple(basis)
         scaled = [cleared(w) for w in self.rays]  # w = ints / scale
@@ -64,7 +65,8 @@ class ComplementMap:
 
     ambient: int
 
-    def raw_basis(self, rays: Sequence[Vector]) -> list[Vector]:
+    def raw_basis(self, rays: Sequence[Vector]) -> list[Sequence]:
+        """Vectors (or int tuples) spanning the subspace assigned to the rays."""
         raise NotImplementedError
 
     def psi(self, rays: Sequence[Vector]) -> PsiSubspace:
@@ -115,9 +117,9 @@ class InnerProductMap(ComplementMap):
         self._gram_ints = [ints[i * n:(i + 1) * n] for i in range(n)]
         self._psi_cache: dict = {}
 
-    def raw_basis(self, rays: Sequence[Vector]) -> list[Vector]:
-        # the Gram images, each up to a positive scale that psi does not see
-        return [Vector([dot(row, w) for row in self._gram_ints]) for w, _ in map(cleared, rays)]
+    def raw_basis(self, rays: Sequence[Vector]) -> list[tuple[int, ...]]:
+        # the integer Gram images, each up to a positive scale that psi does not see
+        return [tuple(dot(row, w) for row in self._gram_ints) for w, _ in map(cleared, rays)]
 
     def key(self) -> tuple:
         return ("inner_product", tuple(self.gram.rows))

@@ -336,9 +336,12 @@ def _half_open_parallelepiped_points(rays: Sequence[Vector]) -> list[tuple[Vecto
     honest integer vectors. Returns (point, coefficient vector) pairs.
     """
     m = len(rays)
-    sat = saturation_basis(rays)
-    cols = [express_in_basis(sat, r) for r in rays]
-    assert all(c is not None and c.is_integral for c in cols)
+    if m == len(rays[0]):  # full-dimensional: the saturated lattice is Z^n
+        cols = list(rays)
+    else:
+        sat = saturation_basis(rays)
+        cols = [express_in_basis(sat, r) for r in rays]
+        assert all(c is not None and c.is_integral for c in cols)
     h, _ = hermite_normal_form(Matrix.from_columns([list(c) for c in cols]))
     diag = [int(h.rows[i][i]) for i in range(m)]
     index = math.prod(diag)

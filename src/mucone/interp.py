@@ -19,13 +19,14 @@ Todd element is a constant.  The degree of an entry never falls under a
 rewrite and supports only grow, so the reducer drops every entry with
 |e| - |S| > order: it cannot reach the full subset at degree <= order.
 The degree-r part of mu collects the monomials with |e| = k + r.  On a
-line t*y that coefficient is a scalar times t^(|e| - |S|), and mu_on_line
-reduces in Python ints over one denominator per cell (SquarefreeReducer).
+line t*y that coefficient is a scalar times t^(|e| - |S|); mu_on_line
+reduces a cone's basic cells in one walk, in ints (SquarefreeReducer).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
@@ -51,110 +52,135 @@ def pivot_vector(cone: Cone, cmap, subset, i: int) -> Vector:
 class SquarefreeReducer:
     """Memoized rewriting of D-monomials into squarefree normal form.
 
-    reduce_monomial(e) maps each subset S to the coefficient of D_S, which
-    is homogeneous of degree |e| - |S| (see the module docstring).  With
-    line=None it is a MultiSeries of that order in the ambient coordinates.
-    On a line t*y it is an int N for N / L^|e| times t^(|e| - |S|): L is the
-    line's denominator times the lcm of the cell's pivot denominators
-    (PsiSubspace.denominator), so L*<u,y> and L*<w_j,u> are integers, and a
-    squarefree D^e starts at L^|e|.  A subset whose psi fails is left out of
-    L; the rewrite that needs it raises.
+    One walk serves basic cells with k generators each: reduce_monomial(e)
+    maps each subset S to the coefficients of D_S, one per cell, of degree
+    |e| - |S| (see the module docstring); reduce() frees each memo entry
+    after its last read.  With line=None each is a MultiSeries.  On a line
+    t*y it is an int N for N / L^|e| times t^(|e| - |S|): L is the line's
+    denominator times the lcm of the cell's pivot denominators
+    (PsiSubspace.denominator), so L*<u,y> and L*<w_j,u> are integers.  A
+    subset whose psi fails is left out of L; the rewrite that needs it
+    raises.
     """
 
-    def __init__(self, cone: Cone, cmap, order: int = DEFAULT_ORDER,
+    def __init__(self, cells, cmap, order: int = DEFAULT_ORDER,
                  pivot_order=None, line: Vector | None = None):
-        if not cone.is_basic:
-            raise ValueError("reduction is defined over basic cones")
-        self.cone, self.cmap, self.order = cone, cmap, order
-        self.rays = cone.generators
-        self.k = k = len(self.rays)
-        self.full = frozenset(range(k))
+        cells = [cells] if isinstance(cells, Cone) else list(cells)
+        self.cone, self.cmap, self.order = cells[0], cmap, order
+        self.k = k = len(self.cone.generators)
+        if not all(c.is_basic and len(c.generators) == k for c in cells):
+            raise ValueError("reduction is defined over basic cones with equally many generators")
         self.pivot_order = tuple(range(k) if pivot_order is None else map(int, pivot_order))
         if sorted(self.pivot_order) != list(range(k)):
             raise ValueError("pivot_order must permute the generator positions")
-        self._memo: dict[tuple[int, ...], dict] = {}
-        self._rewrites: dict[tuple[frozenset[int], int], tuple] = {}
+        self._memo, self._uses, self._rewrites = {}, {}, {}
         if line is None:
-            n = cone.ambient
-            self._scale, self._td = None, td_element(cone, order)
-            self._unit = MultiSeries.constant(1, n, 0)
-            self._finish = lambda parts: MultiSeries(
-                n, order, {m: x for p in parts.values() for m, x in p.coeffs.items()})
+            n = self.cone.ambient
+            self._cells, self._q, self._td = cells, None, td_element(self.cone, order)
+            units = [MultiSeries.constant(1, n, 0)] * len(cells)
+            self._start = lambda m: units
+            self._finish = lambda parts: [MultiSeries(n, order, dict(chain.from_iterable(
+                p.coeffs.items() for p in ps))) for ps in zip(*parts.values())]
             return
         self._y, self._q = cleared(line)
-        self._ints = [[x.numerator for x in w] for w in self.rays]
-        lcm_d = 1
-        for s in chain.from_iterable(combinations(self.rays, m) for m in range(1, k + 1)):
-            try:
-                lcm_d = lcm(lcm_d, cmap.psi(s).denominator)
-            except (NotGenericError, UnknownRayError):
-                pass
-        L = self._scale = lcm_d * self._q
+        subsets = [frozenset(s) for m in range(1, k + 1) for s in combinations(range(k), m)]
+        self._cells, scales = [], []  # the closures below hold scales, not self
+        for cell in cells:  # (rays, psi per generic subset, L, integer rays)
+            rays, subs = cell.generators, {}
+            for s in subsets:
+                with suppress(NotGenericError, UnknownRayError):
+                    subs[s] = cmap.psi(tuple(rays[j] for j in sorted(s)))
+            scales.append(self._q * lcm(*(p.denominator for p in subs.values())))
+            self._cells.append((rays, subs, scales[-1], [[x.numerator for x in w] for w in rays]))
         self._td, dk = _td_numerators(k, order)
-        self._finish = lambda parts: [Fraction(parts.get(r, 0), dk * L ** (k + r))
-                                      for r in range(order + 1)]
+        self._start = lambda m: [L ** m for L in scales]
+        self._finish = lambda parts: [
+            [Fraction(parts[r][c] if r in parts else 0, dk * L ** (k + r))
+             for r in range(order + 1)] for c, L in enumerate(scales)]
+
+    def _pivot(self, cell, s: frozenset[int], i: int, rest: list[int]):
+        """u and [-<w_j,u> for j in rest] in one cell, on a line times L."""
+        if self._q is None:
+            u = pivot_vector(cell, self.cmap, s, i)
+            return MultiSeries.from_linear(u, 1), [-cell.generators[j].dot(u) for j in rest]
+        rays, subs, L, ints = cell
+        sub = subs.get(s) or self.cmap.psi(tuple(rays[j] for j in sorted(s)))  # re-raises
+        u, per = sub.numerators[sorted(s).index(i)], L // sub.denominator
+        return per // self._q * dot(u, self._y), [-per * dot(ints[j], u) for j in rest]
 
     def _rewrite(self, s: frozenset[int], i: int):
-        """D_i D_S = u D_S - sum_{j not in S} <w_j,u> D_j D_S, as the pair (u in
-        the coefficient ring, [(S + j, -<w_j,u>), ...]), on a line times L."""
+        """D_i D_S = u D_S - sum_{j not in S} <w_j,u> D_j D_S, as the pair (u per
+        cell, [(S + j, -<w_j,u> per cell) if any is nonzero, ...])."""
         got = self._rewrites.get((s, i))
         if got is None:
-            if self._scale is None:
-                u = pivot_vector(self.cone, self.cmap, s, i)
-                spill = [(s | {j}, -w.dot(u)) for j, w in enumerate(self.rays) if j not in s]
-                u = MultiSeries.from_linear(u, 1)
-            else:
-                idx = sorted(s)
-                sub = self.cmap.psi(tuple(self.rays[j] for j in idx))
-                u, per = sub.numerators[idx.index(i)], self._scale // sub.denominator
-                spill = [(s | {j}, -per * dot(w, u))
-                         for j, w in enumerate(self._ints) if j not in s]
-                u = per // self._q * dot(u, self._y)
-            got = self._rewrites[(s, i)] = (u, [(t, w) for t, w in spill if w])
+            rest = [j for j in range(self.k) if j not in s]
+            us, spills = zip(*(self._pivot(cell, s, i, rest) for cell in self._cells))
+            got = self._rewrites[(s, i)] = (
+                us, [(s | {j}, col) for j, col in zip(rest, zip(*spills)) if any(col)])
         return got
 
-    def reduce_monomial(self, expo) -> dict[frozenset[int], object]:
+    def reduce_monomial(self, expo) -> dict[frozenset[int], list]:
+        """Memoized; see reduce() for when an entry is dropped."""
         expo = tuple(expo)
         got = self._memo.get(expo)
-        if got is not None:
-            return got
-        out: dict[frozenset[int], object] = {}
+        if got is None:
+            got = self._memo[expo] = self._expand(expo)
+        self._uses[expo] = left = self._uses.get(expo, 0) - 1
+        if not left:
+            del self._memo[expo]
+        return got
+
+    def _expand(self, expo: tuple[int, ...]) -> dict[frozenset[int], list]:
         if all(e <= 1 for e in expo):
-            out[frozenset(i for i, e in enumerate(expo) if e)] = (
-                self._unit if self._scale is None else self._scale ** sum(expo))
-            self._memo[expo] = out
-            return out
+            return {frozenset(i for i, e in enumerate(expo) if e): self._start(sum(expo))}
         # D^e = D_i * D^(e - e_i), rewriting every term that repeats D_i
-        i = next(j for j in self.pivot_order if expo[j] >= 2)
-        inner = list(expo)
-        inner[i] -= 1
+        i, inner = _peel(expo, self.pivot_order)
         low = sum(expo) - self.order  # the drop rule: keep |S| >= |e| - order
-
-        def bump(s, c):
-            got = out.get(s)
-            out[s] = c if got is None else got + c
-
-        for s, c in self.reduce_monomial(tuple(inner)).items():
+        out: dict[frozenset[int], list] = {}
+        for s, c in self.reduce_monomial(inner).items():
             u, spill = self._rewrite(s, i)  # i is in s: supports only grow
             if len(s) >= low:
-                bump(s, c * u)
+                _bump(out, s, [x * y for x, y in zip(c, u)])
             for t, w in spill:
-                bump(t, w * c)
-        self._memo[expo] = out
+                _bump(out, t, [x * y for x, y in zip(w, c)])
         return out
 
-    def reduce(self):
+    def reduce(self) -> list:
         """Full-subset coefficient of the Todd element sum_e td[e] D^e, whose
-        term of exponent e has degree |e| - k: a MultiSeries, or on a line
-        its Taylor coefficients through t^order, one Fraction each."""
-        parts: dict[int, object] = {}
+        term of exponent e has degree |e| - k, per cell: a MultiSeries, or on
+        a line its Taylor coefficients through t^order, one Fraction each.
+        Each memo entry is dropped after its last read counted here (_reads);
+        other reads count below zero and keep it."""
+        self._uses = dict(_reads(self.k, self.order, self.pivot_order))
+        parts, full = {}, frozenset(range(self.k))  # parts: degree r -> per cell
         for expo, a in self._td.items():
-            c = self.reduce_monomial(expo).get(self.full)
+            c = self.reduce_monomial(expo).get(full)
             if c is not None:
-                r = sum(expo) - self.k
-                got = parts.get(r)
-                parts[r] = a * c if got is None else got + a * c
+                _bump(parts, sum(expo) - self.k, [a * x for x in c])
         return self._finish(parts)
+
+
+def _bump(out: dict, key, c: list):
+    got = out.get(key)
+    out[key] = c if got is None else [x + y for x, y in zip(got, c)]
+
+
+def _peel(expo: tuple[int, ...], pivot_order) -> tuple[int, tuple[int, ...]]:
+    """(i, e - e_i) for the first i in pivot_order with e_i >= 2."""
+    i = next(j for j in pivot_order if expo[j] >= 2)
+    return i, expo[:i] + (expo[i] - 1,) + expo[i + 1:]
+
+
+@cache
+def _reads(k: int, order: int, pivot_order) -> Mapping[tuple[int, ...], int]:
+    """Memo reads in reduce(): one per Todd exponent, one per exponent _peel maps to it."""
+    uses: dict[tuple[int, ...], int] = {}
+    for expo in _td_numerators(k, order)[0]:
+        uses[expo] = uses.get(expo, 0) + 1
+        while uses[expo] == 1 and any(e >= 2 for e in expo):  # first visit: reads its peel
+            expo = _peel(expo, pivot_order)[1]
+            uses[expo] = uses.get(expo, 0) + 1
+    return MappingProxyType(uses)
 
 
 def td_element(cone: Cone, order: int = DEFAULT_ORDER) -> Mapping[tuple[int, ...], Fraction]:
@@ -218,7 +244,7 @@ class MuValue:
 def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER,
              pivot_order=None) -> MuValue:
     """mu of a generic basic cone: full-subset coefficient of the Todd element."""
-    series = SquarefreeReducer(cone, cmap, order, pivot_order).reduce()
+    (series,) = SquarefreeReducer(cone, cmap, order, pivot_order).reduce()
     return MuValue(cone, cmap.key(), order, series, "reduction")
 
 
@@ -506,12 +532,13 @@ def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
     """mu of a pointed generic cone restricted to the line t*line.
 
     Equals restrict_to_direction(mu(cone, cmap, order).series, line)
-    exactly, but runs the reduction with scalar coefficients on the line
-    and sums the cells' Taylor coefficients.  Values depend on the line,
-    so nothing is cached.  `cells` is the cone's basic subdivision when
-    the caller already has it.  cross_validate also computes each basic
-    cell's full mu by both pipelines (see mu) and aborts unless its
-    restriction matches the line value.
+    exactly.  All basic cells are reduced in one walk with scalars on the
+    line.  Its first failure may be in a later cell than a cell-by-cell run
+    fails in, so on a failure the cells are rerun one at a time.  Values
+    depend on the line, so nothing is cached.  `cells` is the cone's basic
+    subdivision when the caller already has it.  cross_validate also
+    computes each basic cell's full mu by both pipelines (see mu) and
+    aborts unless its restriction matches the line value.
     """
     if len(line) != cone.ambient:
         raise ValueError("direction dimension mismatch")
@@ -519,9 +546,12 @@ def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
         return LaurentSeries.from_taylor([1], order)
     if cells is None:
         cells = subdivide_to_basic(cone).children
+    batch = None
+    with suppress(NotGenericError, UnknownRayError):
+        batch = SquarefreeReducer(cells, cmap, order, line=line).reduce()
     total = [Fraction(0)] * (order + 1)
-    for cell in cells:
-        val = SquarefreeReducer(cell, cmap, order, line=line).reduce()
+    for c, cell in enumerate(cells):
+        val = batch[c] if batch else SquarefreeReducer(cell, cmap, order, line=line).reduce()[0]
         if cross_validate:
             full = mu(cell, cmap, order, cross_validate=True).series
             if restrict_to_direction(full, line) != LaurentSeries.from_taylor(val, order):

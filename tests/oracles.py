@@ -8,14 +8,16 @@ alternating chain sum for one subset pair, and the whole chain-sum mu as
 multivariate rational functions over one common denominator.  A
 D-expansion is a plain dict from exponent tuples to coefficients
 (Fractions or MultiSeries).  Also here: the star step and the lattice
-index by linear solves and the Hermite normal form, the complement
-map's pivot vectors by way of a span basis, and small linear-algebra and
-genericity checks the library never calls.
+index by linear solves and the Hermite normal form, the half-open
+parallelepiped's lattice points in a saturation basis, the complement
+map's pivot vectors by way of a span basis, the line-restricted mu cell
+by cell, and small linear-algebra and genericity checks the library never
+calls.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from mucone.complement import RayTableMap
 from mucone.errors import (
@@ -40,6 +42,7 @@ from mucone.interp import (
     MuValue,
     SquarefreeReducer,
     _chain_terms,
+    mu_on_line,
     pivot_vector,
 )
 from mucone.linalg import (
@@ -164,6 +167,27 @@ def star_subdivision_cells(cone: Cone) -> list[list[Vector]]:
     return cells
 
 
+def saturation_route_points(rays) -> list[tuple[Vector, Vector]]:
+    """The lattice points of {sum c_i r_i : 0 <= c_i < 1} minus the origin,
+    as (point, coefficients) pairs sorted by point, in the lattice of a
+    saturation basis of the rays' span (two integer kernels, one solve per
+    ray), by brute force: every integer coordinate vector in the
+    parallelepiped's bounding box whose coefficients lie in [0, 1)."""
+    sat = saturation_basis(list(rays))
+    cols = [express_in_basis(sat, r) for r in rays]
+    assert all(c is not None and c.is_integral for c in cols)
+    inv = inverse(Matrix.from_columns([list(c) for c in cols]))
+    box = [range(int(sum(min(0, c[i]) for c in cols)), int(sum(max(0, c[i]) for c in cols)) + 1)
+           for i in range(len(sat))]
+    out = []
+    for x in product(*box):
+        coeffs = matvec(inv, Vector(x))
+        if any(x) and all(0 <= c < 1 for c in coeffs):
+            point = sum((b * a for a, b in zip(x, sat)), Vector([0] * len(rays[0])))
+            out.append((point, coeffs))
+    return sorted(out, key=lambda pc: pc[0].entries)
+
+
 def matvec(a: Matrix, v: Vector) -> Vector:
     return Vector(Vector(r).dot(v) for r in a.rows)
 
@@ -178,8 +202,9 @@ def pole_order(s: LaurentSeries) -> int:
 
 
 def psi_contains(sub, v: Vector) -> bool:
-    """Whether v lies in the complement subspace `sub` (a PsiSubspace)."""
-    return v.is_zero or _rank_of(list(sub.basis) + [v]) == len(sub.basis)
+    """Whether v (a Vector or an int tuple, as PsiSubspace.basis holds) lies
+    in the complement subspace `sub` (a PsiSubspace)."""
+    return not any(v) or _rank_of(list(sub.basis) + [v]) == len(sub.basis)
 
 
 def span_route_duals(cmap, rays) -> list[Vector]:
@@ -202,6 +227,15 @@ def span_route_duals(cmap, rays) -> list[Vector]:
     return [sum((b * inv.rows[i][j] for i, b in enumerate(basis)),
                 Vector([0] * len(rays[0])))
             for j in range(k)]
+
+
+def mu_on_line_cell_by_cell(cone: Cone, cmap, line: Vector,
+                            order: int = DEFAULT_ORDER) -> LaurentSeries:
+    """mu_on_line of each basic cell of the cone on its own, summed in the
+    subdivision's order: one reduction walk per cell, and the error of the
+    first cell whose walk fails."""
+    return sum((mu_on_line(cell, cmap, line, order) for cell in subdivide_to_basic(cone).children),
+               LaurentSeries.zero(order))
 
 
 def is_generic(cmap, cone: Cone) -> bool:
@@ -227,7 +261,7 @@ def normal_form(terms: dict, cone: Cone, cmap, order: int,
     zero = MultiSeries.zero(cone.ambient, order)
     out: dict[frozenset[int], MultiSeries] = {}
     for expo, a in terms.items():
-        for s, c in red.reduce_monomial(expo).items():
+        for s, (c,) in red.reduce_monomial(expo).items():
             out[s] = out.get(s, zero) + a * MultiSeries(cone.ambient, order, c.coeffs)
     return {s: c for s, c in out.items() if not c.is_zero}
 
@@ -277,8 +311,8 @@ def ideal_generators(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> list[dict]
     for size in range(1, k + 1):
         for subset in combinations(range(k), size):
             sub = cmap.psi(tuple(cone.generators[i] for i in subset))
-            for v in sub.basis:
-                gens.append(linear_relation(cone, cmap, subset, v, order))
+            for v in sub.basis:  # int tuples under an inner product
+                gens.append(linear_relation(cone, cmap, subset, Vector(v), order))
     return gens
 
 

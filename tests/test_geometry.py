@@ -27,6 +27,7 @@ from mucone.errors import (
 from mucone.geometry import (
     Cone,
     Polytope,
+    _half_open_parallelepiped_points,
     cone_contains,
     in_convex_hull,
     normal_cone,
@@ -36,8 +37,9 @@ from mucone.geometry import (
     triangulate_face,
     zero_cone,
 )
-from mucone.linalg import Matrix, Vector, dual_rows, saturation_basis
-from oracles import dual_basis, matvec, saturation_index, star_subdivision_cells
+from mucone.linalg import Matrix, Vector, cone_index, dual_rows, saturation_basis
+from oracles import (dual_basis, matvec, saturation_index, saturation_route_points,
+                     star_subdivision_cells)
 
 
 def V(*xs):
@@ -204,6 +206,29 @@ class TestStarStep:
             for x in points:
                 by_rows = all(sum(a * b for a, b in zip(h, x)) >= 0 for h in rows)
                 assert by_rows == cone_contains(ch.generators, x), (ch, x)
+
+
+@st.composite
+def simplicial_rays(draw):
+    """k <= n independent small integer rays in R^2 or R^3 with index > 1:
+    k = n is full-dimensional, k < n lies in a plane or on a line."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.sampled_from(range(n, 0, -1)))
+    rays = [Vector(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+            for _ in range(k)]
+    assume(Matrix([list(r) for r in rays]).rank() == k)
+    assume(cone_index(rays) > 1)
+    return rays
+
+
+class TestParallelepipedPoints:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(simplicial_rays())
+    def test_matches_saturation_route(self, rays):
+        # a full-dimensional cell takes Z^n itself, the others a saturation basis
+        got = _half_open_parallelepiped_points(rays)
+        assert sorted(got, key=lambda pc: pc[0].entries) == saturation_route_points(rays)
+        assert len(got) == cone_index(rays) - 1
 
 
 class TestHullHelpers:

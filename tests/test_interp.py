@@ -19,8 +19,13 @@ from mucone.complement import (
     projective_fan_rays,
     standard_inner_product,
 )
-from mucone.errors import InconsistentExplicitFormulaError, MuconeError
-from mucone.geometry import Cone, Polytope, _rank_of, zero_cone
+from mucone.errors import (
+    InconsistentExplicitFormulaError,
+    MuconeError,
+    NotGenericError,
+    UnknownRayError,
+)
+from mucone.geometry import Cone, Polytope, _rank_of, subdivide_to_basic, zero_cone
 from mucone.interp import (
     MuValue,
     SquarefreeReducer,
@@ -51,6 +56,7 @@ from oracles import (
     linear_relation,
     matvec,
     mu_explicit_combined,
+    mu_on_line_cell_by_cell,
     normal_form,
 )
 from test_acceptance import _flag_generic_on, _flag_map, _gram_maps, make_basic_cone_corpus
@@ -247,6 +253,34 @@ def partial_map_cases(draw):
     return cone, cmap, draw(vec)
 
 
+@st.composite
+def multicell_partial_map_cases(draw):
+    """A pointed cone in R^2 or R^3 that is not basic, with at most six basic
+    cells, a flag map that need not be generic on the cells or a ray table
+    that may lack some of their rays, and an integer line."""
+    n = draw(st.sampled_from([2, 3]))
+    vec = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(Vector)
+    ray = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(Vector)
+    try:
+        cone = Cone(draw(st.lists(ray, min_size=n, max_size=n + 1)), ambient=n)
+    except MuconeError:
+        assume(False)
+    assume(not cone.is_basic)
+    cells = subdivide_to_basic(cone).children
+    assume(len(cells) <= 6)
+    if draw(st.booleans()):
+        cmap = FlagMap(draw(st.lists(vec, min_size=n, max_size=n)
+                            .filter(lambda b: _rank_of(b) == n)))
+    else:
+        table = []
+        for w in sorted({w for cell in cells for w in cell.generators}, key=lambda w: w.entries):
+            u = draw(vec)
+            if draw(st.integers(0, 3)):
+                table.append((w, u if w.dot(u) else w))
+        cmap = RayTableMap(table, ambient=n)
+    return cone, cmap, Vector([draw(st.integers(-2, 2)) for _ in range(n)])
+
+
 def _outcome(route):
     try:
         return route()
@@ -282,13 +316,49 @@ class TestGradedRoute:
                 mu_basic(cone, cmap, order).series, line))
             assert _outcome(lambda: mu_on_line(cone, cmap, line, order)) == full
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(multicell_partial_map_cases())
+    def test_batched_line_route_matches_cell_by_cell(self, case):
+        # one walk serves all cells; where it fails, the cells are rerun one
+        # at a time, so the error is the first failing cell's own
+        cone, cmap, line = case
+        for order in range(7):
+            want = _outcome(lambda: mu_on_line_cell_by_cell(cone, cmap, line, order))
+            assert _outcome(lambda: mu_on_line(cone, cmap, line, order)) == want
+
+    def test_rerun_gives_the_first_failing_cells_error(self):
+        # the batch first meets the ray (1, 1), which the table lacks; cell by
+        # cell, the first cell's own rays (1, 2), (1, 3) are not generic
+        cone = Cone([V(1, -2), V(1, 3)])
+        cmap = RayTableMap([(V(1, -2), V(-1, 0)), (V(1, -1), V(0, -1)), (V(1, 0), V(1, 0)),
+                            (V(1, 2), V(1, 0)), (V(1, 3), V(-1, 0))])
+        line, order = V(0, 0), 3
+        with pytest.raises(UnknownRayError):
+            SquarefreeReducer(subdivide_to_basic(cone).children, cmap, order, line=line).reduce()
+        want = _outcome(lambda: mu_on_line_cell_by_cell(cone, cmap, line, order))
+        assert want[0] is NotGenericError
+        assert _outcome(lambda: mu_on_line(cone, cmap, line, order)) == want
+
+    def test_spill_that_vanishes_in_one_cell_only(self):
+        # the batch keeps the spill target and stores 0 for the cell whose
+        # <w_j,u> vanishes
+        cone = Cone([V(1, 0), V(-1, 2)])
+        cmap = RayTableMap([(V(-1, 2), V(1, 0)), (V(0, 1), V(0, 1)), (V(1, 0), V(1, 0))])
+        line, order = V(1, -2), 3
+        red = SquarefreeReducer(subdivide_to_basic(cone).children, cmap, order, line=line)
+        red.reduce()
+        assert any(0 in w and any(w) for _, spill in red._rewrites.values() for _, w in spill)
+        got = mu_on_line(cone, cmap, line, order)
+        assert got == mu_on_line_cell_by_cell(cone, cmap, line, order)
+        assert got == restrict_to_direction(mu(cone, cmap, order).series, line)
+
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(graded_cases(), st.lists(st.integers(0, 6), min_size=3, max_size=3))
     def test_full_ring_coefficients_homogeneous(self, case, raw):
         cone, cmap, _ = case
         expo = tuple(raw[:len(cone.generators)])
         red = SquarefreeReducer(cone, cmap, self.ORDER)
-        for s, c in red.reduce_monomial(expo).items():
+        for s, (c,) in red.reduce_monomial(expo).items():
             degree = sum(expo) - len(s)
             assert degree <= self.ORDER
             assert all(sum(m) == degree for m in c.coeffs), (expo, s, c)
@@ -297,6 +367,36 @@ class TestGradedRoute:
         for cone in (Cone([V(1, 0), V(1, 1)]), zero_cone(2)):
             with pytest.raises(ValueError):
                 mu_on_line(cone, IP2, V(1, 2, 3))
+
+
+class TestMemoRelease:
+    CONE = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 3)])  # index 3
+
+    def test_reduce_empties_the_memo(self):
+        cells = subdivide_to_basic(self.CONE).children
+        assert len(cells) > 1
+        for red in (SquarefreeReducer(cells, IP3, 6, line=V(2, 3, 5)),
+                    SquarefreeReducer(cells[0], IP3, 6)):
+            red.reduce()
+            assert red._memo == {}
+
+    def test_full_ring_batch_is_per_cell(self):
+        cells = subdivide_to_basic(self.CONE).children
+        assert (SquarefreeReducer(cells, IP3, 4).reduce()
+                == [mu_basic(cell, IP3, 4).series for cell in cells])
+
+    def test_direct_calls_memoize(self):
+        red = SquarefreeReducer(SLANT, IP2, 2)
+        got = red.reduce_monomial((3, 0))
+        assert red.reduce_monomial((3, 0)) is got
+        assert {(1, 0), (2, 0), (3, 0)} <= set(red._memo)
+        q = Fraction(1, 4)
+        assert got == {
+            frozenset({0}): [MultiSeries(2, 2, {(2, 0): q, (1, 1): 2 * q, (0, 2): q})],
+            frozenset({0, 1}): [MultiSeries(2, 1, {(1, 0): -3 * q, (0, 1): -q})]}
+        red.reduce()
+        assert red.reduce_monomial((3, 0)) == got
+        assert (3, 0) in red._memo
 
 
 class TestMuBasic:
