@@ -33,7 +33,9 @@ from .linalg import (
     Matrix,
     Vector,
     cone_index,
+    dot,
     dual_rows,
+    eliminate_cleared,
     express_in_basis,
     hermite_normal_form,
     primitive,
@@ -48,18 +50,16 @@ LATTICE_POINT_CAP = 2_000_000
 PARALLELEPIPED_CAP = 100_000
 
 
-def _rank_of(vectors: Sequence[Vector]) -> int:
-    if not vectors:
-        return 0
-    return Matrix([list(v) for v in vectors]).rank()
+def _rank_of(vectors: Sequence[Sequence]) -> int:
+    return len(eliminate_cleared(vectors)[2])
 
 
-def _span_basis(vectors: Sequence[Vector]) -> list[Vector]:
-    """Rational basis of the linear span (nonzero rows of the rref)."""
-    if not vectors:
-        return []
-    red, pivots = Matrix([list(v) for v in vectors]).rref()
-    return [Vector(red.rows[i]) for i in range(len(pivots))]
+def _span_basis(vectors: Sequence[Sequence]) -> tuple[list[Vector], list[int]]:
+    """Rational basis of the linear span (the nonzero rows of the RREF) and
+    its pivot columns, where the basis is the identity: a vector y of the
+    span is sum_i y[pivots[i]] basis[i]."""
+    red, d, pivots = eliminate_cleared(vectors)
+    return [Vector(Fraction(x, d) for x in row) for row in red[:len(pivots)]], pivots
 
 
 def cone_facets(rays: Sequence[Vector]) -> list[tuple[Vector, frozenset[int]]]:
@@ -73,7 +73,7 @@ def cone_facets(rays: Sequence[Vector]) -> list[tuple[Vector, frozenset[int]]]:
     k = _rank_of(rays)
     if k <= 1:
         return []
-    span = _span_basis(rays)
+    span, _ = _span_basis(rays)
     found: dict[Vector, frozenset[int]] = {}
     for subset in itertools.combinations(range(len(rays)), k - 1):
         # rays on a known facet span at most its hyperplane: nothing new
@@ -521,13 +521,10 @@ class Polytope:
         self.name = name or "polytope"
         self._base = self.vertices[0]
         diffs = [v - self._base for v in self.vertices[1:]]
-        self._span = _span_basis(diffs)
+        self._span, self._pivots = _span_basis(diffs)
         self.dim = len(self._span)
-        self._coords = []
-        for v in self.vertices:
-            c = express_in_basis(self._span, v - self._base) if self.dim else Vector([])
-            assert c is not None
-            self._coords.append(c)
+        self._coords = [Vector(v[p] - self._base[p] for p in self._pivots)
+                        for v in self.vertices]
         self._facets = self._compute_facets()
         extreme = _extreme_indices(len(uniq), [on for _, _, on in self._facets])
         for i, p in enumerate(uniq):
@@ -605,19 +602,15 @@ class Polytope:
 
     @cached_property
     def _facet_normals(self) -> tuple[tuple[Vector, Fraction, frozenset[int]], ...]:
+        # full-dimensional: the span basis is the identity, so the span
+        # coordinates are x - base and each primitive a is an ambient normal
         out = []
-        span_rows = Matrix([list(s) for s in self._span])
         for a, _, on in self._facets:
-            # find the ambient normal: <amb, s_i> = a_i reproduces the
-            # span-coordinate inequality (span is a basis of Q^n here)
-            amb = solve_linear(span_rows, a)
-            assert amb is not None
-            amb = primitive(Vector(amb))
-            bb = amb.dot(self.vertices[min(on)])
-            vals = [amb.dot(v) for v in self.vertices]
+            bb = a.dot(self.vertices[min(on)])
+            vals = [a.dot(v) for v in self.vertices]
             assert min(vals) == bb
             assert frozenset(i for i, v in enumerate(vals) if v == bb) == on
-            out.append((amb, bb, on))
+            out.append((a, bb, on))
         return tuple(out)
 
     @cached_property
@@ -633,12 +626,13 @@ class Polytope:
         return tuple(out)
 
     def contains_point(self, x: Vector) -> bool:
-        if self.dim == 0:
-            return x == self._base
-        c = express_in_basis(self._span, x - self._base)
-        if c is None:
+        # y = x - base is in the span when it equals sum_i y[p_i] s_i, and
+        # then those y[p_i] are its span coordinates
+        y = [a - b for a, b in zip(x, self._base, strict=True)]
+        c = [y[p] for p in self._pivots]
+        if any(sum(ci * s[j] for ci, s in zip(c, self._span)) != yj for j, yj in enumerate(y)):
             return False
-        return all(a.dot(c) >= b for a, b, _ in self._facets)
+        return all(dot(a, c) >= b for a, b, _ in self._facets)
 
     def lattice_points(self, cap: int = LATTICE_POINT_CAP) -> list[Vector]:
         los = [min(v[i] for v in self.vertices) for i in range(self.ambient)]

@@ -1,8 +1,11 @@
 """Exact rational linear algebra: vectors, matrices, HNF, lattice helpers.
 
-Everything runs over fractions.Fraction; no floats anywhere. The dual
-pairing between a cone's ambient space and the space its polytopes live in
-is the coordinate dot product throughout.
+Vectors and matrices hold fractions.Fraction entries; no floats anywhere.
+One fraction-free elimination of integer rows, eliminate(), gives every
+rank, kernel, solution, span basis and (scaled) inverse: rational rows
+have their denominators cleared first. The dual pairing between a cone's
+ambient space and the space its polytopes live in is the coordinate dot
+product throughout.
 """
 
 from __future__ import annotations
@@ -180,31 +183,8 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows)) if self.rows else Matrix([])
 
-    def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        m = [list(r) for r in self.rows]
-        nr, nc = len(m), (len(m[0]) if m else 0)
-        pivots: list[int] = []
-        r = 0
-        for c in range(nc):
-            pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return Matrix(m), pivots
-
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(eliminate_cleared(self.rows)[2])
 
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
@@ -224,36 +204,58 @@ def _det(m: Sequence[Sequence]):
                for j, a in enumerate(m[0]) if a)
 
 
+def eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int, list[int]]:
+    """(d * R, d, pivots) for an integer matrix with reduced row echelon
+    form R: fraction-free Gauss-Jordan elimination, each step divided
+    exactly by the previous pivot, so every entry stays an integer (a minor
+    of the input) and every pivot ends at the same d (d = 1 with no pivot).
+    Rows below the rank end at zero; pivot rows are the first nonzero ones."""
+    m = [list(row) for row in rows]
+    nr, nc = len(m), (len(m[0]) if m else 0)
+    pivots: list[int] = []
+    d = 1
+    for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        top, piv = m[r], m[r][c]
+        m = [row if i == r else [(piv * x - row[c] * y) // d for x, y in zip(row, top)]
+             for i, row in enumerate(m)]
+        d = piv
+        pivots.append(c)
+    return m, d, pivots
+
+
+def eliminate_cleared(rows: Iterable[Iterable]) -> tuple[list[list[int]], int, list[int]]:
+    """eliminate() on rational rows, each row's denominators cleared first:
+    scaling a row changes neither the RREF, nor the rank, nor the solutions."""
+    return eliminate([cleared(row)[0] for row in rows])
+
+
 def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]] | None:
     """(d, d * A^-1) with d = +-det A for a square integer matrix A, None if
-    A is singular: one fraction-free (Bareiss) elimination of [A | I], each
-    step divided exactly by the previous pivot, ending at [d I | d A^-1]."""
+    A is singular: the elimination of [A | I] ends at [d I | d A^-1]."""
     k = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
-    d = 1
-    for c in range(k):
-        p = next((r for r in range(c, k) if aug[r][c]), None)
-        if p is None:
-            return None
-        aug[c], aug[p] = aug[p], aug[c]
-        top, piv = aug[c], aug[c][c]
-        aug = [row if r == c else [(piv * x - row[c] * y) // d for x, y in zip(row, top)]
-               for r, row in enumerate(aug)]
-        d = piv
-    return d, [row[k:] for row in aug]
+    red, d, pivots = eliminate([list(row) + [int(i == j) for j in range(k)]
+                                for i, row in enumerate(rows)])
+    if pivots != list(range(k)):
+        return None
+    return d, [row[k:] for row in red]
 
 
 def rational_kernel(a: Matrix) -> list[Vector]:
     """Basis over Q of {x : A x = 0}, from the reduced row echelon form."""
-    red, pivots = a.rref()
-    nc = a.ncols
-    free = [j for j in range(nc) if j not in pivots]
+    red, d, pivots = eliminate_cleared(a.rows)
     basis = []
-    for f in free:
-        x = [Fraction(0)] * nc
+    for f in (j for j in range(a.ncols) if j not in pivots):
+        x = [Fraction(0)] * a.ncols
         x[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            x[c] = -red.rows[r][f]
+        for row, c in zip(red, pivots):
+            x[c] = Fraction(-row[f], d)
         basis.append(Vector(x))
     return basis
 
@@ -264,14 +266,13 @@ def solve_linear(a: Matrix, b: Vector) -> Vector | None:
     Free variables (if any) are set to 0, so the solution is unique exactly
     when a has full column rank.
     """
-    nr, nc = a.nrows, a.ncols
-    aug = Matrix([list(a.rows[i]) + [b[i]] for i in range(nr)])
-    red, pivots = aug.rref()
+    nc = a.ncols
+    red, d, pivots = eliminate_cleared(row + (b[i],) for i, row in enumerate(a.rows))
     if nc in pivots:
         return None
     x = [Fraction(0)] * nc
-    for r, c in enumerate(pivots):
-        x[c] = red.rows[r][nc]
+    for row, c in zip(red, pivots):
+        x[c] = Fraction(row[nc], d)
     return Vector(x)
 
 
@@ -379,11 +380,8 @@ def saturation_basis(vectors: Sequence[Vector]) -> list[Vector]:
     if not vectors:
         return []
     n = len(vectors[0])
-    rows = Matrix([list(v) for v in vectors])
-    if rows.rank() == n:
-        return [unit_vector(n, i) for i in range(n)]
-    orth = integer_kernel(rows)
-    if not orth:
+    orth = integer_kernel(Matrix([list(v) for v in vectors]))
+    if not orth:  # full rank
         return [unit_vector(n, i) for i in range(n)]
     return integer_kernel(Matrix([list(v) for v in orth]))
 
@@ -393,11 +391,11 @@ def express_in_basis(basis: Sequence[Vector], v: Vector) -> Vector | None:
     return solve_linear(Matrix.from_columns([list(b) for b in basis]), v)
 
 
-def _coordinate_rows(generators: Sequence[Vector]) -> list[list[int]]:
-    """The integer matrix with the generators as columns, by rows."""
+def _integer_rows(generators: Sequence[Vector]) -> list[list[int]]:
+    """The integer generators as rows of ints."""
     if any(e.denominator != 1 for g in generators for e in g):
         raise ValueError("integer generators required")
-    return [[int(g[i]) for g in generators] for i in range(len(generators[0]))]
+    return [[int(e) for e in g] for g in generators]
 
 
 def cone_index(generators: Sequence[Vector]) -> int:
@@ -408,7 +406,7 @@ def cone_index(generators: Sequence[Vector]) -> int:
     if not gens:
         return 1
     g = 0
-    for sub in itertools.combinations(_coordinate_rows(gens), len(gens)):
+    for sub in itertools.combinations(zip(*_integer_rows(gens)), len(gens)):
         g = math.gcd(g, _det(sub))
     if g == 0:
         raise DependentGeneratorsError("generators are linearly dependent")
@@ -422,20 +420,17 @@ def dual_rows(generators: Sequence[Vector]) -> list[tuple[int, ...]]:
     On the span of the generators h_i . w / d is the i-th coordinate of w
     in the generator basis: a point w of the span lies in the cone exactly
     when every h_i . w >= 0, and its coordinates have the signs of the
-    h_i . w.  The rows are d times the inverse of the k x k submatrix on
-    the first coordinates whose minor is nonzero, padded by zeros: the
-    inverse of the generator matrix for a full-dimensional cone, a left
-    inverse of it otherwise.
+    h_i . w.  The elimination of [G | I], generators as the rows of G,
+    ends at [d R | d E] with E G = R: on the pivot columns (the first
+    coordinates whose minor is nonzero) R is the identity, so E inverts G
+    there, and the columns of d E, padded by zeros, are the rows.
     """
-    gens = list(generators)
-    k = len(gens)
-    rows = _coordinate_rows(gens)
-    for coords in itertools.combinations(range(len(rows)), k):
-        got = scaled_inverse([rows[c] for c in coords])
-        if got:
-            break
-    else:
+    rows = _integer_rows(list(generators))
+    k, n = len(rows), len(rows[0])
+    red, d, pivots = eliminate([row + [int(i == j) for j in range(k)]
+                                for i, row in enumerate(rows)])
+    if pivots[-1] >= n:
         raise DependentGeneratorsError("generators are linearly dependent")
-    d, inv = got
-    sign, at = (1 if d > 0 else -1), {c: j for j, c in enumerate(coords)}
-    return [tuple(sign * row[at[c]] if c in at else 0 for c in range(len(rows))) for row in inv]
+    sign, at = (1 if d > 0 else -1), {c: i for i, c in enumerate(pivots)}
+    return [tuple(sign * red[at[c]][n + j] if c in at else 0 for c in range(n))
+            for j in range(k)]

@@ -11,8 +11,9 @@ D-expansion is a plain dict from exponent tuples to coefficients
 index by linear solves and the Hermite normal form, the half-open
 parallelepiped's lattice points in a saturation basis, the complement
 map's pivot vectors by way of a span basis, the line-restricted mu cell
-by cell, and small linear-algebra and genericity checks the library never
-calls.
+by cell, the reduced row echelon form by Gauss-Jordan over fractions,
+dual rows by a scan of minors, and small linear-algebra and genericity
+checks the library never calls.
 """
 
 from __future__ import annotations
@@ -85,16 +86,61 @@ def dual_basis(basis) -> list[Vector]:
     return [inv.column(j) for j in range(mat.ncols)]
 
 
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns, by
+    Gauss-Jordan elimination over fractions."""
+    m = [list(r) for r in a.rows]
+    nr, nc = len(m), (len(m[0]) if m else 0)
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Matrix(m), pivots
+
+
 def inverse(a: Matrix) -> Matrix:
     n = a.nrows
     if n != a.ncols:
         raise ValueError("inverse of a non-square matrix")
     aug = Matrix([list(a.rows[i]) + [1 if j == i else 0 for j in range(n)]
                   for i in range(n)])
-    red, pivots = aug.rref()
+    red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return Matrix([row[n:] for row in red.rows])
+
+
+def dual_rows_by_minors(generators) -> list[tuple[int, ...]]:
+    """linalg.dual_rows by a scan of the k x k minors of the generator
+    matrix in lexicographic order of coordinates: d times the inverse of
+    the first nonsingular one (d its |det|), padded by zeros."""
+    gens = list(generators)
+    if any(e.denominator != 1 for g in gens for e in g):
+        raise ValueError("integer generators required")
+    k, n = len(gens), len(gens[0])
+    for coords in combinations(range(n), k):
+        sub = Matrix([[g[c] for g in gens] for c in coords])
+        det = sub.det()
+        if det:
+            break
+    else:
+        raise DependentGeneratorsError("generators are linearly dependent")
+    inv, at = inverse(sub), {c: j for j, c in enumerate(coords)}
+    return [tuple(int(abs(det) * row[at[c]]) if c in at else 0 for c in range(n))
+            for row in inv.rows]
 
 
 def saturation_index(generators) -> int:
@@ -215,7 +261,7 @@ def span_route_duals(cmap, rays) -> list[Vector]:
     subset is not generic."""
     rays = tuple(rays)
     k = len(rays)
-    basis = _span_basis(cmap.raw_basis(rays))
+    basis, _ = _span_basis(cmap.raw_basis(rays))
     if len(basis) != k:
         raise NotGenericError(f"complement subspace for {list(rays)} has "
                               f"dimension {len(basis)}, expected {k}")

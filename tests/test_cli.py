@@ -1,11 +1,16 @@
 """Command-line behavior: exit codes, JSON shape, determinism."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlib import Path
 
@@ -423,6 +428,61 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "mu_table", boom)
         code, _, _ = run_cli(capsys, "mu", "--input", triangle2)
         assert code == 4
+
+
+# random JSON: ints, rational strings, bools and null, nested in lists, and
+# objects that hold some of the keys the loaders look for; coordinate lists
+# are mostly well formed, so that most inputs get past the parser
+_SCALARS = st.one_of(st.integers(-3, 3), st.booleans(), st.none(),
+                     st.fractions(-3, 3, max_denominator=4).map(str))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+
+
+@st.composite
+def _rows(draw):
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 3:
+        i = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            rows[i][draw(st.integers(0, width - 1))] = draw(_SCALARS)
+        else:
+            rows[i] = draw(_VALUES)
+    return rows
+
+
+_FIELDS = st.one_of(_rows(), _VALUES)
+_KEYS = {"vertices": _FIELDS, "generators": _FIELDS, "gram": _FIELDS, "basis": _FIELDS,
+         "ambient": st.one_of(st.integers(-1, 4), _VALUES),
+         "type": st.one_of(st.sampled_from(["inner_product", "flag", "ray_table"]), _VALUES)}
+_INPUTS = st.one_of(st.fixed_dictionaries({"vertices": _rows()}),
+                    st.fixed_dictionaries({"generators": _rows()},
+                                          optional={"ambient": st.integers(-1, 4)}),
+                    st.fixed_dictionaries({}, optional=_KEYS), _VALUES)
+_MAPS = st.one_of(st.fixed_dictionaries({"type": st.just("inner_product"), "gram": _rows()}),
+                  st.fixed_dictionaries({"type": st.just("flag"), "basis": _rows()}),
+                  st.fixed_dictionaries({}, optional=_KEYS), _VALUES)
+
+
+class TestRandomInputs:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(command=st.sampled_from(["mu", "count", "verify"]), degree=st.integers(0, 2),
+           data=_INPUTS, spec=st.sampled_from(["ip", "df", None]), cmap=_MAPS)
+    def test_never_exits_4(self, command, degree, data, spec, cmap):
+        """Whatever the JSON, main() answers with a contract exit code,
+        never with exit 4 or a traceback.  `spec` None reads the map from
+        the JSON `cmap`."""
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, "--degree", str(degree),
+                    "--input", write_json(Path(tmp) / "in.json", data),
+                    "--map", spec or write_json(Path(tmp) / "map.json", cmap)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            interp.clear_mu_cache()
+        assert code in (0, 1, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestInstalledScript:

@@ -13,18 +13,30 @@ from mucone.errors import (
 from mucone.linalg import (
     Matrix,
     Vector,
+    cleared,
     cone_index,
+    dual_rows,
+    eliminate,
     express_in_basis,
     format_rational,
     hermite_normal_form,
     integer_kernel,
     parse_rational,
     primitive,
+    rational_kernel,
     saturation_basis,
     scaled_inverse,
     solve_linear,
 )
-from oracles import NotUnimodularError, dual_basis, inverse, matmul, saturation_index
+from oracles import (
+    NotUnimodularError,
+    dual_basis,
+    dual_rows_by_minors,
+    inverse,
+    matmul,
+    rref,
+    saturation_index,
+)
 
 
 def V(*xs):
@@ -197,6 +209,78 @@ def test_scaled_inverse_matches_rational_inverse(data):
     assert abs(d) == abs(det)
     want = inverse(Matrix(rows)) if n else Matrix([])
     assert Matrix([[Fraction(x, d) for x in row] for row in inv]) == want
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_eliminate_matches_fraction_rref(data):
+    """eliminate() on the cleared rows against the Fraction Gauss-Jordan
+    oracle, on rectangular and rank-deficient matrices; rank, kernel and
+    solve read the same elimination and must agree with the oracle's."""
+    nc = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(_ENTRIES, min_size=nc, max_size=nc), max_size=4))
+    if len(rows) >= 2 and data.draw(st.booleans()):
+        # a row that depends on two others
+        i, j = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2))
+        a, b = data.draw(_ENTRIES), data.draw(_ENTRIES)
+        rows[data.draw(st.integers(0, len(rows) - 1))] = [
+            a * x + b * y for x, y in zip(rows[i], rows[j])]
+    a = Matrix(rows)
+    want, pivots = rref(a)
+    red, d, got_pivots = eliminate([cleared(row)[0] for row in a.rows])
+    assert got_pivots == pivots
+    assert all(isinstance(x, int) for row in red for x in row)
+    assert all(red[r][c] == d for r, c in enumerate(pivots))
+    assert Matrix([[Fraction(x, d) for x in row] for row in red]) == want
+    assert a.rank() == len(pivots)
+
+    kernel = []
+    for f in (j for j in range(a.ncols) if j not in pivots):
+        x = [int(j == f) for j in range(a.ncols)]
+        for r, c in enumerate(pivots):
+            x[c] = -want.rows[r][f]
+        kernel.append(Vector(x))
+    assert rational_kernel(a) == kernel
+
+    b = Vector(data.draw(st.lists(_ENTRIES, min_size=a.nrows, max_size=a.nrows)))
+    aug, aug_pivots = rref(Matrix([list(row) + [x] for row, x in zip(a.rows, b)]))
+    x = solve_linear(a, b)
+    if a.ncols in aug_pivots:
+        assert x is None
+    else:
+        assert x == Vector(aug.rows[aug_pivots.index(j)][-1] if j in aug_pivots else 0
+                           for j in range(a.ncols))
+
+
+def _outcome(f, gens):
+    try:
+        return f(gens)
+    except (DependentGeneratorsError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_dual_rows_matches_minor_scan(data):
+    """One elimination of [G | I] gives the rows (or the error) that the
+    scan of k x k minors in lexicographic order gives."""
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, n + 1))
+    gens = [Vector(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+            for _ in range(k)]
+    if data.draw(st.integers(0, 9)) == 0:
+        gens[0] = gens[0] * Fraction(1, 2)
+    got = _outcome(dual_rows, gens)
+    assert got == _outcome(dual_rows_by_minors, gens)
+    if isinstance(got, list):
+        d = Vector(got[0]).dot(gens[0])
+        assert d > 0
+        assert [[Vector(h).dot(g) for g in gens] for h in got] == [
+            [d if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 def test_primitive():

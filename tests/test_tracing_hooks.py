@@ -1,15 +1,18 @@
-"""The benchmark tracer's hooks name library attributes that still exist.
+"""The benchmark's hooks and workloads name library attributes that still exist.
 
-bench/tracing.py wraps functions and methods of mucone by name; a rename in
-the library would otherwise only show up when the benchmark is run.
+bench/tracing.py wraps functions and methods of mucone by name, and the
+workloads read `m.<module>.<name>` off a fresh import; a rename in the
+library would otherwise only show up when the benchmark is run.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import mucone
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _tracing():
@@ -28,6 +31,16 @@ def test_methods_defined_on_their_class():
     for mod_name, cls_name, meth, _, _ in _tracing().METHODS:
         cls = getattr(getattr(mucone, mod_name), cls_name)
         assert meth in cls.__dict__, (cls_name, meth)
+
+
+def test_bench_names_resolve():
+    # bench/workloads.py binds the package as m.pkg and each module as m.<module>
+    names = {(mod, attr) for path in sorted(BENCH.glob("*.py"))
+             for mod, attr in re.findall(r"\bm\.(\w+)\.(\w+)", path.read_text())}
+    assert ("geometry", "in_convex_hull") in names and ("linalg", "Matrix") in names
+    for mod, attr in sorted(names):
+        owner = mucone if mod == "pkg" else getattr(mucone, mod)
+        assert hasattr(owner, attr), (mod, attr)
 
 
 def test_mu_cache_exists():
