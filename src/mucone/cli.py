@@ -297,7 +297,7 @@ def pn_demo(n: int, degree: int) -> dict:
     for cone in projective_fan_cones(n):
         size = len(cone.generators)
         val = mu(cone, cmap, d if size <= 2 else 0)
-        cone_rays = [r.to_json() for r in cone.generators]
+        cone_rays = [list(map(format_rational, r)) for r in cone.generators]
         table.append({
             "cone_rays": cone_rays,
             "size": size,

@@ -15,16 +15,17 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import NotGenericError, ParseError, UnknownRayError
-from .geometry import Cone, _rank_of
-from .linalg import (Matrix, Vector, cleared, dot, parse_rational, primitive,
-                     scaled_inverse, unit_vector)
+from .geometry import Cone
+from .linalg import (Matrix, Vector, cleared, dot, format_rational, parse_rational,
+                     primitive, scaled_inverse, unit_vector)
 
 
 class PsiSubspace:
     """The complement subspace assigned to a set of rays, with its pivot vectors.
 
-    `basis` spans the assigned subspace (int tuples for an InnerProductMap,
-    else Vectors).  Clearing the denominators of rays and basis changes
+    `rays` are int tuples (cone generators) or rational tuples, and `basis`
+    spans the assigned subspace (int tuples for an InnerProductMap, else
+    Vectors).  Clearing the denominators of rays and basis changes
     neither the subspace nor, mapped back to each ray's scale, the pivot
     vectors, so one fraction-free elimination of the integer pairing[i][j]
     = <rays[i], basis[j]> (linalg.scaled_inverse) decides genericity, which
@@ -36,7 +37,7 @@ class PsiSubspace:
 
     __slots__ = ("rays", "basis", "numerators", "denominator")
 
-    def __init__(self, rays: Sequence[Vector], basis: Sequence[Sequence]):
+    def __init__(self, rays: Sequence[Sequence], basis: Sequence[Sequence]):
         self.rays = tuple(rays)
         self.basis = tuple(basis)
         scaled = [cleared(w) for w in self.rays]  # w = ints / scale
@@ -45,7 +46,7 @@ class PsiSubspace:
         got = scaled_inverse(pairing) if len(cols) == len(scaled) else None
         if got is None:
             raise NotGenericError(
-                f"complement subspace for {list(self.rays)} does not pair "
+                f"complement subspace for {list(map(Vector, self.rays))} does not pair "
                 "invertibly with the rays")
         # u_j = scale_j * sum_i (pairing^-1)[i][j] basis_i, over d
         d, inv = got
@@ -65,20 +66,22 @@ class ComplementMap:
 
     ambient: int
 
-    def raw_basis(self, rays: Sequence[Vector]) -> list[Sequence]:
+    def raw_basis(self, rays: Sequence[Sequence]) -> list[Sequence]:
         """Vectors (or int tuples) spanning the subspace assigned to the rays."""
         raise NotImplementedError
 
-    def psi(self, rays: Sequence[Vector]) -> PsiSubspace:
-        """The complement subspace and pivot vectors for the rays; raises NotGeneric."""
-        rays = tuple(rays)
+    def psi(self, rays: Sequence[Sequence]) -> PsiSubspace:
+        """The complement subspace and pivot vectors for the rays (int tuples
+        such as cone generators, or Vectors); raises NotGeneric.  A Vector
+        is keyed by its entries, which equal and hash like the ints."""
+        rays = tuple(r if type(r) is tuple else tuple(Vector(r)) for r in rays)
         cached = self._psi_cache.get(rays)
         if cached is None:
             cached = PsiSubspace(rays, self.raw_basis(rays))
             self._psi_cache[rays] = cached
         return cached
 
-    def solve_u(self, rays: Sequence[Vector], target: int) -> Vector:
+    def solve_u(self, rays: Sequence[Sequence], target: int) -> Vector:
         """The unique u in psi(rays) pairing to 1 with rays[target], 0 with the rest."""
         duals = self.psi(rays).duals
         if not 0 <= target < len(duals):
@@ -117,7 +120,7 @@ class InnerProductMap(ComplementMap):
         self._gram_ints = [ints[i * n:(i + 1) * n] for i in range(n)]
         self._psi_cache: dict = {}
 
-    def raw_basis(self, rays: Sequence[Vector]) -> list[tuple[int, ...]]:
+    def raw_basis(self, rays: Sequence[Sequence]) -> list[tuple[int, ...]]:
         # the integer Gram images, each up to a positive scale that psi does not see
         return [tuple(dot(row, w) for row in self._gram_ints) for w, _ in map(cleared, rays)]
 
@@ -150,13 +153,13 @@ class FlagMap(ComplementMap):
         n = len(basis)
         if any(len(v) != n for v in basis):
             raise ValueError("flag basis must be square")
-        if _rank_of(basis) != n:
+        if Matrix(basis).rank() != n:
             raise ValueError("flag basis must be linearly independent")
         self.basis = tuple(basis)
         self.ambient = n
         self._psi_cache: dict = {}
 
-    def raw_basis(self, rays: Sequence[Vector]) -> list[Vector]:
+    def raw_basis(self, rays: Sequence[Sequence]) -> list[Vector]:
         return list(self.basis[: len(rays)])
 
     def key(self) -> tuple:
@@ -170,16 +173,18 @@ class FlagMap(ComplementMap):
 
 
 class RayTableMap(ComplementMap):
-    """psi(S) = span of explicitly tabulated vectors, one per known ray."""
+    """psi(S) = span of explicitly tabulated vectors, one per known ray.
 
-    def __init__(self, entries: dict[Vector, Vector] | Iterable[tuple[Vector, Vector]],
+    The table maps primitive int rays to rational Vectors."""
+
+    def __init__(self, entries: dict | Iterable[tuple[Sequence, Vector]],
                  ambient: int | None = None):
-        table: dict[Vector, Vector] = {}
+        table: dict[tuple[int, ...], Vector] = {}
         pairs = entries.items() if isinstance(entries, dict) else entries
         for ray, u in pairs:
             ray = primitive(ray)
-            if ray.dot(u) == 0:
-                raise ValueError(f"table vector for ray {ray} pairs to zero")
+            if u.dot(ray) == 0:
+                raise ValueError(f"table vector for ray {Vector(ray)} pairs to zero")
             table[ray] = u
         if not table and ambient is None:
             raise ValueError("ambient dimension required for an empty table")
@@ -189,27 +194,25 @@ class RayTableMap(ComplementMap):
             raise ValueError(f"table rays must all have dimension {self.ambient}")
         self._psi_cache: dict = {}
 
-    def raw_basis(self, rays: Sequence[Vector]) -> list[Vector]:
+    def raw_basis(self, rays: Sequence[Sequence]) -> list[Vector]:
         out = []
-        for r in rays:
-            r = primitive(r)
+        for r in map(primitive, rays):
             if r not in self.table:
-                raise UnknownRayError(f"no table entry for ray {r}")
+                raise UnknownRayError(f"no table entry for ray {Vector(r)}")
             out.append(self.table[r])
         return out
 
     def key(self) -> tuple:
         return ("ray_table",
-                tuple(sorted((r.entries, u.entries) for r, u in self.table.items())))
+                tuple(sorted((r, u.entries) for r, u in self.table.items())))
 
     def describe(self) -> str:
         return "ray_table"
 
     def to_json(self) -> dict:
         return {"type": "ray_table",
-                "entries": [{"ray": r.to_json(), "u": u.to_json()}
-                            for r, u in sorted(self.table.items(),
-                                               key=lambda it: it[0].entries)]}
+                "entries": [{"ray": list(map(format_rational, r)), "u": u.to_json()}
+                            for r, u in sorted(self.table.items(), key=lambda it: it[0])]}
 
 
 def _vectors(value, what: str) -> list[Vector]:
@@ -240,15 +243,13 @@ def map_from_json(data: dict) -> ComplementMap:
 # -- the projective-space fan and its cyclic-difference map -----------------
 
 
-def projective_fan_rays(n: int) -> list[Vector]:
+def projective_fan_rays(n: int) -> list[tuple[int, ...]]:
     """Rays of the n-dimensional projective-space fan: e_1..e_n and -sum(e_i).
 
     Index 0 holds the negative-sum ray; 1..n the basis rays, so that rays
     i and i+1 (cyclically mod n+1) span a 2D cone of the fan.
     """
-    rays = [Vector([-1] * n)]
-    rays.extend(unit_vector(n, i) for i in range(n))
-    return rays
+    return [(-1,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 def projective_fan_cones(n: int) -> list[Cone]:

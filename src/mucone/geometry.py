@@ -6,6 +6,15 @@ exact vertex sets (every input point must be a lattice point and extreme).
 Everything here is brute-force exact arithmetic; the intended ambient
 dimensions are small (up to 4).
 
+All lattice data are tuples of Python ints: ray generators, vertices,
+facet normals with their int offsets, the rays of every subdivision cell
+and the lattice points of a polytope. The geometry runs on those ints
+(linalg's eliminate, kernel, dot and primitive) and builds no Fraction;
+only a normalized volume is a Fraction. Cone(), Polytope() and their
+from_json take Vectors, or sequences of ints, Fractions or "p/q" strings,
+and convert once; points passed to contains() and contains_point() may be
+rational. Error messages print lattice points as Vectors.
+
 One routine, cone_facets, finds facets: a polytope's facets are those of
 the cone over it. One rule, _extreme_indices, reads the extreme rays of a
 cone and the vertices of a polytope off their facets.
@@ -35,72 +44,59 @@ from .linalg import (
     cone_index,
     dot,
     dual_rows,
-    eliminate_cleared,
-    express_in_basis,
+    eliminate,
+    format_rational,
     hermite_normal_form,
+    kernel,
+    parse_rational,
     primitive,
-    rational_kernel,
+    rank,
     saturation_basis,
     solve_linear,
-    zero_vector,
 )
+
+Point = tuple[int, ...]
 
 MAX_AMBIENT_DIM = 4
 LATTICE_POINT_CAP = 2_000_000
 PARALLELEPIPED_CAP = 100_000
 
 
-def _rank_of(vectors: Sequence[Sequence]) -> int:
-    return len(eliminate_cleared(vectors)[2])
-
-
-def _span_basis(vectors: Sequence[Sequence]) -> tuple[list[Vector], list[int]]:
-    """Rational basis of the linear span (the nonzero rows of the RREF) and
-    its pivot columns, where the basis is the identity: a vector y of the
-    span is sum_i y[pivots[i]] basis[i]."""
-    red, d, pivots = eliminate_cleared(vectors)
-    return [Vector(Fraction(x, d) for x in row) for row in red[:len(pivots)]], pivots
-
-
-def cone_facets(rays: Sequence[Vector]) -> list[tuple[Vector, frozenset[int]]]:
-    """Facets of the pointed cone spanned by the rays.
+def cone_facets(rays: Sequence[Point]) -> list[tuple[Point, frozenset[int]]]:
+    """Facets of the pointed cone spanned by the integer rays.
 
     Returns (inner normal, indices of rays on the facet) pairs. The normal
-    is a primitive vector in the linear span of the cone: nonnegative on
-    every ray, zero exactly on the facet. Cones of dimension <= 1 have no
-    facets in this sense.
+    is a primitive integer vector in the linear span of the cone:
+    nonnegative on every ray, zero exactly on the facet. Cones of
+    dimension <= 1 have no facets in this sense.
     """
-    k = _rank_of(rays)
+    red, _, pivots = eliminate(rays)
+    k = len(pivots)
     if k <= 1:
         return []
-    span, _ = _span_basis(rays)
-    found: dict[Vector, frozenset[int]] = {}
+    span = red[:k]  # integer rows spanning the rays' span
+    found: dict[Point, frozenset[int]] = {}
     for subset in itertools.combinations(range(len(rays)), k - 1):
         # rays on a known facet span at most its hyperplane: nothing new
         if any(on.issuperset(subset) for on in found.values()):
             continue
-        sub = [rays[i] for i in subset]
-        if _rank_of(sub) != k - 1:
-            continue
-        # normal h = sum_l z_l span_l with <h, r> = 0 for r in the subset
-        m = Matrix([[s.dot(r) for s in span] for r in sub])
-        ker = rational_kernel(m)
+        # normal h = sum_l z_l span_l with <h, r> = 0 for r in the subset;
+        # the pairing with the span rows has the subset's rank, so a
+        # one-dimensional kernel means k - 1 independent rays
+        ker = kernel([[dot(s, rays[i]) for s in span] for i in subset], k)
         if len(ker) != 1:
             continue
-        h = zero_vector(len(rays[0]))
-        for zl, s in zip(ker[0], span):
-            h = h + zl * s
-        h = primitive(h)
-        vals = [h.dot(r) for r in rays]
+        h = primitive([dot(ker[0], col) for col in zip(*span)])
+        vals = [dot(h, r) for r in rays]
         if all(v >= 0 for v in vals):
             pass
         elif all(v <= 0 for v in vals):
-            h = -h
+            h = tuple(-x for x in h)
             vals = [-v for v in vals]
         else:
             continue
         found[h] = frozenset(i for i, v in enumerate(vals) if v == 0)
-    return sorted(found.items(), key=lambda it: it[0].entries)
+    return sorted(found.items())
 
 
 def _extreme_indices(count: int, facet_sets: Sequence[frozenset[int]]) -> list[int]:
@@ -123,13 +119,13 @@ def _extreme_indices(count: int, facet_sets: Sequence[frozenset[int]]) -> list[i
     return out
 
 
-def cone_contains(rays: Sequence[Vector], x: Vector) -> bool:
+def cone_contains(rays: Sequence[Sequence], x: Sequence) -> bool:
     """Exact membership of x in the pointed cone spanned by the rays."""
     return Cone(rays, ambient=len(x)).contains(x)
 
 
 class Cone:
-    """Pointed rational cone, stored by primitive ray generators.
+    """Pointed rational cone, stored by primitive ray generators (int tuples).
 
     Pointedness is an invariant: construction raises NotPointedError when
     the generators admit a nontrivial nonnegative dependency. Generators
@@ -138,12 +134,8 @@ class Cone:
     descriptions of the same cone by the same irredundant rays coincide.
     """
 
-    def __init__(self, generators: Iterable[Vector], ambient: int | None = None):
-        gens: list[Vector] = []
-        for g in generators:
-            p = primitive(g)
-            if p not in gens:
-                gens.append(p)
+    def __init__(self, generators: Iterable[Sequence], ambient: int | None = None):
+        gens = list(dict.fromkeys(map(primitive, generators)))
         if ambient is None:
             if not gens:
                 raise ValueError("ambient dimension required for the zero cone")
@@ -153,17 +145,14 @@ class Cone:
         if ambient > MAX_AMBIENT_DIM:
             raise DimensionTooLargeError(
                 f"ambient dimension {ambient} above cap {MAX_AMBIENT_DIM}")
-        if not all(g.is_integral for g in gens):
-            # primitive() already clears denominators
-            raise InternalInconsistencyError("non-integral primitive ray")
-        self.generators = tuple(gens)
+        self.generators: tuple[Point, ...] = tuple(gens)
         self.ambient = ambient
         if not self.is_pointed:
-            raise NotPointedError(f"cone is not pointed: {gens}")
+            raise NotPointedError(f"cone is not pointed: {list(map(Vector, gens))}")
 
     @cached_property
     def dim(self) -> int:
-        return _rank_of(self.generators)
+        return rank(self.generators)
 
     @property
     def is_zero(self) -> bool:
@@ -193,9 +182,8 @@ class Cone:
         if r == len(rays):
             return True
         for size in range(2, r + 2):
-            for subset in itertools.combinations(range(len(rays)), size):
-                m = Matrix.from_columns([list(rays[i]) for i in subset])
-                ker = rational_kernel(m)
+            for subset in itertools.combinations(rays, size):
+                ker = kernel(list(zip(*subset)), size)
                 if len(ker) != 1:
                     continue
                 k = ker[0]
@@ -204,7 +192,7 @@ class Cone:
         return True
 
     @cached_property
-    def facets(self) -> list[tuple[Vector, frozenset[int]]]:
+    def facets(self) -> list[tuple[Point, frozenset[int]]]:
         return cone_facets(self.generators)
 
     @cached_property
@@ -216,24 +204,25 @@ class Cone:
         return tuple(_extreme_indices(len(self.generators),
                                       [on for _, on in self.facets]))
 
-    def extreme_rays(self) -> list[Vector]:
+    def extreme_rays(self) -> list[Point]:
         return [self.generators[i] for i in self.extreme_ray_indices]
 
     @cached_property
-    def _annihilator(self) -> list[Vector]:
-        return rational_kernel(Matrix([list(g) for g in self.generators]))
+    def _annihilator(self) -> list[Point]:
+        return kernel(self.generators, self.ambient)
 
-    def contains(self, x: Vector) -> bool:
-        """Exact membership: x is orthogonal to the annihilator (the vectors
-        orthogonal to every ray) and on the inner side of every facet."""
-        if x.is_zero:
+    def contains(self, x: Sequence) -> bool:
+        """Exact membership of an integer or rational point: x is orthogonal
+        to the annihilator (the vectors orthogonal to every ray) and on the
+        inner side of every facet."""
+        if not any(x):
             return True
-        if self.is_zero or any(z.dot(x) != 0 for z in self._annihilator):
+        if self.is_zero or any(dot(z, x) for z in self._annihilator):
             return False
         if not self.facets:
             # dimension 1: x is a multiple of the ray
-            return self.generators[0].dot(x) > 0
-        return all(h.dot(x) >= 0 for h, _ in self.facets)
+            return dot(self.generators[0], x) > 0
+        return all(dot(h, x) >= 0 for h, _ in self.facets)
 
     def __eq__(self, other):
         return (isinstance(other, Cone)
@@ -244,19 +233,18 @@ class Cone:
         return hash((self.ambient, frozenset(self.generators)))
 
     def __repr__(self):
-        return "Cone[%s]" % ", ".join(repr(list(g.entries)) for g in self.generators)
+        return "Cone[%s]" % ", ".join(repr(list(g)) for g in self.generators)
 
     def canonical_key(self) -> tuple:
-        return (self.ambient, tuple(sorted(g.entries for g in self.generators)))
+        return (self.ambient, tuple(sorted(self.generators)))
 
     def to_json(self) -> dict:
         return {"ambient": self.ambient,
-                "generators": [g.to_json() for g in self.generators]}
+                "generators": [list(map(format_rational, g)) for g in self.generators]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Cone":
-        from .linalg import parse_rational
-        gens = [Vector([parse_rational(e) for e in g]) for g in data["generators"]]
+        gens = [[parse_rational(e) for e in g] for g in data["generators"]]
         return cls(gens, ambient=int(data["ambient"]) if "ambient" in data else None)
 
 
@@ -296,13 +284,13 @@ class Subdivision:
                 raise InternalInconsistencyError("cell not simplicial of full dimension")
             for g in cell.generators:
                 if not parent.contains(g):
-                    raise InternalInconsistencyError(f"cell ray {g} outside parent")
+                    raise InternalInconsistencyError(f"cell ray {Vector(g)} outside parent")
         covered = set()
         for cell in children:
             covered |= set(cell.generators)
         for r in parent.extreme_rays():
             if r not in covered:
-                raise InternalInconsistencyError(f"parent ray {r} not covered")
+                raise InternalInconsistencyError(f"parent ray {Vector(r)} not covered")
         if d >= 1:
             counts: dict[tuple, int] = {}
             boundary: dict[tuple, bool] = {}
@@ -310,11 +298,11 @@ class Subdivision:
                 gens = cell.generators
                 for drop in range(len(gens)):
                     fr = [g for j, g in enumerate(gens) if j != drop]
-                    key = tuple(sorted(g.entries for g in fr))
+                    key = tuple(sorted(fr))
                     counts[key] = counts.get(key, 0) + 1
                     if key not in boundary:
                         boundary[key] = any(
-                            all(h.dot(g) == 0 for g in fr) for h, _ in pfacets
+                            all(dot(h, g) == 0 for g in fr) for h, _ in pfacets
                         ) if pfacets else (d == 1)
             for key, cnt in counts.items():
                 want = 1 if boundary[key] else 2
@@ -329,41 +317,44 @@ class Subdivision:
         return len(self.children)
 
 
-def _half_open_parallelepiped_points(rays: Sequence[Vector]) -> list[tuple[Vector, Vector]]:
+def _half_open_parallelepiped_points(rays: Sequence[Point]) -> list[tuple[Point, Point]]:
     """Lattice points of {sum c_i r_i : 0 <= c_i < 1} minus the origin.
 
     The lattice is the saturation of the span, so the points returned are
-    honest integer vectors. Returns (point, coefficient vector) pairs.
+    honest integer vectors. Returns (point, numerators) pairs: c_i is
+    numerators[i] / index, with index = cone_index(rays).
     """
     m = len(rays)
     if m == len(rays[0]):  # full-dimensional: the saturated lattice is Z^n
         cols = list(rays)
     else:
+        # coordinates in a saturation basis: the i-th is dual_rows(sat)[i] . r / d
         sat = saturation_basis(rays)
-        cols = [express_in_basis(sat, r) for r in rays]
-        assert all(c is not None and c.is_integral for c in cols)
-    h, _ = hermite_normal_form(Matrix.from_columns([list(c) for c in cols]))
-    diag = [int(h.rows[i][i]) for i in range(m)]
+        duals = dual_rows(sat)
+        d = dot(duals[0], sat[0])
+        cols = [[dot(h, r) for h in duals] for r in rays]
+        assert all(x % d == 0 for c in cols for x in c)
+        cols = [tuple(x // d for x in c) for c in cols]
+    h, _ = hermite_normal_form(list(zip(*cols)))
+    diag = [h[i][i] for i in range(m)]
     index = math.prod(diag)
     if index > PARALLELEPIPED_CAP:
         raise TooLargeError(f"parallelepiped with {index} lattice points")
     # the HNF's digit boxes z are the cosets of the rays' lattice, with
     # coefficients (index C^-1 z mod index) / index; dual_rows(cols) = index C^-1
     inv = dual_rows(cols)
-    ints = [[int(e) for e in r] for r in rays]
     out = []
     for digits in itertools.product(*(range(dd) for dd in diag)):
-        num = [sum(a * b for a, b in zip(row, digits)) % index for row in inv]
+        num = tuple(dot(row, digits) % index for row in inv)
         if not any(num):
             continue
-        point = [sum(a * r[j] for a, r in zip(num, ints)) for j in range(len(ints[0]))]
+        point = [dot(num, col) for col in zip(*rays)]
         assert all(x % index == 0 for x in point)
-        out.append((Vector(x // index for x in point),
-                    Vector(Fraction(a, index) for a in num)))
+        out.append((tuple(x // index for x in point), num))
     return out
 
 
-def _pulling_triangulation(rays: list[Vector]) -> list[tuple[int, ...]]:
+def _pulling_triangulation(rays: list[Point]) -> list[tuple[int, ...]]:
     """Triangulate a pointed cone given by its extreme rays; index tuples.
 
     Recursive pulling construction: cone the lex-min ray over the
@@ -372,10 +363,9 @@ def _pulling_triangulation(rays: list[Vector]) -> list[tuple[int, ...]]:
     """
     def rec(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
         sub = [rays[i] for i in idx]
-        k = _rank_of(sub)
-        if len(idx) == k:
+        if len(idx) == rank(sub):
             return [tuple(sorted(idx))]
-        star = min(idx, key=lambda i: rays[i].entries)
+        star = min(idx, key=lambda i: rays[i])
         cells: list[tuple[int, ...]] = []
         for _, fset in cone_facets(sub):
             face_idx = tuple(idx[j] for j in sorted(fset))
@@ -402,10 +392,10 @@ def subdivide_to_basic(cone: Cone) -> Subdivision:
     if cone.is_zero or cone.is_basic:
         return Subdivision(cone, [cone])
 
-    rays = sorted(cone.extreme_rays(), key=lambda r: r.entries)
+    rays = sorted(cone.extreme_rays())
 
     # (rays, dual rows, index) per cell
-    def cell(gens: list[Vector]) -> tuple[list[Vector], list[tuple[int, ...]], int]:
+    def cell(gens: list[Point]) -> tuple[list[Point], list[Point], int]:
         return gens, dual_rows(gens), cone_index(gens)
 
     cells = [cell([rays[i] for i in c]) for c in _pulling_triangulation(rays)]
@@ -419,12 +409,11 @@ def subdivide_to_basic(cone: Cone) -> Subdivision:
         if victim is None:
             break
         points = _half_open_parallelepiped_points(victim)
-        w, _ = min(points, key=lambda pc: (sum(pc[1].entries), pc[1].entries))
-        wi = [int(e) for e in w]
+        w, _ = min(points, key=lambda pc: (sum(pc[1]), pc[1]))
         new_cells = []
         for c in cells:
             # w lies in the span, so the row pairings are its coordinates times d > 0
-            signs = [sum(a * b for a, b in zip(h, wi)) for h in c[1]]
+            signs = [dot(h, w) for h in c[1]]
             if any(x < 0 for x in signs):
                 new_cells.append(c)
                 continue
@@ -443,7 +432,7 @@ def subdivide_to_basic(cone: Cone) -> Subdivision:
 # -- polytopes -------------------------------------------------------------
 
 
-def in_convex_hull(p: Vector, points: Sequence[Vector]) -> bool:
+def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> bool:
     """Exact test whether p lies in the convex hull of the points.
 
     Scans every affinely independent subset of up to n + 1 points: a slow
@@ -475,7 +464,7 @@ class Face:
         self.dim = dim
 
     @property
-    def vertices(self) -> list[Vector]:
+    def vertices(self) -> list[Point]:
         return [self.polytope.vertices[i] for i in sorted(self.indices)]
 
     def __eq__(self, other):
@@ -490,6 +479,16 @@ class Face:
         return f"Face(dim={self.dim}, vertices={sorted(self.indices)})"
 
 
+def _lattice_point(p: Sequence) -> Point:
+    """A polytope's input point as ints; NotIntegralError off the lattice."""
+    if all(type(x) is int for x in p):
+        return tuple(p)
+    v = Vector(p)
+    if not v.is_integral:
+        raise NotIntegralError(f"vertex {v} is not a lattice point")
+    return tuple(e.numerator for e in v)
+
+
 class Polytope:
     """Integral polytope given by its exact vertex set.
 
@@ -500,8 +499,8 @@ class Polytope:
     (_extreme_indices).
     """
 
-    def __init__(self, points: Iterable[Vector], name: str | None = None):
-        pts = [p if isinstance(p, Vector) else Vector(p) for p in points]
+    def __init__(self, points: Iterable[Sequence], name: str | None = None):
+        pts = list(points)
         if not pts:
             raise ValueError("a polytope needs at least one vertex")
         n = len(pts[0])
@@ -509,30 +508,25 @@ class Polytope:
             raise ValueError("mixed ambient dimensions")
         if n > MAX_AMBIENT_DIM:
             raise DimensionTooLargeError(f"ambient dimension {n} above cap {MAX_AMBIENT_DIM}")
-        for p in pts:
-            if not p.is_integral:
-                raise NotIntegralError(f"vertex {p} is not a lattice point")
-        uniq: list[Vector] = []
-        for p in pts:
-            if p not in uniq:
-                uniq.append(p)
-        self.vertices = tuple(uniq)
+        uniq = list(dict.fromkeys(map(_lattice_point, pts)))
+        self.vertices: tuple[Point, ...] = tuple(uniq)
         self.ambient = n
         self.name = name or "polytope"
-        self._base = self.vertices[0]
-        diffs = [v - self._base for v in self.vertices[1:]]
-        self._span, self._pivots = _span_basis(diffs)
-        self.dim = len(self._span)
-        self._coords = [Vector(v[p] - self._base[p] for p in self._pivots)
-                        for v in self.vertices]
+        self._base = base = uniq[0]
+        # the span of the vertex differences: d R, its pivot columns and d
+        red, self._d, self._pivots = eliminate(
+            [tuple(a - b for a, b in zip(v, base)) for v in uniq[1:]])
+        self.dim = len(self._pivots)
+        self._span = red[:self.dim]
+        self._coords = [tuple(v[p] - base[p] for p in self._pivots) for v in uniq]
         self._facets = self._compute_facets()
         extreme = _extreme_indices(len(uniq), [on for _, _, on in self._facets])
         for i, p in enumerate(uniq):
             if i not in extreme:
-                raise NotExtremeError(f"input point {p} is not a vertex")
+                raise NotExtremeError(f"input point {Vector(p)} is not a vertex")
         self.faces = self._compute_face_lattice()
 
-    def _compute_facets(self) -> list[tuple[Vector, Fraction, frozenset[int]]]:
+    def _compute_facets(self) -> list[tuple[Point, int, frozenset[int]]]:
         """Facets (a, b, vertex indices on it), a . coords(x) >= b on P.
 
         The inequalities live in span coordinates. P's facets are the
@@ -540,12 +534,11 @@ class Polytope:
         facet normal h of that cone reads h[1:] . coords(x) >= -h[0] on P,
         and a is h[1:] made primitive. Sorted by (a, b).
         """
-        rays = [Vector([1, *c]) for c in self._coords]
         facets = []
-        for h, on in cone_facets(rays):
-            a = primitive(Vector(h[1:]))
-            facets.append((a, a.dot(self._coords[min(on)]), on))
-        return sorted(facets, key=lambda f: (f[0].entries, f[1]))
+        for h, on in cone_facets([(1, *c) for c in self._coords]):
+            a = primitive(h[1:])
+            facets.append((a, dot(a, self._coords[min(on)]), on))
+        return sorted(facets, key=lambda f: (f[0], f[1]))
 
     def _compute_face_lattice(self) -> list[Face]:
         nv = len(self.vertices)
@@ -565,7 +558,7 @@ class Polytope:
         faces = []
         for s in sets:
             pts = [self._coords[i] for i in s]
-            d = _rank_of([p - pts[0] for p in pts[1:]]) if len(pts) > 1 else 0
+            d = rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]])
             faces.append(Face(self, s, d))
         faces.sort(key=lambda f: (f.dim, sorted(f.indices)))
         return faces
@@ -590,7 +583,7 @@ class Polytope:
                 return f
         raise KeyError(f"no face with vertex indices {sorted(key)}")
 
-    def facet_normals(self) -> list[tuple[Vector, Fraction, frozenset[int]]]:
+    def facet_normals(self) -> list[tuple[Point, int, frozenset[int]]]:
         """Ambient primitive inner normals (a, b, on) with <a, x> >= b on P.
 
         Only available for full-dimensional polytopes, where facet normals
@@ -601,13 +594,13 @@ class Polytope:
         return list(self._facet_normals)
 
     @cached_property
-    def _facet_normals(self) -> tuple[tuple[Vector, Fraction, frozenset[int]], ...]:
+    def _facet_normals(self) -> tuple[tuple[Point, int, frozenset[int]], ...]:
         # full-dimensional: the span basis is the identity, so the span
         # coordinates are x - base and each primitive a is an ambient normal
         out = []
         for a, _, on in self._facets:
-            bb = a.dot(self.vertices[min(on)])
-            vals = [a.dot(v) for v in self.vertices]
+            bb = dot(a, self.vertices[min(on)])
+            vals = [dot(a, v) for v in self.vertices]
             assert min(vals) == bb
             assert frozenset(i for i, v in enumerate(vals) if v == bb) == on
             out.append((a, bb, on))
@@ -625,38 +618,33 @@ class Polytope:
             out.append((f, nc, cells))
         return tuple(out)
 
-    def contains_point(self, x: Vector) -> bool:
-        # y = x - base is in the span when it equals sum_i y[p_i] s_i, and
-        # then those y[p_i] are its span coordinates
+    def contains_point(self, x: Sequence) -> bool:
+        """Whether the integer or rational point x lies in P: y = x - base
+        is in the span when d y = sum_i y[p_i] (d R)_i over the span rows
+        (always, for a full-dimensional P), and then the y[p_i] are its
+        span coordinates, which must satisfy every facet inequality."""
         y = [a - b for a, b in zip(x, self._base, strict=True)]
         c = [y[p] for p in self._pivots]
-        if any(sum(ci * s[j] for ci, s in zip(c, self._span)) != yj for j, yj in enumerate(y)):
+        if self.dim < self.ambient and any(
+                self._d * yj != sum(ci * s[j] for ci, s in zip(c, self._span))
+                for j, yj in enumerate(y)):
             return False
         return all(dot(a, c) >= b for a, b, _ in self._facets)
 
-    def lattice_points(self, cap: int = LATTICE_POINT_CAP) -> list[Vector]:
-        los = [min(v[i] for v in self.vertices) for i in range(self.ambient)]
-        his = [max(v[i] for v in self.vertices) for i in range(self.ambient)]
-        count = 1
-        for lo, hi in zip(los, his):
-            count *= int(hi - lo) + 1
+    def lattice_points(self, cap: int = LATTICE_POINT_CAP) -> list[Point]:
+        box = [range(min(c), max(c) + 1) for c in zip(*self.vertices)]
+        count = math.prod(map(len, box))
         if count > cap:
             raise TooLargeError(f"bounding box holds {count} points, cap {cap}")
-        out = []
-        for xs in itertools.product(*(range(int(lo), int(hi) + 1)
-                                      for lo, hi in zip(los, his))):
-            x = Vector(xs)
-            if self.contains_point(x):
-                out.append(x)
-        return out
+        return [x for x in itertools.product(*box) if self.contains_point(x)]
 
     def to_json(self) -> dict:
-        return {"vertices": [v.to_json() for v in self.vertices], "name": self.name}
+        return {"vertices": [list(map(format_rational, v)) for v in self.vertices],
+                "name": self.name}
 
     @classmethod
     def from_json(cls, data: dict) -> "Polytope":
-        from .linalg import parse_rational
-        pts = [Vector([parse_rational(e) for e in v]) for v in data["vertices"]]
+        pts = [[parse_rational(e) for e in v] for v in data["vertices"]]
         return cls(pts, name=data.get("name"))
 
     def __repr__(self):
@@ -680,7 +668,7 @@ def normal_cone(p: Polytope, f: Face) -> Cone:
     return Cone(gens, ambient=p.ambient)
 
 
-def supporting_cone(p: Polytope, f: Face) -> tuple[Vector, Cone]:
+def supporting_cone(p: Polytope, f: Face) -> tuple[Point, Cone]:
     """(apex, edge-direction cone) at a vertex: P looks like apex + cone locally."""
     if f.dim != 0:
         raise ValueError("supporting cones are taken at vertices")
@@ -690,7 +678,7 @@ def supporting_cone(p: Polytope, f: Face) -> tuple[Vector, Cone]:
     for e in p.faces_of_dim(1):
         if vi in e.indices:
             (other,) = [j for j in e.indices if j != vi]
-            dirs.append(p.vertices[other] - apex)
+            dirs.append(tuple(a - b for a, b in zip(p.vertices[other], apex)))
     return apex, Cone(dirs, ambient=p.ambient)
 
 
@@ -709,7 +697,7 @@ def triangulate_face(f: Face) -> list[tuple[int, ...]]:
         idx = sorted(face.indices)
         if len(idx) == face.dim + 1:
             return [tuple(idx)]
-        star = min(idx, key=lambda i: p.vertices[i].entries)
+        star = min(idx, key=lambda i: p.vertices[i])
         out = []
         for g in p.faces:
             if g.dim == face.dim - 1 and g.indices < face.indices and star not in g.indices:
@@ -730,7 +718,8 @@ def lattice_simplices(f: Face) -> list[tuple[tuple[int, ...], int]]:
     out = []
     for simplex in triangulate_face(f):
         z = [f.polytope.vertices[i] for i in simplex]
-        out.append((simplex, cone_index([zz - z[0] for zz in z[1:]])))
+        out.append((simplex, cone_index([tuple(a - b for a, b in zip(zz, z[0]))
+                                         for zz in z[1:]])))
     return out
 
 
@@ -742,4 +731,4 @@ def normalized_volume(f: Face) -> Fraction:
     """
     if f.dim == 0:
         return Fraction(1)
-    return sum((det for _, det in lattice_simplices(f)), Fraction(0)) / math.factorial(f.dim)
+    return Fraction(sum(det for _, det in lattice_simplices(f)), math.factorial(f.dim))

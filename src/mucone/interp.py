@@ -85,13 +85,13 @@ class SquarefreeReducer:
         self._y, self._q = cleared(line)
         subsets = [frozenset(s) for m in range(1, k + 1) for s in combinations(range(k), m)]
         self._cells, scales = [], []  # the closures below hold scales, not self
-        for cell in cells:  # (rays, psi per generic subset, L, integer rays)
+        for cell in cells:  # (rays, psi per generic subset, L)
             rays, subs = cell.generators, {}
             for s in subsets:
                 with suppress(NotGenericError, UnknownRayError):
                     subs[s] = cmap.psi(tuple(rays[j] for j in sorted(s)))
             scales.append(self._q * lcm(*(p.denominator for p in subs.values())))
-            self._cells.append((rays, subs, scales[-1], [[x.numerator for x in w] for w in rays]))
+            self._cells.append((rays, subs, scales[-1]))
         self._td, dk = _td_numerators(k, order)
         self._start = lambda m: [L ** m for L in scales]
         self._finish = lambda parts: [
@@ -102,11 +102,11 @@ class SquarefreeReducer:
         """u and [-<w_j,u> for j in rest] in one cell, on a line times L."""
         if self._q is None:
             u = pivot_vector(cell, self.cmap, s, i)
-            return MultiSeries.from_linear(u, 1), [-cell.generators[j].dot(u) for j in rest]
-        rays, subs, L, ints = cell
+            return MultiSeries.from_linear(u, 1), [-u.dot(cell.generators[j]) for j in rest]
+        rays, subs, L = cell
         sub = subs.get(s) or self.cmap.psi(tuple(rays[j] for j in sorted(s)))  # re-raises
         u, per = sub.numerators[sorted(s).index(i)], L // sub.denominator
-        return per // self._q * dot(u, self._y), [-per * dot(ints[j], u) for j in rest]
+        return per // self._q * dot(u, self._y), [-per * dot(rays[j], u) for j in rest]
 
     def _rewrite(self, s: frozenset[int], i: int):
         """D_i D_S = u D_S - sum_{j not in S} <w_j,u> D_j D_S, as the pair (u per

@@ -1,11 +1,16 @@
-"""Exact rational linear algebra: vectors, matrices, HNF, lattice helpers.
+"""Exact linear algebra: integer lattice kernels and rational vectors.
 
-Vectors and matrices hold fractions.Fraction entries; no floats anywhere.
-One fraction-free elimination of integer rows, eliminate(), gives every
-rank, kernel, solution, span basis and (scaled) inverse: rational rows
-have their denominators cleared first. The dual pairing between a cone's
-ambient space and the space its polytopes live in is the coordinate dot
-product throughout.
+Lattice data (ray generators, vertices, facet normals, the rows of a
+subdivision cell) are tuples of Python ints, and the lattice routines here
+take and return ints: eliminate, rank, kernel, primitive, dot, cone_index,
+dual_rows, the Hermite normal form and saturation bases. Rational data
+(directions, pivot vectors, Gram and flag data, solutions of linear
+systems) are Vectors and Matrices of fractions.Fraction entries. No floats
+anywhere: a float entry raises TypeError. One fraction-free elimination of
+integer rows, eliminate(), gives every rank, kernel, solution, span basis
+and (scaled) inverse: rational rows have their denominators cleared first.
+The dual pairing between a cone's ambient space and the space its
+polytopes live in is the coordinate dot product throughout.
 """
 
 from __future__ import annotations
@@ -43,13 +48,21 @@ def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
 
+def _exact(e) -> Fraction:
+    """An entry as a Fraction; a float is refused, since its binary value is
+    not the decimal it was written as (0.1 is 3602879701896397/2^55)."""
+    if isinstance(e, float):
+        raise TypeError(f"float entry {e!r}: use an int, a Fraction or a 'p/q' string")
+    return e if type(e) is Fraction else Fraction(e)
+
+
 class Vector:
-    """Immutable exact vector. Entries are Fractions (ints normalize)."""
+    """Immutable exact rational vector. Entries are Fractions (ints normalize)."""
 
     __slots__ = ("entries", "_hash")
 
     def __init__(self, entries: Iterable):
-        self.entries = tuple(Fraction(e) for e in entries)
+        self.entries = tuple(map(_exact, entries))
         self._hash = hash(self.entries)
 
     def __len__(self):
@@ -80,15 +93,15 @@ class Vector:
         return Vector(-a for a in self.entries)
 
     def __mul__(self, c) -> "Vector":
-        c = Fraction(c)
+        c = _exact(c)
         return Vector(a * c for a in self.entries)
 
     __rmul__ = __mul__
 
-    def dot(self, other: "Vector") -> Fraction:
-        """Coordinate pairing <w, v> = sum_i w_i v_i."""
+    def dot(self, other: Sequence) -> Fraction:
+        """Coordinate pairing <w, v> = sum_i w_i v_i, v a Vector or an int tuple."""
         return sum(
-            (a * b for a, b in zip(self.entries, other.entries, strict=True)),
+            (a * b for a, b in zip(self.entries, other, strict=True)),
             start=Fraction(0),
         )
 
@@ -102,10 +115,6 @@ class Vector:
 
     def to_json(self) -> list:
         return [format_rational(e) for e in self.entries]
-
-
-def zero_vector(n: int) -> Vector:
-    return Vector([0] * n)
 
 
 def unit_vector(n: int, i: int) -> Vector:
@@ -124,25 +133,27 @@ def cleared(entries: Iterable[Fraction]) -> tuple[list[int], int]:
     return [e.numerator * (den // e.denominator) for e in entries], den
 
 
-def primitive(v: Vector) -> Vector:
-    """Scale a nonzero rational vector to the primitive integer vector on its ray.
+def primitive(v: Sequence) -> tuple[int, ...]:
+    """The primitive integer vector (gcd 1) on the ray of a nonzero vector.
 
-    Direction is preserved; result has integer entries with gcd 1.
+    Int entries are divided by their gcd; rational entries (a Vector, or
+    Fractions, or "p/q" strings) have their denominators cleared first.
     """
-    if v.is_zero:
+    if not all(type(x) is int for x in v):
+        v = cleared(Vector(v))[0]
+    g = math.gcd(*v)
+    if not g:
         raise ZeroVectorError("primitive() of the zero vector")
-    ints = cleared(v.entries)[0]
-    g = math.gcd(*ints)
-    return Vector(x // g for x in ints)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 class Matrix:
-    """Immutable exact matrix, stored as a tuple of row tuples."""
+    """Immutable exact rational matrix, stored as a tuple of row tuples."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        self.rows = tuple(tuple(map(_exact, row)) for row in rows)
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
@@ -204,6 +215,11 @@ def _det(m: Sequence[Sequence]):
                for j, a in enumerate(m[0]) if a)
 
 
+def _require_ints(rows: Sequence[Sequence]):
+    if not all(type(x) is int for row in rows for x in row):
+        raise ValueError("integer entries required")
+
+
 def eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int, list[int]]:
     """(d * R, d, pivots) for an integer matrix with reduced row echelon
     form R: fraction-free Gauss-Jordan elimination, each step divided
@@ -236,6 +252,25 @@ def eliminate_cleared(rows: Iterable[Iterable]) -> tuple[list[list[int]], int, l
     return eliminate([cleared(row)[0] for row in rows])
 
 
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows."""
+    return len(eliminate(rows)[2])
+
+
+def kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Integer vectors spanning {x : rows . x = 0} over Q, one per free
+    column f of the elimination: d at f, -(d R)[i][f] at the i-th pivot."""
+    red, d, pivots = eliminate(rows)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        x = [0] * ncols
+        x[f] = d
+        for row, c in zip(red, pivots):
+            x[c] = -row[f]
+        basis.append(tuple(x))
+    return basis
+
+
 def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]] | None:
     """(d, d * A^-1) with d = +-det A for a square integer matrix A, None if
     A is singular: the elimination of [A | I] ends at [d I | d A^-1]."""
@@ -245,19 +280,6 @@ def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]
     if pivots != list(range(k)):
         return None
     return d, [row[k:] for row in red]
-
-
-def rational_kernel(a: Matrix) -> list[Vector]:
-    """Basis over Q of {x : A x = 0}, from the reduced row echelon form."""
-    red, d, pivots = eliminate_cleared(a.rows)
-    basis = []
-    for f in (j for j in range(a.ncols) if j not in pivots):
-        x = [Fraction(0)] * a.ncols
-        x[f] = Fraction(1)
-        for row, c in zip(red, pivots):
-            x[c] = Fraction(-row[f], d)
-        basis.append(Vector(x))
-    return basis
 
 
 def solve_linear(a: Matrix, b: Vector) -> Vector | None:
@@ -291,18 +313,18 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
-    """Column-style Hermite normal form: H = A * U with U unimodular.
+def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Column-style Hermite normal form of an integer matrix A (its rows):
+    H = A * U with U unimodular, both as lists of int rows.
 
     H is in column echelon form with positive pivots; in each pivot row the
     entries left of the pivot are reduced into [0, pivot). Zero columns of H
     (if A is rank-deficient) come last, and the matching columns of U are a
     basis of the integer kernel of A.
     """
-    if any(e.denominator != 1 for row in a.rows for e in row):
-        raise ValueError("HNF requires an integer matrix")
-    nr, nc = a.nrows, a.ncols
-    h = [[int(e) for e in row] for row in a.rows]
+    _require_ints(rows)
+    nr, nc = len(rows), (len(rows[0]) if rows else 0)
+    h = [list(row) for row in rows]
     u = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
     def colop(j, k, c):
@@ -355,22 +377,18 @@ def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
             if h[i][j] != 0:
                 colop(j, pc, -(h[i][j] // piv))
         pc += 1
-    return Matrix(h), Matrix(u)
+    return h, u
 
 
-def integer_kernel(a: Matrix) -> list[Vector]:
-    """Basis of the lattice {x integer : A x = 0}. Always saturated."""
-    if a.ncols == 0:
-        return []
-    h, u = hermite_normal_form(a)
-    out = []
-    for j in range(a.ncols):
-        if all(h.rows[i][j] == 0 for i in range(a.nrows)):
-            out.append(u.column(j))
-    return out
+def integer_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Basis of the lattice {x integer : A x = 0}, A given by its integer
+    rows (at least one). Always saturated."""
+    h, u = hermite_normal_form(rows)
+    return [tuple(r[j] for r in u) for j in range(len(rows[0]))
+            if all(hr[j] == 0 for hr in h)]
 
 
-def saturation_basis(vectors: Sequence[Vector]) -> list[Vector]:
+def saturation_basis(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Basis of the saturated lattice Z^n  intersect  span_Q(vectors).
 
     The vectors must be integral. The result has one basis vector per
@@ -379,41 +397,30 @@ def saturation_basis(vectors: Sequence[Vector]) -> list[Vector]:
     """
     if not vectors:
         return []
-    n = len(vectors[0])
-    orth = integer_kernel(Matrix([list(v) for v in vectors]))
+    orth = integer_kernel(vectors)
     if not orth:  # full rank
-        return [unit_vector(n, i) for i in range(n)]
-    return integer_kernel(Matrix([list(v) for v in orth]))
+        n = len(vectors[0])
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return integer_kernel(orth)
 
 
-def express_in_basis(basis: Sequence[Vector], v: Vector) -> Vector | None:
-    """Coordinates of v in the given basis (columns), or None if outside the span."""
-    return solve_linear(Matrix.from_columns([list(b) for b in basis]), v)
-
-
-def _integer_rows(generators: Sequence[Vector]) -> list[list[int]]:
-    """The integer generators as rows of ints."""
-    if any(e.denominator != 1 for g in generators for e in g):
-        raise ValueError("integer generators required")
-    return [[int(e) for e in g] for g in generators]
-
-
-def cone_index(generators: Sequence[Vector]) -> int:
+def cone_index(generators: Sequence[Sequence[int]]) -> int:
     """Index of the sublattice spanned by independent integer generators
     inside the saturated lattice of their span: by the Smith normal form,
     the gcd of the k x k minors of the generator matrix (|det| if k = n)."""
     gens = list(generators)
     if not gens:
         return 1
+    _require_ints(gens)
     g = 0
-    for sub in itertools.combinations(zip(*_integer_rows(gens)), len(gens)):
+    for sub in itertools.combinations(zip(*gens), len(gens)):
         g = math.gcd(g, _det(sub))
     if g == 0:
         raise DependentGeneratorsError("generators are linearly dependent")
     return g
 
 
-def dual_rows(generators: Sequence[Vector]) -> list[tuple[int, ...]]:
+def dual_rows(generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Integer rows h_1..h_k for independent integer generators g_1..g_k,
     with h_i . g_j = 0 for j != i and h_i . g_i = d, one d > 0 for all i.
 
@@ -425,10 +432,10 @@ def dual_rows(generators: Sequence[Vector]) -> list[tuple[int, ...]]:
     coordinates whose minor is nonzero) R is the identity, so E inverts G
     there, and the columns of d E, padded by zeros, are the rows.
     """
-    rows = _integer_rows(list(generators))
-    k, n = len(rows), len(rows[0])
-    red, d, pivots = eliminate([row + [int(i == j) for j in range(k)]
-                                for i, row in enumerate(rows)])
+    _require_ints(generators)
+    k, n = len(generators), len(generators[0])
+    red, d, pivots = eliminate([list(row) + [int(i == j) for j in range(k)]
+                                for i, row in enumerate(generators)])
     if pivots[-1] >= n:
         raise DependentGeneratorsError("generators are linearly dependent")
     sign, at = (1 if d > 0 else -1), {c: i for i, c in enumerate(pivots)}

@@ -515,12 +515,11 @@ class RationalFunctionTerm:
 def _sign_canonical(form: Vector) -> tuple[Vector, Fraction]:
     """Write form = gamma * p with p primitive integer, first nonzero entry > 0."""
     p = primitive(form)
-    lead = next(c for c in p if c != 0)
-    if lead < 0:
-        p = -p
-    # gamma solves form = gamma * p at the first nonzero slot
+    # gamma solves form = gamma * p at the first nonzero slot, exactly
     i = next(i for i, c in enumerate(p) if c != 0)
-    return p, form[i] / p[i]
+    if p[i] < 0:
+        p = tuple(-c for c in p)
+    return Vector(p), Fraction(form[i], p[i])
 
 
 def denominator_union(form_lists: Iterable[Iterable[Vector]]) -> tuple[Vector, ...]:

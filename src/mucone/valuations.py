@@ -26,7 +26,7 @@ from .geometry import (
     supporting_cone,
 )
 from .interp import DEFAULT_ORDER, MuTable, mu_on_line, mu_table
-from .linalg import Vector, dual_rows, format_rational
+from .linalg import Vector, dot, dual_rows, format_rational
 from .series import LaurentSeries, restrict_to_direction
 
 DEFAULT_SEED = 1729
@@ -47,7 +47,7 @@ class Direction:
         return {
             "y0": self.y0.to_json(),
             "checked_pairings": [
-                {"vector": v.to_json(), "value": format_rational(a)}
+                {"vector": list(map(format_rational, v)), "value": format_rational(a)}
                 for v, a in self.certificate
             ],
         }
@@ -61,12 +61,12 @@ def _as_vector(y0) -> Vector:
 
 
 def certify_direction(y0: Vector, avoid) -> Direction:
-    """Check <y0, v> != 0 for every v in avoid; raise naming the offender."""
+    """Check <y0, v> != 0 for every v (int tuple) in avoid; raise naming the offender."""
     cert = []
     for v in avoid:
         a = y0.dot(v)
         if a == 0:
-            raise DirectionDegenerateError(f"direction {y0} annihilates {v}")
+            raise DirectionDegenerateError(f"direction {y0} annihilates {Vector(v)}")
         cert.append((v, a))
     return Direction(y0, cert)
 
@@ -79,7 +79,7 @@ def sample_direction(ambient: int, avoid, seed: int = DEFAULT_SEED,
     vector tried and the constraint it violated, so reports can replay the
     search; runs out after `retries` draws.
     """
-    avoid = [v for v in avoid if not v.is_zero]
+    avoid = [v for v in avoid if any(v)]
     rng = random.Random(seed)
     log: list[dict] = []
     for attempt in range(retries):
@@ -226,24 +226,18 @@ class IdentityReport:
                 f"{self.map_description}, q={self.q})")
 
 
-def _corner_data_vectors(p: Polytope) -> list[Vector]:
-    """Vectors a verification direction must not annihilate: edge directions
-    plus every generator in every normal-cone subdivision."""
-    avoid: list[Vector] = []
+def _corner_data_vectors(p: Polytope) -> list[tuple[int, ...]]:
+    """Integer vectors a verification direction must not annihilate: edge
+    directions plus every generator in every normal-cone subdivision."""
+    avoid = []
     for e in p.faces_of_dim(1):
         a, b = e.vertices
-        avoid.append(b - a)
+        avoid.append(tuple(y - x for x, y in zip(a, b)))
     for _, nc, cells in p.normal_cone_cells:
         avoid.extend(nc.generators)
         for cell in cells:
             avoid.extend(cell.generators)
-    seen = set()
-    out = []
-    for v in avoid:
-        if v.entries not in seen:
-            seen.add(v.entries)
-            out.append(v)
-    return out
+    return list(dict.fromkeys(avoid))
 
 
 def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
@@ -285,7 +279,7 @@ def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
 # -- independent decomposition check ------------------------------------------
 
 
-def _half_open_cone_series(apex: Vector, cell: Cone, open_facets, y0: Vector,
+def _half_open_cone_series(apex: tuple[int, ...], cell: Cone, open_facets, y0: Vector,
                            q: int) -> LaurentSeries:
     pad = q + 2 * len(cell.generators) + 2
     total = LaurentSeries.exp_taylor(-y0.dot(apex), pad)
@@ -306,8 +300,9 @@ def _half_open_cone_series(apex: Vector, cell: Cone, open_facets, y0: Vector,
     return total
 
 
-def _interior_probe(parent: Cone, cells, seed: int) -> tuple[Vector, list]:
-    """A point interior to the parent and off every cell's facet hyperplanes.
+def _interior_probe(parent: Cone, cells, seed: int) -> tuple[tuple[int, ...], list]:
+    """An integer point interior to the parent and off every cell's facet
+    hyperplanes.
 
     Returns the point together with each cell's dual rows, which the
     half-open selection reuses.
@@ -316,11 +311,9 @@ def _interior_probe(parent: Cone, cells, seed: int) -> tuple[Vector, list]:
     rng = random.Random(seed)
     rays = parent.extreme_rays()
     for _ in range(64):
-        weights = [Fraction(rng.randint(1, 97)) for _ in rays]
-        probe = Vector([Fraction(0)] * parent.ambient)
-        for w, r in zip(weights, rays):
-            probe = probe + Vector([w * e for e in r])
-        if all(Vector(h).dot(probe) != 0 for rows in duals for h in rows):
+        weights = [rng.randint(1, 97) for _ in rays]
+        probe = tuple(dot(weights, col) for col in zip(*rays))
+        if all(dot(h, probe) for rows in duals for h in rows):
             return probe, duals
     raise DirectionDegenerateError("no interior probe avoided all facet planes")
 
@@ -351,7 +344,7 @@ def brion_vertex_decomposition_check(p: Polytope, y0=None, q: int = 6,
         cells = list(subdivide_to_basic(scone).children)
         probe, duals = _interior_probe(scone, cells, seed)
         for cell, rows in zip(cells, duals):
-            open_facets = {i for i, h in enumerate(rows) if Vector(h).dot(probe) < 0}
+            open_facets = {i for i, h in enumerate(rows) if dot(h, probe) < 0}
             piece = _half_open_cone_series(apex, cell, open_facets, y, q)
             total = piece if total is None else total + piece
     return total.agrees_with(s_series(p, direction, q), through=q)

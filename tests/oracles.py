@@ -12,12 +12,14 @@ index by linear solves and the Hermite normal form, the half-open
 parallelepiped's lattice points in a saturation basis, the complement
 map's pivot vectors by way of a span basis, the line-restricted mu cell
 by cell, the reduced row echelon form by Gauss-Jordan over fractions,
-dual rows by a scan of minors, and small linear-algebra and genericity
-checks the library never calls.
+dual rows by a scan of minors, a rational span and kernel basis,
+coordinates in a basis by a linear solve, and small linear-algebra and
+genericity checks the library never calls.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from mucone.complement import RayTableMap
@@ -34,8 +36,6 @@ from mucone.geometry import (
     Cone,
     _half_open_parallelepiped_points,
     _pulling_triangulation,
-    _rank_of,
-    _span_basis,
     subdivide_to_basic,
 )
 from mucone.interp import (
@@ -49,7 +49,8 @@ from mucone.interp import (
 from mucone.linalg import (
     Matrix,
     Vector,
-    express_in_basis,
+    dot,
+    eliminate_cleared,
     hermite_normal_form,
     saturation_basis,
     solve_linear,
@@ -128,7 +129,7 @@ def dual_rows_by_minors(generators) -> list[tuple[int, ...]]:
     matrix in lexicographic order of coordinates: d times the inverse of
     the first nonsingular one (d its |det|), padded by zeros."""
     gens = list(generators)
-    if any(e.denominator != 1 for g in gens for e in g):
+    if any(type(e) is not int for g in gens for e in g):
         raise ValueError("integer generators required")
     k, n = len(gens), len(gens[0])
     for coords in combinations(range(n), k):
@@ -157,27 +158,27 @@ def saturation_index(generators) -> int:
     for g in gens:
         c = express_in_basis(sat, g)
         assert c is not None and c.is_integral
-        cols.append(list(c))
-    h, _ = hermite_normal_form(Matrix.from_columns(cols))
+        cols.append([int(x) for x in c])
+    h, _ = hermite_normal_form(list(zip(*cols)))
     d = 1
     for i in range(len(gens)):
-        d *= int(h.rows[i][i])
+        d *= h[i][i]
     assert d == abs(Matrix.from_columns(cols).det())
     return d
 
 
-def star_subdivision_cells(cone: Cone) -> list[list[Vector]]:
+def star_subdivision_cells(cone: Cone) -> list[list[tuple[int, ...]]]:
     """The ray lists of subdivide_to_basic's cells, by the star step that
     solves one linear system per cell and round for the new ray's
     coordinates, with indices from saturation_index."""
     if cone.is_zero or cone.is_basic:
         return [list(cone.generators)]
-    rays = sorted(cone.extreme_rays(), key=lambda r: r.entries)
+    rays = sorted(cone.extreme_rays())
     cells = [[rays[i] for i in cell] for cell in _pulling_triangulation(rays)]
 
-    indices: dict[tuple[Vector, ...], int] = {}
+    indices: dict[tuple, int] = {}
 
-    def cell_det(cell: list[Vector]) -> int:
+    def cell_det(cell: list[tuple[int, ...]]) -> int:
         key = tuple(cell)
         if key not in indices:
             indices[key] = saturation_index(cell)
@@ -196,8 +197,8 @@ def star_subdivision_cells(cone: Cone) -> list[list[Vector]]:
         if victim is None:
             break
         points = _half_open_parallelepiped_points(victim)
-        w, _ = min(points, key=lambda pc: (sum(pc[1].entries), pc[1].entries))
-        new_cells: list[list[Vector]] = []
+        w, _ = min(points, key=lambda pc: (sum(pc[1]), pc[1]))
+        new_cells: list[list[tuple[int, ...]]] = []
         for cell in cells:
             coords = solve_linear(Matrix.from_columns([list(r) for r in cell]), w)
             if coords is None or any(c < 0 for c in coords):
@@ -213,9 +214,9 @@ def star_subdivision_cells(cone: Cone) -> list[list[Vector]]:
     return cells
 
 
-def saturation_route_points(rays) -> list[tuple[Vector, Vector]]:
+def saturation_route_points(rays) -> list[tuple[tuple[int, ...], Vector]]:
     """The lattice points of {sum c_i r_i : 0 <= c_i < 1} minus the origin,
-    as (point, coefficients) pairs sorted by point, in the lattice of a
+    as (int point, coefficients) pairs sorted by point, in the lattice of a
     saturation basis of the rays' span (two integer kernels, one solve per
     ray), by brute force: every integer coordinate vector in the
     parallelepiped's bounding box whose coefficients lie in [0, 1)."""
@@ -229,9 +230,31 @@ def saturation_route_points(rays) -> list[tuple[Vector, Vector]]:
     for x in product(*box):
         coeffs = matvec(inv, Vector(x))
         if any(x) and all(0 <= c < 1 for c in coeffs):
-            point = sum((b * a for a, b in zip(x, sat)), Vector([0] * len(rays[0])))
-            out.append((point, coeffs))
-    return sorted(out, key=lambda pc: pc[0].entries)
+            out.append((tuple(dot(x, col) for col in zip(*sat)), coeffs))
+    return sorted(out, key=lambda pc: pc[0])
+
+
+def express_in_basis(basis, v) -> Vector | None:
+    """Coordinates of v in the given basis (columns), or None if outside the span."""
+    return solve_linear(Matrix.from_columns([list(b) for b in basis]), v)
+
+
+def rational_kernel(a: Matrix) -> list[Vector]:
+    """Basis over Q of {x : A x = 0} with a 1 at each free column."""
+    red, d, pivots = eliminate_cleared(a.rows)
+    basis = []
+    for f in (j for j in range(a.ncols) if j not in pivots):
+        x = [Fraction(int(j == f)) for j in range(a.ncols)]
+        for row, c in zip(red, pivots):
+            x[c] = Fraction(-row[f], d)
+        basis.append(Vector(x))
+    return basis
+
+
+def span_basis(vectors) -> list[Vector]:
+    """Rational basis of the linear span: the nonzero rows of the RREF."""
+    red, d, pivots = eliminate_cleared(vectors)
+    return [Vector(Fraction(x, d) for x in row) for row in red[:len(pivots)]]
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
@@ -250,7 +273,7 @@ def pole_order(s: LaurentSeries) -> int:
 def psi_contains(sub, v: Vector) -> bool:
     """Whether v (a Vector or an int tuple, as PsiSubspace.basis holds) lies
     in the complement subspace `sub` (a PsiSubspace)."""
-    return not any(v) or _rank_of(list(sub.basis) + [v]) == len(sub.basis)
+    return not any(v) or Matrix(list(sub.basis) + [v]).rank() == len(sub.basis)
 
 
 def span_route_duals(cmap, rays) -> list[Vector]:
@@ -261,11 +284,11 @@ def span_route_duals(cmap, rays) -> list[Vector]:
     subset is not generic."""
     rays = tuple(rays)
     k = len(rays)
-    basis, _ = _span_basis(cmap.raw_basis(rays))
+    basis = span_basis(cmap.raw_basis(rays))
     if len(basis) != k:
         raise NotGenericError(f"complement subspace for {list(rays)} has "
                               f"dimension {len(basis)}, expected {k}")
-    pairing = Matrix([[w.dot(b) for b in basis] for w in rays])
+    pairing = Matrix([[b.dot(w) for b in basis] for w in rays])
     if k and pairing.rank() < k:
         raise NotGenericError(f"complement subspace for {list(rays)} meets "
                               "the rays' annihilator nontrivially")
@@ -332,7 +355,7 @@ def linear_relation(cone: Cone, cmap, subset, v: Vector,
     base = tuple(1 if i in idx else 0 for i in range(k))
     terms = {base: MultiSeries.from_linear(-v, order)}
     for j, w in enumerate(cone.generators):
-        a = w.dot(v)
+        a = v.dot(w)
         if a:
             e = list(base)
             e[j] += 1

@@ -74,6 +74,10 @@ def _random_hull(rng, dim, npts, name):
 
 @pytest.fixture(scope="module")
 def polytope_corpus():
+    return make_polytope_corpus()
+
+
+def make_polytope_corpus():
     rng = random.Random(20260816)
     ps = [
         Polytope([V(0), V(1)], name="seg-1"),
@@ -218,9 +222,9 @@ def test_criterion_3_2d_closed_form(acceptance):
     for c in cones:
         w1, w2 = c.generators
         for g in grams:
-            pair = w1.dot(matvec(g, w2))
-            n11 = w1.dot(matvec(g, w1))
-            n22 = w2.dot(matvec(g, w2))
+            pair = matvec(g, w2).dot(w1)
+            n11 = matvec(g, w1).dot(w1)
+            n22 = matvec(g, w2).dot(w2)
             expect = Fraction(1, 4) - Fraction(1, 12) * (
                 pair / n11 + pair / n22)
             got = mu_basic(c, InnerProductMap(g), order=0).mu0
@@ -282,7 +286,7 @@ def test_criterion_5_additivity(acceptance):
     for trial in range(50):
         n = 2 if trial % 5 < 3 else 3
         parent = _unimodular_cone(rng, n, rng.randint(0, 3))
-        gens = list(parent.generators)
+        gens = [Vector(g) for g in parent.generators]
         coeffs = [rng.randint(1, 3) for _ in range(n)]
         w = gens[0] * coeffs[0]
         for c, g in zip(coeffs[1:], gens[1:]):

@@ -25,7 +25,7 @@ from mucone.errors import (
     NotGenericError,
     UnknownRayError,
 )
-from mucone.geometry import Cone, Polytope, _rank_of, subdivide_to_basic, zero_cone
+from mucone.geometry import Cone, Polytope, subdivide_to_basic, zero_cone
 from mucone.interp import (
     MuValue,
     SquarefreeReducer,
@@ -242,13 +242,13 @@ def partial_map_cases(draw):
     vec = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(Vector)
     if draw(st.booleans()):
         cmap = FlagMap(draw(st.lists(vec, min_size=n, max_size=n)
-                            .filter(lambda b: _rank_of(b) == n)))
+                            .filter(lambda b: Matrix(b).rank() == n)))
     else:
         table = []
         for w in cone.generators:
             u = draw(vec)
             if draw(st.integers(0, 3)):
-                table.append((w, u if w.dot(u) else w))
+                table.append((w, u if u.dot(w) else Vector(w)))
         cmap = RayTableMap(table, ambient=n)
     return cone, cmap, draw(vec)
 
@@ -270,13 +270,13 @@ def multicell_partial_map_cases(draw):
     assume(len(cells) <= 6)
     if draw(st.booleans()):
         cmap = FlagMap(draw(st.lists(vec, min_size=n, max_size=n)
-                            .filter(lambda b: _rank_of(b) == n)))
+                            .filter(lambda b: Matrix(b).rank() == n)))
     else:
         table = []
-        for w in sorted({w for cell in cells for w in cell.generators}, key=lambda w: w.entries):
+        for w in sorted({w for cell in cells for w in cell.generators}):
             u = draw(vec)
             if draw(st.integers(0, 3)):
-                table.append((w, u if w.dot(u) else w))
+                table.append((w, u if u.dot(w) else Vector(w)))
         cmap = RayTableMap(table, ambient=n)
     return cone, cmap, Vector([draw(st.integers(-2, 2)) for _ in range(n)])
 
@@ -444,7 +444,7 @@ class TestMuBasic:
                 m = InnerProductMap(g)
                 u1 = m.solve_u((a,), 0)
                 u2 = m.solve_u((b,), 0)
-                want = Fraction(1, 4) - Fraction(1, 12) * (b.dot(u1) + a.dot(u2))
+                want = Fraction(1, 4) - Fraction(1, 12) * (u1.dot(b) + u2.dot(a))
                 assert mu_basic(c, m, order=0).mu0 == want
 
 

@@ -10,6 +10,7 @@ from mucone.series import (
     LaurentSeries,
     MultiSeries,
     RationalFunctionTerm,
+    _sign_canonical,
     combine_over_common_denominator,
     compose_linear,
     compose_multivariate,
@@ -265,3 +266,13 @@ def test_laurent_scale_sub_zero():
     assert f.scale(2).coefficient(2) == 6
     z = LaurentSeries.zero(q)
     assert (f * z).is_zero
+
+
+def test_sign_canonical_divides_exactly():
+    """gamma is a Fraction even when form and p are both integral: int / int
+    would be a float, and the union's divisibility checks would fail."""
+    for form, p, gamma in [((-3, 6), (1, -2), -3), ((0, 4, 2), (0, 2, 1), 2),
+                           (Vector([F(1, 2), F(1, 3)]), (3, 2), F(1, 6))]:
+        got_p, got_gamma = _sign_canonical(form)
+        assert got_p == Vector(p) and got_gamma == gamma
+        assert type(got_gamma) is Fraction

@@ -240,7 +240,7 @@ class TestVerifyInterpolator:
 
     def test_translation_invariance(self):
         p = triangle(2)
-        shifted = Polytope([v + V(5, -1) for v in p.vertices], name="shifted")
+        shifted = Polytope([Vector(v) + V(5, -1) for v in p.vertices], name="shifted")
         t1 = mu_table(p, IP2, order=2)
         t2 = mu_table(shifted, IP2, order=2)
         for (f1, v1), (f2, v2) in zip(t1.entries, t2.entries):
