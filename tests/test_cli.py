@@ -248,6 +248,26 @@ class TestCliGoldenBytes:
     def test_golden(self, tmp_path, capsys, golden, poly, argv):
         if poly is not None:
             argv = argv + ["--input", write_json(tmp_path / "in.json", poly)]
+        self.check_golden(tmp_path, capsys, golden, argv)
+
+    CONE3 = {"generators": [[1, 0, 0], [1, 1, 0], [1, 1, 1]]}
+    FLAG3 = {"type": "flag", "basis": [[1, 2, 4], [1, 3, 9], [1, 5, 25]]}
+
+    @pytest.mark.parametrize("golden, cone, cmap", [
+        ("mu_cone3_flag_degree6.json", CONE3, FLAG3),
+        ("mu_cone3_ip_degree6.json", CONE3, None),
+        ("mu_ray1_degree6.json", {"generators": [[-1]]}, None),
+    ])
+    def test_mu_cone_golden(self, tmp_path, capsys, golden, cone, cmap):
+        # mu of one basic cone at degree 6; in R^1 the interpolation
+        # lattice has no variables
+        argv = ["mu", "--degree", "6", "--input", write_json(tmp_path / "in.json", cone)]
+        if cmap is not None:
+            argv += ["--map", write_json(tmp_path / "map.json", cmap)]
+        self.check_golden(tmp_path, capsys, golden, argv)
+
+    @staticmethod
+    def check_golden(tmp_path, capsys, golden, argv):
         out = tmp_path / "out.json"
         # start cold, as a fresh process would
         # (TestMuCache checks that the output ignores what is cached)

@@ -1,5 +1,7 @@
 """Normal-form reduction, the explicit chain formula, and mu tables."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -448,6 +450,15 @@ class TestMuBasic:
                 assert mu_basic(c, m, order=0).mu0 == want
 
 
+    def test_corpus_digest(self):
+        # mu_basic's series over the criterion-4 pairs, pinned byte for byte
+        digest = hashlib.sha256()
+        for c, m in _criterion_4_pairs():
+            digest.update(json.dumps(mu_basic(c, m, 5).series.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "a724fc991f801186551af05a28a98806d65827b13e48f2c37dad50502f88a5ab")
+
+
 def _rank2(a, b):
     return Matrix([list(a), list(b)]).rank()
 
@@ -648,6 +659,20 @@ class TestExplicitChecks:
         assert len(calls) == 2
 
 
+def _criterion_4_pairs():
+    """The (cone, map) pairs of acceptance criterion 4."""
+    pairs = []
+    for c in make_basic_cone_corpus():
+        maps = list(_gram_maps(c.ambient))
+        fl = _flag_map(c.ambient)
+        if _flag_generic_on(c, fl):
+            maps.append(fl)
+        pairs.extend((c, m) for m in maps)
+    for n in (2, 3):
+        pairs.extend((c, diaconis_fulton_map(n)) for c in projective_fan_cones(n))
+    return pairs
+
+
 class TestExplicitRoutes:
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(unimodular_cases(), st.integers(0, 4))
@@ -656,17 +681,9 @@ class TestExplicitRoutes:
         assert mu_explicit(cone, cmap, order).series == mu_basic(cone, cmap, order).series
 
     def test_matches_combined_oracle(self):
-        # the criterion-4 pairs; the oracle combines the chain sum over one
-        # common denominator and divides it out
-        pairs = []
-        for c in make_basic_cone_corpus():
-            maps = list(_gram_maps(c.ambient))
-            fl = _flag_map(c.ambient)
-            if _flag_generic_on(c, fl):
-                maps.append(fl)
-            pairs.extend((c, m) for m in maps)
-        for n in (2, 3):
-            pairs.extend((c, diaconis_fulton_map(n)) for c in projective_fan_cones(n))
+        # the oracle combines the chain sum over one common denominator and
+        # divides it out
+        pairs = _criterion_4_pairs()
         assert len(pairs) >= 60
         for c, m in pairs:
             assert mu_explicit(c, m, 4).series == mu_explicit_combined(c, m, 4).series, (c, m)
