@@ -20,6 +20,11 @@ from .linalg import (Matrix, Vector, cleared, dot, format_rational, parse_ration
                      primitive, scaled_inverse, unit_vector)
 
 
+def _integral(row: Sequence) -> tuple[Sequence[int], int]:
+    """(integer entries, scale) with row = entries / scale; an int row as it is."""
+    return (row, 1) if all(type(x) is int for x in row) else cleared(row)
+
+
 class PsiSubspace:
     """The complement subspace assigned to a set of rays, with its pivot vectors.
 
@@ -40,8 +45,8 @@ class PsiSubspace:
     def __init__(self, rays: Sequence[Sequence], basis: Sequence[Sequence]):
         self.rays = tuple(rays)
         self.basis = tuple(basis)
-        scaled = [cleared(w) for w in self.rays]  # w = ints / scale
-        cols = [cleared(b)[0] for b in self.basis]
+        scaled = [_integral(w) for w in self.rays]  # w = ints / scale
+        cols = [_integral(b)[0] for b in self.basis]
         pairing = [[dot(w, b) for b in cols] for w, _ in scaled]
         got = scaled_inverse(pairing) if len(cols) == len(scaled) else None
         if got is None:
@@ -122,7 +127,7 @@ class InnerProductMap(ComplementMap):
 
     def raw_basis(self, rays: Sequence[Sequence]) -> list[tuple[int, ...]]:
         # the integer Gram images, each up to a positive scale that psi does not see
-        return [tuple(dot(row, w) for row in self._gram_ints) for w, _ in map(cleared, rays)]
+        return [tuple(dot(row, w) for row in self._gram_ints) for w, _ in map(_integral, rays)]
 
     def key(self) -> tuple:
         return ("inner_product", tuple(self.gram.rows))

@@ -119,11 +119,6 @@ def _extreme_indices(count: int, facet_sets: Sequence[frozenset[int]]) -> list[i
     return out
 
 
-def cone_contains(rays: Sequence[Sequence], x: Sequence) -> bool:
-    """Exact membership of x in the pointed cone spanned by the rays."""
-    return Cone(rays, ambient=len(x)).contains(x)
-
-
 class Cone:
     """Pointed rational cone, stored by primitive ray generators (int tuples).
 

@@ -19,8 +19,10 @@ Todd element is a constant.  The degree of an entry never falls under a
 rewrite and supports only grow, so the reducer drops every entry with
 |e| - |S| > order: it cannot reach the full subset at degree <= order.
 The degree-r part of mu collects the monomials with |e| = k + r.  On a
-line t*y that coefficient is a scalar times t^(|e| - |S|); mu_on_line
-reduces a cone's basic cells in one walk, in ints (SquarefreeReducer).
+line t*y that coefficient is a scalar times t^(|e| - |S|), so the
+reduction runs in one ring, ints on lines (SquarefreeReducer): mu_on_line
+walks a cone's basic cells on one line, and mu_basic walks one cell on
+the lines of an interpolation lattice, whose values determine the series.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from collections.abc import Mapping
 from contextlib import suppress
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
 
@@ -50,63 +52,42 @@ def pivot_vector(cone: Cone, cmap, subset, i: int) -> Vector:
 
 
 class SquarefreeReducer:
-    """Memoized rewriting of D-monomials into squarefree normal form.
+    """Memoized rewriting of D-monomials into squarefree normal form, on lines.
 
-    One walk serves basic cells with k generators each: reduce_monomial(e)
-    maps each subset S to the coefficients of D_S, one per cell, of degree
-    |e| - |S| (see the module docstring); reduce() frees each memo entry
-    after its last read.  With line=None each is a MultiSeries.  On a line
-    t*y it is an int N for N / L^|e| times t^(|e| - |S|): L is the line's
-    denominator times the lcm of the cell's pivot denominators
-    (PsiSubspace.denominator), so L*<u,y> and L*<w_j,u> are integers.  A
-    subset whose psi fails is left out of L; the rewrite that needs it
-    raises.
+    One walk serves basic cells with k generators each, cell c on its own
+    line t*y_c: reduce_monomial(e) maps each subset S to the coefficients of
+    D_S, one int N per cell for N / L^|e| times t^(|e| - |S|) (the degree of
+    the module docstring); reduce() frees each memo entry after its last
+    read.  L is the line's denominator times the lcm of the cell's pivot
+    denominators (PsiSubspace.denominator), so L*<u,y> and L*<w_j,u> are
+    integers.  A subset whose psi fails is left out of L; the rewrite that
+    needs it raises.
     """
 
-    def __init__(self, cells, cmap, order: int = DEFAULT_ORDER,
-                 pivot_order=None, line: Vector | None = None):
-        cells = [cells] if isinstance(cells, Cone) else list(cells)
-        self.cone, self.cmap, self.order = cells[0], cmap, order
-        self.k = k = len(self.cone.generators)
+    def __init__(self, cells, lines, cmap, order: int = DEFAULT_ORDER, pivot_order=None):
+        self.cmap, self.order = cmap, order
+        self.k = k = len(cells[0].generators)
         if not all(c.is_basic and len(c.generators) == k for c in cells):
             raise ValueError("reduction is defined over basic cones with equally many generators")
         self.pivot_order = tuple(range(k) if pivot_order is None else map(int, pivot_order))
         if sorted(self.pivot_order) != list(range(k)):
             raise ValueError("pivot_order must permute the generator positions")
         self._memo, self._uses, self._rewrites = {}, {}, {}
-        if line is None:
-            n = self.cone.ambient
-            self._cells, self._q, self._td = cells, None, td_element(self.cone, order)
-            units = [MultiSeries.constant(1, n, 0)] * len(cells)
-            self._start = lambda m: units
-            self._finish = lambda parts: [MultiSeries(n, order, dict(chain.from_iterable(
-                p.coeffs.items() for p in ps))) for ps in zip(*parts.values())]
-            return
-        self._y, self._q = cleared(line)
         subsets = [frozenset(s) for m in range(1, k + 1) for s in combinations(range(k), m)]
-        self._cells, scales = [], []  # the closures below hold scales, not self
-        for cell in cells:  # (rays, psi per generic subset, L)
-            rays, subs = cell.generators, {}
+        self._cells = []  # (rays, psi per generic subset, L, y, q)
+        for cell, line in zip(cells, lines, strict=True):
+            rays, subs, (y, q) = cell.generators, {}, cleared(line)
             for s in subsets:
                 with suppress(NotGenericError, UnknownRayError):
                     subs[s] = cmap.psi(tuple(rays[j] for j in sorted(s)))
-            scales.append(self._q * lcm(*(p.denominator for p in subs.values())))
-            self._cells.append((rays, subs, scales[-1]))
-        self._td, dk = _td_numerators(k, order)
-        self._start = lambda m: [L ** m for L in scales]
-        self._finish = lambda parts: [
-            [Fraction(parts[r][c] if r in parts else 0, dk * L ** (k + r))
-             for r in range(order + 1)] for c, L in enumerate(scales)]
+            self._cells.append((rays, subs, q * lcm(*(p.denominator for p in subs.values())), y, q))
 
     def _pivot(self, cell, s: frozenset[int], i: int, rest: list[int]):
-        """u and [-<w_j,u> for j in rest] in one cell, on a line times L."""
-        if self._q is None:
-            u = pivot_vector(cell, self.cmap, s, i)
-            return MultiSeries.from_linear(u, 1), [-u.dot(cell.generators[j]) for j in rest]
-        rays, subs, L = cell
+        """L<u,y> and [-L<w_j,u> for j in rest] in one cell."""
+        rays, subs, L, y, q = cell
         sub = subs.get(s) or self.cmap.psi(tuple(rays[j] for j in sorted(s)))  # re-raises
         u, per = sub.numerators[sorted(s).index(i)], L // sub.denominator
-        return per // self._q * dot(u, self._y), [-per * dot(rays[j], u) for j in rest]
+        return per // q * dot(u, y), [-per * dot(rays[j], u) for j in rest]
 
     def _rewrite(self, s: frozenset[int], i: int):
         """D_i D_S = u D_S - sum_{j not in S} <w_j,u> D_j D_S, as the pair (u per
@@ -119,7 +100,7 @@ class SquarefreeReducer:
                 us, [(s | {j}, col) for j, col in zip(rest, zip(*spills)) if any(col)])
         return got
 
-    def reduce_monomial(self, expo) -> dict[frozenset[int], list]:
+    def reduce_monomial(self, expo) -> dict[frozenset[int], list[int]]:
         """Memoized; see reduce() for when an entry is dropped."""
         expo = tuple(expo)
         got = self._memo.get(expo)
@@ -130,13 +111,14 @@ class SquarefreeReducer:
             del self._memo[expo]
         return got
 
-    def _expand(self, expo: tuple[int, ...]) -> dict[frozenset[int], list]:
+    def _expand(self, expo: tuple[int, ...]) -> dict[frozenset[int], list[int]]:
         if all(e <= 1 for e in expo):
-            return {frozenset(i for i, e in enumerate(expo) if e): self._start(sum(expo))}
+            m = sum(expo)
+            return {frozenset(i for i, e in enumerate(expo) if e): [c[2] ** m for c in self._cells]}
         # D^e = D_i * D^(e - e_i), rewriting every term that repeats D_i
         i, inner = _peel(expo, self.pivot_order)
         low = sum(expo) - self.order  # the drop rule: keep |S| >= |e| - order
-        out: dict[frozenset[int], list] = {}
+        out: dict[frozenset[int], list[int]] = {}
         for s, c in self.reduce_monomial(inner).items():
             u, spill = self._rewrite(s, i)  # i is in s: supports only grow
             if len(s) >= low:
@@ -145,19 +127,21 @@ class SquarefreeReducer:
                 _bump(out, t, [x * y for x, y in zip(w, c)])
         return out
 
-    def reduce(self) -> list:
+    def reduce(self) -> list[list[Fraction]]:
         """Full-subset coefficient of the Todd element sum_e td[e] D^e, whose
-        term of exponent e has degree |e| - k, per cell: a MultiSeries, or on
-        a line its Taylor coefficients through t^order, one Fraction each.
+        term of exponent e has degree |e| - k, per cell: its Taylor
+        coefficients on the cell's line through t^order, one Fraction each.
         Each memo entry is dropped after its last read counted here (_reads);
         other reads count below zero and keep it."""
-        self._uses = dict(_reads(self.k, self.order, self.pivot_order))
-        parts, full = {}, frozenset(range(self.k))  # parts: degree r -> per cell
-        for expo, a in self._td.items():
+        k, order, (td, dk) = self.k, self.order, _td_numerators(self.k, self.order)
+        self._uses = dict(_reads(k, order, self.pivot_order))
+        parts, full = {}, frozenset(range(k))  # parts: degree r -> per cell
+        for expo, a in td.items():
             c = self.reduce_monomial(expo).get(full)
             if c is not None:
-                _bump(parts, sum(expo) - self.k, [a * x for x in c])
-        return self._finish(parts)
+                _bump(parts, sum(expo) - k, [a * x for x in c])
+        return [[Fraction(parts[r][c] if r in parts else 0, dk * cell[2] ** (k + r))
+                 for r in range(order + 1)] for c, cell in enumerate(self._cells)]
 
 
 def _bump(out: dict, key, c: list):
@@ -181,18 +165,6 @@ def _reads(k: int, order: int, pivot_order) -> Mapping[tuple[int, ...], int]:
             expo = _peel(expo, pivot_order)[1]
             uses[expo] = uses.get(expo, 0) + 1
     return MappingProxyType(uses)
-
-
-def td_element(cone: Cone, order: int = DEFAULT_ORDER) -> Mapping[tuple[int, ...], Fraction]:
-    """The Todd element prod_i td(D_i) as {exponent: constant}, D-degree <= k + order.
-    Built once per (k, order) and shared read-only."""
-    return _td_element(len(cone.generators), order)
-
-
-@cache
-def _td_element(k: int, order: int) -> Mapping[tuple[int, ...], Fraction]:
-    terms, dk = _td_numerators(k, order)
-    return MappingProxyType({e: Fraction(c, dk) for e, c in terms.items()})
 
 
 @cache
@@ -241,11 +213,23 @@ class MuValue:
                 f"cone={self.cone!r})")
 
 
-def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER,
-             pivot_order=None) -> MuValue:
-    """mu of a generic basic cone: full-subset coefficient of the Todd element."""
-    (series,) = SquarefreeReducer(cone, cmap, order, pivot_order).reduce()
-    return MuValue(cone, cmap.key(), order, series, "reduction")
+def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER, pivot_order=None) -> MuValue:
+    """mu of a generic basic cone: full-subset coefficient of the Todd element.
+    Its degree-r part is homogeneous of degree r, so one reduction walk on the lines
+    t*(1, x), x over the lattice nodes for degrees <= order, determines it
+    (_interpolate); a Newton coefficient above degree r is an internal inconsistency."""
+    if not cone.ambient:  # R^0 has no lines; its one cone is zero
+        return MuValue(cone, cmap.key(), order, MultiSeries.constant(1, 0, order), "reduction")
+    lattice = _lattice(cone.ambient - 1, order, 1)
+    lines = [(1,) + x for x in lattice.coords]
+    values = SquarefreeReducer([cone] * len(lines), lines, cmap, order, pivot_order).reduce()
+
+    def fail(r: int):
+        raise InternalInconsistencyError(f"reduction: degree-{r} part of mu is not a polynomial "
+                                         f"of degree {r}: cone={cone!r} map={cmap.describe()}")
+
+    return MuValue(cone, cmap.key(), order, _interpolate(lattice, values, order, fail),
+                   "reduction")
 
 
 # -- explicit chain-sum route ------------------------------------------------
@@ -435,9 +419,8 @@ def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
 
     The degree-r part p_r of mu is a homogeneous polynomial.  The chain sum
     is evaluated on lines t*y with y = (1, x) at the points x of a
-    principal lattice one level deeper than any degree needs; differences
-    taken axis by axis give each p_r's Newton coefficients in the chart
-    y_1 = 1, which expand to monomials and homogenize.  A pole on any line,
+    principal lattice one level deeper than any degree needs, and
+    _interpolate rebuilds the series.  A pole on any line,
     a nonzero Newton coefficient of p_r above degree r, or (for n = 1) a
     mismatch at the second point y = 2 aborts the run as an internal
     inconsistency.
@@ -462,6 +445,16 @@ def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
         second = taylor([2 * v for v in rows[0]])
         if any(b != a * 2 ** r for r, (a, b) in enumerate(zip(values[0], second))):
             fail("chain sum is not homogeneous on the line")
+    series = _interpolate(lattice, values, order, lambda r: fail(
+        f"degree-{r} part of the chain sum is not a polynomial of degree {r}"))
+    return MuValue(cone, cmap.key(), order, series, "explicit")
+
+
+def _interpolate(lattice: _Lattice, values, order: int, fail) -> MultiSeries:
+    """The series whose homogeneous degree-r part p_r has p_r(1, x) = values[p][r]
+    at the p-th lattice point x: differences axis by axis give p_r's Newton
+    coefficients in the chart y_1 = 1, which expand to monomials and
+    homogenize.  A nonzero Newton coefficient of p_r above degree r calls fail(r)."""
     # forward differences, in integers over the common denominator
     den = lcm(*(v.denominator for vals in values for v in vals))
     diffs = [[v.numerator * (den // v.denominator) for v in vals] for vals in values]
@@ -476,13 +469,13 @@ def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
             if not c:
                 continue
             if sum(alpha) > r:
-                fail(f"degree-{r} part of the chain sum is not a polynomial of degree {r}")
+                fail(r)
             for beta, e in newton:
                 expo = (r - sum(beta),) + beta
                 coeffs[expo] = coeffs.get(expo, 0) + c * e
     den *= lattice.denominator
-    series = MultiSeries(n, order, {e: Fraction(c, den) for e, c in coeffs.items()})
-    return MuValue(cone, cmap.key(), order, series, "explicit")
+    n = len(lattice.points[0]) + 1
+    return MultiSeries(n, order, {e: Fraction(c, den) for e, c in coeffs.items()})
 
 
 # -- the full mu, any pointed generic cone ------------------------------------
@@ -548,10 +541,10 @@ def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
         cells = subdivide_to_basic(cone).children
     batch = None
     with suppress(NotGenericError, UnknownRayError):
-        batch = SquarefreeReducer(cells, cmap, order, line=line).reduce()
+        batch = SquarefreeReducer(cells, [line] * len(cells), cmap, order).reduce()
     total = [Fraction(0)] * (order + 1)
     for c, cell in enumerate(cells):
-        val = batch[c] if batch else SquarefreeReducer(cell, cmap, order, line=line).reduce()[0]
+        val = batch[c] if batch else SquarefreeReducer([cell], [line], cmap, order).reduce()[0]
         if cross_validate:
             full = mu(cell, cmap, order, cross_validate=True).series
             if restrict_to_direction(full, line) != LaurentSeries.from_taylor(val, order):

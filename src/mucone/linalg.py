@@ -160,11 +160,6 @@ class Matrix:
                 raise ValueError("ragged matrix")
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
-        cols = [tuple(c) for c in cols]
-        return cls(zip(*cols)) if cols else cls([])
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -184,12 +179,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r)" % [list(map(str, r)) for r in self.rows]
-
-    def row(self, i: int) -> Vector:
-        return Vector(self.rows[i])
-
-    def column(self, j: int) -> Vector:
-        return Vector(r[j] for r in self.rows)
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows)) if self.rows else Matrix([])

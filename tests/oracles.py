@@ -3,8 +3,11 @@
 The ideal generators D_S (l_v - v), the evaluation map that substitutes
 each D variable by its dual linear form (the ideal's kernel must vanish
 under it, and a Todd element must keep its value through reduction), the
-squarefree normal form of a whole D-expansion by linearity, the
-alternating chain sum for one subset pair, and the whole chain-sum mu as
+Todd element as constants, the squarefree normal form in the full ring
+of MultiSeries coefficients (FullRingReducer, the reference the library's
+integer line walk is checked against at the nodes of an interpolation
+lattice, and which normal_form extends to a whole D-expansion by
+linearity), the alternating chain sum for one subset pair, and the whole chain-sum mu as
 multivariate rational functions over one common denominator.  A
 D-expansion is a plain dict from exponent tuples to coefficients
 (Fractions or MultiSeries).  Also here: the star step and the lattice
@@ -13,14 +16,18 @@ parallelepiped's lattice points in a saturation basis, the complement
 map's pivot vectors by way of a span basis, the line-restricted mu cell
 by cell, the reduced row echelon form by Gauss-Jordan over fractions,
 dual rows by a scan of minors, a rational span and kernel basis,
-coordinates in a basis by a linear solve, and small linear-algebra and
-genericity checks the library never calls.
+coordinates in a basis by a linear solve, cone membership, a matrix
+from its columns, rows and columns as Vectors, and small linear-algebra
+and genericity checks the library never calls.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
+from types import MappingProxyType
 
 from mucone.complement import RayTableMap
 from mucone.errors import (
@@ -43,6 +50,7 @@ from mucone.interp import (
     MuValue,
     SquarefreeReducer,
     _chain_terms,
+    _lattice,
     mu_on_line,
     pivot_vector,
 )
@@ -75,6 +83,25 @@ class NotUnimodularError(MuconeError):
     """A lattice basis was required (determinant +-1)."""
 
 
+def cone_contains(rays, x) -> bool:
+    """Exact membership of x in the pointed cone spanned by the rays."""
+    return Cone(rays, ambient=len(x)).contains(x)
+
+
+def from_columns(cols) -> Matrix:
+    """The matrix with the given columns."""
+    cols = [tuple(c) for c in cols]
+    return Matrix(zip(*cols)) if cols else Matrix([])
+
+
+def row(a: Matrix, i: int) -> Vector:
+    return Vector(a.rows[i])
+
+
+def column(a: Matrix, j: int) -> Vector:
+    return Vector(r[j] for r in a.rows)
+
+
 def dual_basis(basis) -> list[Vector]:
     """For a lattice basis w_1..w_n, the dual basis v_1..v_n with <w_i, v_j> = delta_ij."""
     mat = Matrix([list(w) for w in basis])
@@ -84,7 +111,7 @@ def dual_basis(basis) -> list[Vector]:
     if abs(d) != 1:
         raise NotUnimodularError(f"not a lattice basis (determinant {d})")
     inv = inverse(mat)
-    return [inv.column(j) for j in range(mat.ncols)]
+    return [column(inv, j) for j in range(mat.ncols)]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -163,7 +190,7 @@ def saturation_index(generators) -> int:
     d = 1
     for i in range(len(gens)):
         d *= h[i][i]
-    assert d == abs(Matrix.from_columns(cols).det())
+    assert d == abs(from_columns(cols).det())
     return d
 
 
@@ -200,7 +227,7 @@ def star_subdivision_cells(cone: Cone) -> list[list[tuple[int, ...]]]:
         w, _ = min(points, key=lambda pc: (sum(pc[1]), pc[1]))
         new_cells: list[list[tuple[int, ...]]] = []
         for cell in cells:
-            coords = solve_linear(Matrix.from_columns([list(r) for r in cell]), w)
+            coords = solve_linear(from_columns([list(r) for r in cell]), w)
             if coords is None or any(c < 0 for c in coords):
                 new_cells.append(cell)
                 continue
@@ -223,7 +250,7 @@ def saturation_route_points(rays) -> list[tuple[tuple[int, ...], Vector]]:
     sat = saturation_basis(list(rays))
     cols = [express_in_basis(sat, r) for r in rays]
     assert all(c is not None and c.is_integral for c in cols)
-    inv = inverse(Matrix.from_columns([list(c) for c in cols]))
+    inv = inverse(from_columns([list(c) for c in cols]))
     box = [range(int(sum(min(0, c[i]) for c in cols)), int(sum(max(0, c[i]) for c in cols)) + 1)
            for i in range(len(sat))]
     out = []
@@ -236,7 +263,7 @@ def saturation_route_points(rays) -> list[tuple[tuple[int, ...], Vector]]:
 
 def express_in_basis(basis, v) -> Vector | None:
     """Coordinates of v in the given basis (columns), or None if outside the span."""
-    return solve_linear(Matrix.from_columns([list(b) for b in basis]), v)
+    return solve_linear(from_columns([list(b) for b in basis]), v)
 
 
 def rational_kernel(a: Matrix) -> list[Vector]:
@@ -262,7 +289,7 @@ def matvec(a: Matrix, v: Vector) -> Vector:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    cols = [b.column(j) for j in range(b.ncols)]
+    cols = [column(b, j) for j in range(b.ncols)]
     return Matrix([[Vector(r).dot(c) for c in cols] for r in a.rows])
 
 
@@ -322,16 +349,133 @@ def is_generic(cmap, cone: Cone) -> bool:
     return True
 
 
+@cache
+def _td_element(k: int, order: int) -> Mapping[tuple[int, ...], Fraction]:
+    cap = k + order
+    td = todd_univariate(cap)
+    terms = {(0,) * k: Fraction(1)}
+    for i in range(k):
+        terms = {expo[:i] + (m,) + expo[i + 1:]: c * td[m]
+                 for expo, c in terms.items() for m in range(cap - sum(expo) + 1) if td[m]}
+    return MappingProxyType(terms)
+
+
+def td_element(cone: Cone, order: int = DEFAULT_ORDER) -> Mapping[tuple[int, ...], Fraction]:
+    """The Todd element prod_i td(D_i) as {exponent: constant}, D-degree <= k + order.
+    Built once per (k, order) and shared read-only."""
+    return _td_element(len(cone.generators), order)
+
+
+class FullRingReducer:
+    """The squarefree normal form over one basic cone with MultiSeries
+    coefficients: D_i D_S = u D_S - sum_{j not in S} <w_j,u> D_j D_S with
+    u = pivot_vector(cone, cmap, S, i), i the first position of pivot_order
+    whose exponent is >= 2.  An entry of D_S in the form of D^e has degree
+    |e| - |S| and is dropped above `order`.  Every expansion stays memoized;
+    entries and rewrites come in the order the library's walk makes them, so
+    a failing map fails at the same rewrite."""
+
+    def __init__(self, cone: Cone, cmap, order: int = DEFAULT_ORDER, pivot_order=None):
+        self.cone, self.cmap, self.order = cone, cmap, order
+        self.k = len(cone.generators)
+        if not cone.is_basic:
+            raise ValueError("reduction is defined over basic cones")
+        self.pivot_order = tuple(range(self.k) if pivot_order is None else pivot_order)
+        if sorted(self.pivot_order) != list(range(self.k)):
+            raise ValueError("pivot_order must permute the generator positions")
+        self.memo: dict[tuple[int, ...], dict[frozenset[int], MultiSeries]] = {}
+
+    def reduce_monomial(self, expo) -> dict[frozenset[int], MultiSeries]:
+        expo = tuple(expo)
+        if expo not in self.memo:
+            self.memo[expo] = self._expand(expo)
+        return self.memo[expo]
+
+    def _expand(self, expo: tuple[int, ...]) -> dict[frozenset[int], MultiSeries]:
+        n, order = self.cone.ambient, self.order
+        if all(e <= 1 for e in expo):
+            return {frozenset(i for i, e in enumerate(expo) if e): MultiSeries.constant(1, n, order)}
+        i = next(j for j in self.pivot_order if expo[j] >= 2)
+        inner = expo[:i] + (expo[i] - 1,) + expo[i + 1:]
+        zero = MultiSeries.zero(n, order)
+        out: dict[frozenset[int], MultiSeries] = {}
+        for s, c in self.reduce_monomial(inner).items():
+            u = pivot_vector(self.cone, self.cmap, s, i)
+            if len(s) >= sum(expo) - order:
+                out[s] = out.get(s, zero) + c * MultiSeries.from_linear(u, order)
+            for j in range(self.k):
+                a = 0 if j in s else u.dot(self.cone.generators[j])
+                if a:
+                    out[s | {j}] = out.get(s | {j}, zero) - a * c
+        return out
+
+    def reduce(self) -> MultiSeries:
+        """mu: the full-subset coefficient of the Todd element's normal form."""
+        full = frozenset(range(self.k))
+        total = MultiSeries.zero(self.cone.ambient, self.order)
+        for expo, a in td_element(self.cone, self.order).items():
+            c = self.reduce_monomial(expo).get(full)
+            if c is not None:
+                total = total + a * c
+        return total
+
+
+def lattice_lines(n: int, order: int) -> list[tuple[int, ...]]:
+    """mu_basic's lines in R^n: y = (1, x) at the nodes x of the principal
+    lattice on which homogeneous polynomials of degree <= order are
+    determined by their values."""
+    return [(1,) + x for x in _lattice(n - 1, order, 1).coords]
+
+
+def line_reducer(cone: Cone, cmap, order: int, pivot_order=None,
+                 lines=None) -> tuple[SquarefreeReducer, list]:
+    """The library's reducer with the cone once on each line (by default
+    lattice_lines), and the lines."""
+    lines = lattice_lines(cone.ambient, order) if lines is None else list(lines)
+    return SquarefreeReducer([cone] * len(lines), lines, cmap, order, pivot_order), lines
+
+
+def walk_values(red: SquarefreeReducer, expo) -> dict[frozenset[int], list[Fraction]]:
+    """red.reduce_monomial(expo) read as values: per subset S, the coefficient
+    of D_S (homogeneous of degree |e| - |S|) at each cell's line y, t = 1."""
+    m = sum(expo)
+    return {s: [Fraction(c, cell[2] ** m) for c, cell in zip(col, red._cells)]
+            for s, col in red.reduce_monomial(expo).items()}
+
+
+def value_at(series: MultiSeries, y) -> Fraction:
+    """The polynomial `series` at the point y."""
+    total = Fraction(0)
+    for expo, c in series.coeffs.items():
+        for a, e in zip(y, expo):
+            c *= a ** e
+        total += c
+    return total
+
+
+def check_walk(reference: FullRingReducer, red: SquarefreeReducer, lines, expo) -> None:
+    """The library walk's form of D^expo has the reference's subsets, and
+    each coefficient's value on each line is the reference's there."""
+    want, got = reference.reduce_monomial(expo), walk_values(red, expo)
+    assert list(got) == list(want), (expo, list(got), list(want))
+    for s, vals in got.items():
+        assert vals == [value_at(want[s], y) for y in lines], (expo, s)
+
+
 def normal_form(terms: dict, cone: Cone, cmap, order: int,
                 pivot_order=None) -> dict[frozenset[int], MultiSeries]:
-    """sum of coeff * reduce_monomial(e) over constant-coefficient terms,
-    each coefficient as a series through `order`."""
-    red = SquarefreeReducer(cone, cmap, order, pivot_order)
+    """sum of coeff * reduce_monomial(e) over constant-coefficient terms by
+    the full-ring reference, each coefficient as a series through `order`,
+    after check_walk on the library's walk at lattice_lines: equal values
+    at those nodes mean equal polynomials of degree <= order."""
+    reference = FullRingReducer(cone, cmap, order, pivot_order)
+    red, lines = line_reducer(cone, cmap, order, pivot_order)
     zero = MultiSeries.zero(cone.ambient, order)
     out: dict[frozenset[int], MultiSeries] = {}
     for expo, a in terms.items():
-        for s, (c,) in red.reduce_monomial(expo).items():
-            out[s] = out.get(s, zero) + a * MultiSeries(cone.ambient, order, c.coeffs)
+        check_walk(reference, red, lines, expo)
+        for s, c in reference.reduce_monomial(expo).items():
+            out[s] = out.get(s, zero) + a * c
     return {s: c for s, c in out.items() if not c.is_zero}
 
 

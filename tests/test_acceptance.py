@@ -29,7 +29,6 @@ from mucone.geometry import (
 )
 from mucone.errors import NotExtremeError
 from mucone.interp import (
-    SquarefreeReducer,
     mu,
     mu_basic,
     mu_explicit,
@@ -42,7 +41,8 @@ from mucone.valuations import (
     count_via_local_formula,
     verify_interpolator,
 )
-from oracles import evaluation_map, ideal_generators, matvec, normal_form
+from oracles import (FullRingReducer, check_walk, evaluation_map, ideal_generators,
+                     line_reducer, matvec, normal_form)
 
 
 def V(*xs):
@@ -366,12 +366,14 @@ def test_criterion_8_property_suites(acceptance, polytope_corpus):
     # support growth: every output monomial keeps the input support
     if ok:
         c = Cone([V(1, 0, 0), V(1, 1, 0), V(1, 1, 1)])
-        red = SquarefreeReducer(c, ip3, 4)
+        red, lines = line_reducer(c, ip3, 4)
+        reference = FullRingReducer(c, ip3, 4)
         for _ in range(40):
             expo = tuple(rng.randint(0, 2) for _ in range(3))
             support = frozenset(i for i, e in enumerate(expo) if e)
             for subset in red.reduce_monomial(expo):
                 ok = ok and support <= subset
+            check_walk(reference, red, lines, expo)
 
     # locality: coefficients on face subsets match the face computation
     if ok:

@@ -516,8 +516,10 @@ class TestInstalledScript:
         assert json.loads(proc.stdout)["td"] == ["1", "1/2", "1/12"]
 
     def test_module_invocation(self):
+        # run from the directory that holds the package under test, so that
+        # `-m` finds it with or without PYTHONPATH
         proc = subprocess.run([sys.executable, "-m", "mucone.cli", "todd",
                                "--degree", "1"], capture_output=True,
-                              text=True)
+                              text=True, cwd=Path(cli.__file__).resolve().parents[1])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["td"] == ["1", "1/2"]

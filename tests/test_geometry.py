@@ -28,7 +28,6 @@ from mucone.geometry import (
     Cone,
     Polytope,
     _half_open_parallelepiped_points,
-    cone_contains,
     in_convex_hull,
     normal_cone,
     normalized_volume,
@@ -38,8 +37,8 @@ from mucone.geometry import (
     zero_cone,
 )
 from mucone.linalg import Matrix, Vector, cone_index, dot, dual_rows, saturation_basis
-from oracles import (dual_basis, matvec, saturation_index, saturation_route_points,
-                     star_subdivision_cells)
+from oracles import (cone_contains, dual_basis, matvec, saturation_index,
+                     saturation_route_points, star_subdivision_cells)
 
 
 def V(*xs):

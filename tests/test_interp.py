@@ -38,10 +38,10 @@ from mucone.interp import (
     mu_on_line,
     mu_table,
     pivot_vector,
-    td_element,
 )
 from mucone.linalg import Matrix, Vector
 from mucone.series import (
+    LaurentSeries,
     MultiSeries,
     compose_linear,
     divide_by_linear_form,
@@ -50,16 +50,24 @@ from mucone.series import (
     todd_univariate,
 )
 from oracles import (
+    FullRingReducer,
     VectorNotInSubspaceError,
     as_ring_element,
     chain_sum,
+    check_walk,
     evaluation_map,
     ideal_generators,
+    lattice_lines,
+    line_reducer,
     linear_relation,
     matvec,
     mu_explicit_combined,
     mu_on_line_cell_by_cell,
     normal_form,
+    row,
+    td_element,
+    value_at,
+    walk_values,
 )
 from test_acceptance import _flag_generic_on, _flag_map, _gram_maps, make_basic_cone_corpus
 
@@ -104,6 +112,12 @@ class TestLinearRelation:
             linear_relation(Cone([V(1, 0), V(0, 1)]), IP2, (0,), V(0, 1))
 
 
+def _walk_td(k, order):
+    """The Todd element the library's walk reads, as constants."""
+    terms, dk = interp._td_numerators(k, order)
+    return {e: Fraction(c, dk) for e, c in terms.items()}
+
+
 class TestTdElement:
     def test_k1(self):
         td = td_element(Cone([V(1)]), order=1)
@@ -111,9 +125,11 @@ class TestTdElement:
         assert td[(1,)] == Fraction(1, 2)
         assert td[(2,)] == Fraction(1, 12)
         assert max(map(sum, td)) == 1 + 1
+        assert _walk_td(1, 1) == td
 
     def test_k0(self):
         assert td_element(zero_cone(2), order=4) == {(): 1}
+        assert _walk_td(0, 4) == {(): 1}
 
     def test_k2_degree2_part(self):
         td = td_element(Cone([V(1, 0), V(0, 1)]), order=3)
@@ -121,19 +137,27 @@ class TestTdElement:
         assert td[(2, 0)] == Fraction(1, 12)
         assert td[(0, 2)] == Fraction(1, 12)
         assert max(map(sum, td)) == 2 + 3
+        assert _walk_td(2, 3) == td
 
     def test_shared_read_only_value(self):
         # built once per (k, order): the reductions read it and leave it as it was
         c = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 1)])
         first = td_element(c, order=4)
         snapshot = dict(first)
+        walk_first = interp._td_numerators(3, 4)
+        walk_snapshot = dict(walk_first[0])
         mu_basic(c, IP3, 4)
         mu_on_line(c, IP3, V(2, 3, 5), 4)
+        FullRingReducer(c, IP3, 4).reduce()
         second = td_element(Cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)]), order=4)
         assert second is first
         assert second == snapshot
+        assert interp._td_numerators(3, 4) is walk_first
+        assert walk_first[0] == walk_snapshot
         with pytest.raises(TypeError):
             first[(0, 0, 0)] = 2
+        with pytest.raises(TypeError):
+            walk_first[0][(0, 0, 0)] = 2
         assert td_element(c, order=3) != snapshot
 
 
@@ -176,11 +200,13 @@ class TestReduction:
 
     def test_support_growth(self):
         c = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 1)])
-        red = SquarefreeReducer(c, IP3, order=4)
+        red, lines = line_reducer(c, IP3, order=4)
+        reference = FullRingReducer(c, IP3, order=4)
         for expo in [(3, 1, 0), (2, 2, 1), (4, 0, 0), (2, 0, 2)]:
             mono_support = frozenset(i for i, e in enumerate(expo) if e)
             for s in red.reduce_monomial(expo):
                 assert mono_support <= s
+            check_walk(reference, red, lines, expo)
 
     def test_locality(self):
         big = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 1)])
@@ -210,7 +236,7 @@ def unimodular_cases(draw):
                 gens[i] = gens[i] + a * gens[j]
     k = draw(st.integers(1, n))
     b = Matrix([[draw(small) for _ in range(n)] for _ in range(n)])
-    gram = [[b.row(i).dot(b.row(j)) + int(i == j) for j in range(n)] for i in range(n)]
+    gram = [[row(b, i).dot(row(b, j)) + int(i == j) for j in range(n)] for i in range(n)]
     return Cone(gens[:k], ambient=n), InnerProductMap(Matrix(gram))
 
 
@@ -311,11 +337,12 @@ class TestGradedRoute:
     @given(partial_map_cases())
     def test_line_route_raises_what_full_route_raises(self, case):
         # the line route reads every subset's psi up front; a failure there
-        # surfaces only at the rewrite that needs the subset, as in mu_basic
+        # surfaces only at the rewrite that needs the subset, as in the
+        # full-ring reference
         cone, cmap, line = case
         for order in range(7):
             full = _outcome(lambda: restrict_to_direction(
-                mu_basic(cone, cmap, order).series, line))
+                FullRingReducer(cone, cmap, order).reduce(), line))
             assert _outcome(lambda: mu_on_line(cone, cmap, line, order)) == full
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -335,8 +362,9 @@ class TestGradedRoute:
         cmap = RayTableMap([(V(1, -2), V(-1, 0)), (V(1, -1), V(0, -1)), (V(1, 0), V(1, 0)),
                             (V(1, 2), V(1, 0)), (V(1, 3), V(-1, 0))])
         line, order = V(0, 0), 3
+        cells = subdivide_to_basic(cone).children
         with pytest.raises(UnknownRayError):
-            SquarefreeReducer(subdivide_to_basic(cone).children, cmap, order, line=line).reduce()
+            SquarefreeReducer(cells, [line] * len(cells), cmap, order).reduce()
         want = _outcome(lambda: mu_on_line_cell_by_cell(cone, cmap, line, order))
         assert want[0] is NotGenericError
         assert _outcome(lambda: mu_on_line(cone, cmap, line, order)) == want
@@ -347,7 +375,8 @@ class TestGradedRoute:
         cone = Cone([V(1, 0), V(-1, 2)])
         cmap = RayTableMap([(V(-1, 2), V(1, 0)), (V(0, 1), V(0, 1)), (V(1, 0), V(1, 0))])
         line, order = V(1, -2), 3
-        red = SquarefreeReducer(subdivide_to_basic(cone).children, cmap, order, line=line)
+        cells = subdivide_to_basic(cone).children
+        red = SquarefreeReducer(cells, [line] * len(cells), cmap, order)
         red.reduce()
         assert any(0 in w and any(w) for _, spill in red._rewrites.values() for _, w in spill)
         got = mu_on_line(cone, cmap, line, order)
@@ -357,13 +386,22 @@ class TestGradedRoute:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(graded_cases(), st.lists(st.integers(0, 6), min_size=3, max_size=3))
     def test_full_ring_coefficients_homogeneous(self, case, raw):
+        # the walk's value of each coefficient on the line t*2y is 2^degree
+        # times its value on t*y, and the reference's is a homogeneous series
         cone, cmap, _ = case
         expo = tuple(raw[:len(cone.generators)])
-        red = SquarefreeReducer(cone, cmap, self.ORDER)
-        for s, (c,) in red.reduce_monomial(expo).items():
+        lines = lattice_lines(cone.ambient, self.ORDER)
+        doubled = [tuple(2 * a for a in y) for y in lines]
+        red, _ = line_reducer(cone, cmap, self.ORDER, lines=lines + doubled)
+        reference = FullRingReducer(cone, cmap, self.ORDER)
+        for s, vals in walk_values(red, expo).items():
             degree = sum(expo) - len(s)
             assert degree <= self.ORDER
+            at_y, at_2y = vals[:len(lines)], vals[len(lines):]
+            assert at_2y == [2 ** degree * v for v in at_y], (expo, s)
+            c = reference.reduce_monomial(expo)[s]
             assert all(sum(m) == degree for m in c.coeffs), (expo, s, c)
+            assert at_y == [value_at(c, y) for y in lines], (expo, s)
 
     def test_direction_length_checked(self):
         for cone in (Cone([V(1, 0), V(1, 1)]), zero_cone(2)):
@@ -377,25 +415,34 @@ class TestMemoRelease:
     def test_reduce_empties_the_memo(self):
         cells = subdivide_to_basic(self.CONE).children
         assert len(cells) > 1
-        for red in (SquarefreeReducer(cells, IP3, 6, line=V(2, 3, 5)),
-                    SquarefreeReducer(cells[0], IP3, 6)):
+        for red in (SquarefreeReducer(cells, [V(2, 3, 5)] * len(cells), IP3, 6),
+                    line_reducer(cells[0], IP3, 6)[0]):
             red.reduce()
             assert red._memo == {}
 
     def test_full_ring_batch_is_per_cell(self):
+        # every cell on every lattice line in one walk: each (cell, line) pair
+        # gives the Taylor coefficients of the cell's own mu on that line
         cells = subdivide_to_basic(self.CONE).children
-        assert (SquarefreeReducer(cells, IP3, 4).reduce()
-                == [mu_basic(cell, IP3, 4).series for cell in cells])
+        lines = lattice_lines(3, 4)
+        got = SquarefreeReducer([c for c in cells for _ in lines], lines * len(cells),
+                                IP3, 4).reduce()
+        want = [restrict_to_direction(FullRingReducer(cell, IP3, 4).reduce(), y)
+                for cell in cells for y in lines]
+        assert [LaurentSeries.from_taylor(v, 4) for v in got] == want
+        assert want == [restrict_to_direction(mu_basic(cell, IP3, 4).series, y)
+                        for cell in cells for y in lines]
 
     def test_direct_calls_memoize(self):
-        red = SquarefreeReducer(SLANT, IP2, 2)
+        red, lines = line_reducer(SLANT, IP2, 2)
         got = red.reduce_monomial((3, 0))
         assert red.reduce_monomial((3, 0)) is got
         assert {(1, 0), (2, 0), (3, 0)} <= set(red._memo)
         q = Fraction(1, 4)
-        assert got == {
-            frozenset({0}): [MultiSeries(2, 2, {(2, 0): q, (1, 1): 2 * q, (0, 2): q})],
-            frozenset({0, 1}): [MultiSeries(2, 1, {(1, 0): -3 * q, (0, 1): -q})]}
+        want = {frozenset({0}): MultiSeries(2, 2, {(2, 0): q, (1, 1): 2 * q, (0, 2): q}),
+                frozenset({0, 1}): MultiSeries(2, 1, {(1, 0): -3 * q, (0, 1): -q})}
+        assert walk_values(red, (3, 0)) == {
+            s: [value_at(c, y) for y in lines] for s, c in want.items()}
         red.reduce()
         assert red.reduce_monomial((3, 0)) == got
         assert (3, 0) in red._memo
@@ -405,6 +452,9 @@ class TestMuBasic:
     def test_zero_cone(self):
         v = mu_basic(zero_cone(2), IP2, order=3)
         assert v.series == MultiSeries.constant(1, 2, 3)
+        # R^0 has no lines to reduce on
+        v = mu_basic(zero_cone(0), standard_inner_product(0), order=3)
+        assert v.series == MultiSeries.constant(1, 0, 3)
 
     def test_1d_is_t_series(self):
         v = mu_basic(Cone([V(1)]), standard_inner_product(1), order=5)
@@ -449,6 +499,17 @@ class TestMuBasic:
                 want = Fraction(1, 4) - Fraction(1, 12) * (u1.dot(b) + u2.dot(a))
                 assert mu_basic(c, m, order=0).mu0 == want
 
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.one_of(unimodular_cases(), partial_map_cases().map(lambda case: case[:2])))
+    def test_equals_full_ring_reference(self, case):
+        # under Gram maps, flag maps and ray tables with missing rays, at
+        # every pivot order: the same series, or the same error
+        cone, cmap = case
+        for po in permutations(range(len(cone.generators))):
+            for order in range(7):
+                want = _outcome(lambda: FullRingReducer(cone, cmap, order, po).reduce())
+                assert _outcome(lambda: mu_basic(cone, cmap, order, po).series) == want
 
     def test_corpus_digest(self):
         # mu_basic's series over the criterion-4 pairs, pinned byte for byte
