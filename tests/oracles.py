@@ -438,7 +438,7 @@ def line_reducer(cone: Cone, cmap, order: int, pivot_order=None,
 def walk_values(red: SquarefreeReducer, expo) -> dict[frozenset[int], list[Fraction]]:
     """red.reduce_monomial(expo) read as values: per subset S, the coefficient
     of D_S (homogeneous of degree |e| - |S|) at each cell's line y, t = 1."""
-    m = sum(expo)
+    m = sum(expo)  # cell[2] is the cell's scale L: an entry N stands for N / L^|e|
     return {s: [Fraction(c, cell[2] ** m) for c, cell in zip(col, red._cells)]
             for s, col in red.reduce_monomial(expo).items()}
 
