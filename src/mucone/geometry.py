@@ -168,6 +168,12 @@ class Cone:
         return self.is_simplicial and self.index == 1
 
     @cached_property
+    def basic_cells(self) -> tuple["Cone", ...]:
+        """The cone itself when basic, else the cells of its basic subdivision.
+        They depend only on the cone, so every map and direction shares them."""
+        return (self,) if self.is_basic else subdivide_to_basic(self).children
+
+    @cached_property
     def is_pointed(self) -> bool:
         # pointed iff no nontrivial nonnegative dependency among the rays;
         # it suffices to scan minimal dependent subsets (1-dim kernels),
@@ -602,16 +608,10 @@ class Polytope:
         return tuple(out)
 
     @cached_property
-    def normal_cone_cells(self) -> tuple[tuple[Face, Cone, tuple[Cone, ...]], ...]:
-        """(face, normal cone, its basic cells) for every face, in face order.
-        The cells depend only on the normal fan, so every complement map and
-        direction shares them: a normal cone is subdivided once per polytope."""
-        out = []
-        for f in self.faces:
-            nc = normal_cone(self, f)
-            cells = (nc,) if nc.is_basic else subdivide_to_basic(nc).children
-            out.append((f, nc, cells))
-        return tuple(out)
+    def normal_cones(self) -> tuple[tuple[Face, Cone], ...]:
+        """(face, normal cone) for every face, in face order: the normal fan,
+        built once per polytope (full-dimensional only, as normal_cone)."""
+        return tuple((f, normal_cone(self, f)) for f in self.faces)
 
     def contains_point(self, x: Sequence) -> bool:
         """Whether the integer or rational point x lies in P: y = x - base

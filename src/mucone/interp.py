@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 from .errors import (InconsistentExplicitFormulaError, InternalInconsistencyError,
                      NotGenericError, UnknownRayError)
-from .geometry import Cone, Polytope, normal_cone, subdivide_to_basic
+from .geometry import Cone, Polytope
 from .linalg import Vector, cleared, dot, format_rational
 from .series import LaurentSeries, MultiSeries, restrict_to_direction, todd_univariate
 
@@ -54,14 +54,14 @@ def pivot_vector(cone: Cone, cmap, subset, i: int) -> Vector:
 class SquarefreeReducer:
     """Memoized rewriting of D-monomials into squarefree normal form, on lines.
 
-    One walk serves basic cells with k generators each, cell c on its own
-    line t*y_c: reduce_monomial(e) maps each subset S to the coefficients of
-    D_S, one int N per cell for N / L^|e| times t^(|e| - |S|) (the degree of
-    the module docstring); reduce() frees each memo entry after its last
-    read.  L is the line's denominator times the lcm of the cell's pivot
-    denominators (PsiSubspace.denominator), so L*<u,y> and L*<w_j,u> are
-    integers.  A subset whose psi fails is left out of L; the rewrite that
-    needs it raises.
+    One walk serves every pair of a basic cell (k generators each) and a
+    line t*y, cell-major: reduce_monomial(e) maps each subset S to the
+    coefficients of D_S, one int N per pair for N / L^|e| times
+    t^(|e| - |S|) (the degree of the module docstring); reduce() frees each
+    memo entry after its last read.  L is the line's denominator times the
+    lcm m of the cell's pivot denominators (PsiSubspace.denominator, read
+    once per cell), so L*<u,y> and L*<w_j,u> are integers.  A subset whose
+    psi fails is left out of m; the rewrite that needs it raises.
     """
 
     def __init__(self, cells, lines, cmap, order: int = DEFAULT_ORDER, pivot_order=None):
@@ -74,28 +74,32 @@ class SquarefreeReducer:
             raise ValueError("pivot_order must permute the generator positions")
         self._memo, self._uses, self._rewrites = {}, {}, {}
         subsets = [frozenset(s) for m in range(1, k + 1) for s in combinations(range(k), m)]
-        self._cells = []  # (rays, psi per generic subset, L, y, q)
-        for cell, line in zip(cells, lines, strict=True):
-            rays, subs, (y, q) = cell.generators, {}, cleared(line)
+        self._cells = []  # (rays, psi per generic subset, m)
+        for cell in cells:
+            rays, subs = cell.generators, {}
             for s in subsets:
                 with suppress(NotGenericError, UnknownRayError):
                     subs[s] = cmap.psi(tuple(rays[j] for j in sorted(s)))
-            self._cells.append((rays, subs, q * lcm(*(p.denominator for p in subs.values())), y, q))
+            self._cells.append((rays, subs, lcm(*(p.denominator for p in subs.values()))))
+        self._lines = [cleared(line) for line in lines]  # (y, q)
+        self._scales = [m * q for _, _, m in self._cells for _, q in self._lines]
 
     def _pivot(self, cell, s: frozenset[int], i: int, rest: list[int]):
-        """L<u,y> and [-L<w_j,u> for j in rest] in one cell."""
-        rays, subs, L, y, q = cell
+        """L<u,y> and [-L<w_j,u> for j in rest] per line, in one cell."""
+        rays, subs, m = cell
         sub = subs.get(s) or self.cmap.psi(tuple(rays[j] for j in sorted(s)))  # re-raises
-        u, per = sub.numerators[sorted(s).index(i)], L // sub.denominator
-        return per // q * dot(u, y), [-per * dot(rays[j], u) for j in rest]
+        u, per = sub.numerators[sorted(s).index(i)], m // sub.denominator
+        spill = [-per * dot(rays[j], u) for j in rest]
+        return [(per * dot(u, y), [q * w for w in spill]) for y, q in self._lines]
 
     def _rewrite(self, s: frozenset[int], i: int):
         """D_i D_S = u D_S - sum_{j not in S} <w_j,u> D_j D_S, as the pair (u per
-        cell, [(S + j, -<w_j,u> per cell) if any is nonzero, ...])."""
+        pair, [(S + j, -<w_j,u> per pair) if any is nonzero, ...])."""
         got = self._rewrites.get((s, i))
         if got is None:
             rest = [j for j in range(self.k) if j not in s]
-            us, spills = zip(*(self._pivot(cell, s, i, rest) for cell in self._cells))
+            us, spills = zip(*(pair for cell in self._cells
+                               for pair in self._pivot(cell, s, i, rest)))
             got = self._rewrites[(s, i)] = (
                 us, [(s | {j}, col) for j, col in zip(rest, zip(*spills)) if any(col)])
         return got
@@ -114,7 +118,7 @@ class SquarefreeReducer:
     def _expand(self, expo: tuple[int, ...]) -> dict[frozenset[int], list[int]]:
         if all(e <= 1 for e in expo):
             m = sum(expo)
-            return {frozenset(i for i, e in enumerate(expo) if e): [c[2] ** m for c in self._cells]}
+            return {frozenset(i for i, e in enumerate(expo) if e): [L ** m for L in self._scales]}
         # D^e = D_i * D^(e - e_i), rewriting every term that repeats D_i
         i, inner = _peel(expo, self.pivot_order)
         low = sum(expo) - self.order  # the drop rule: keep |S| >= |e| - order
@@ -129,19 +133,19 @@ class SquarefreeReducer:
 
     def reduce(self) -> list[list[Fraction]]:
         """Full-subset coefficient of the Todd element sum_e td[e] D^e, whose
-        term of exponent e has degree |e| - k, per cell: its Taylor
-        coefficients on the cell's line through t^order, one Fraction each.
+        term of exponent e has degree |e| - k, per pair: its Taylor
+        coefficients on the pair's line through t^order, one Fraction each.
         Each memo entry is dropped after its last read counted here (_reads);
         other reads count below zero and keep it."""
         k, order, (td, dk) = self.k, self.order, _td_numerators(self.k, self.order)
         self._uses = dict(_reads(k, order, self.pivot_order))
-        parts, full = {}, frozenset(range(k))  # parts: degree r -> per cell
+        parts, full = {}, frozenset(range(k))  # parts: degree r -> per pair
         for expo, a in td.items():
             c = self.reduce_monomial(expo).get(full)
             if c is not None:
                 _bump(parts, sum(expo) - k, [a * x for x in c])
-        return [[Fraction(parts[r][c] if r in parts else 0, dk * cell[2] ** (k + r))
-                 for r in range(order + 1)] for c, cell in enumerate(self._cells)]
+        return [[Fraction(parts[r][c] if r in parts else 0, dk * L ** (k + r))
+                 for r in range(order + 1)] for c, L in enumerate(self._scales)]
 
 
 def _bump(out: dict, key, c: list):
@@ -222,7 +226,7 @@ def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER, pivot_order=None) -> 
         return MuValue(cone, cmap.key(), order, MultiSeries.constant(1, 0, order), "reduction")
     lattice = _lattice(cone.ambient - 1, order, 1)
     lines = [(1,) + x for x in lattice.coords]
-    values = SquarefreeReducer([cone] * len(lines), lines, cmap, order, pivot_order).reduce()
+    values = SquarefreeReducer([cone], lines, cmap, order, pivot_order).reduce()
 
     def fail(r: int):
         raise InternalInconsistencyError(f"reduction: degree-{r} part of mu is not a polynomial "
@@ -513,7 +517,7 @@ def mu(cone: Cone, cmap, order: int = DEFAULT_ORDER,
                     f"reduction={val.series!r} explicit={other.series!r}")
     else:
         total = MultiSeries.zero(cone.ambient, order)
-        for child in subdivide_to_basic(cone).children:
+        for child in cone.basic_cells:
             total = total + mu(child, cmap, order, cross_validate).series
         val = MuValue(cone, cmap.key(), order, total, "subdivision-sum")
     _MU_CACHE[key] = val
@@ -521,15 +525,14 @@ def mu(cone: Cone, cmap, order: int = DEFAULT_ORDER,
 
 
 def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
-               cells=None, cross_validate: bool = False) -> LaurentSeries:
+               cross_validate: bool = False) -> LaurentSeries:
     """mu of a pointed generic cone restricted to the line t*line.
 
     Equals restrict_to_direction(mu(cone, cmap, order).series, line)
     exactly.  All basic cells are reduced in one walk with scalars on the
     line.  Its first failure may be in a later cell than a cell-by-cell run
     fails in, so on a failure the cells are rerun one at a time.  Values
-    depend on the line, so nothing is cached.  `cells` is the cone's basic
-    subdivision when the caller already has it.  cross_validate also
+    depend on the line, so nothing is cached.  cross_validate also
     computes each basic cell's full mu by both pipelines (see mu) and
     aborts unless its restriction matches the line value.
     """
@@ -537,11 +540,9 @@ def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
         raise ValueError("direction dimension mismatch")
     if cone.is_zero:
         return LaurentSeries.from_taylor([1], order)
-    if cells is None:
-        cells = subdivide_to_basic(cone).children
-    batch = None
+    cells, batch = cone.basic_cells, None
     with suppress(NotGenericError, UnknownRayError):
-        batch = SquarefreeReducer(cells, [line] * len(cells), cmap, order).reduce()
+        batch = SquarefreeReducer(cells, [line], cmap, order).reduce()
     total = [Fraction(0)] * (order + 1)
     for c, cell in enumerate(cells):
         val = batch[c] if batch else SquarefreeReducer([cell], [line], cmap, order).reduce()[0]
@@ -587,7 +588,6 @@ class MuTable:
 def mu_table(polytope: Polytope, cmap, order: int = DEFAULT_ORDER,
              cross_validate: bool = False) -> MuTable:
     """mu over the whole face lattice; faces ordered by (dim, vertex set)."""
-    entries = [(f, mu(normal_cone(polytope, f), cmap, order, cross_validate))
-               for f in polytope.faces]
+    entries = [(f, mu(nc, cmap, order, cross_validate)) for f, nc in polytope.normal_cones]
     return MuTable(polytope, cmap.key(), order, entries)
 

@@ -22,7 +22,6 @@ from .geometry import (
     Polytope,
     lattice_simplices,
     normalized_volume,
-    subdivide_to_basic,
     supporting_cone,
 )
 from .interp import DEFAULT_ORDER, MuTable, mu_on_line, mu_table
@@ -233,11 +232,22 @@ def _corner_data_vectors(p: Polytope) -> list[tuple[int, ...]]:
     for e in p.faces_of_dim(1):
         a, b = e.vertices
         avoid.append(tuple(y - x for x, y in zip(a, b)))
-    for _, nc, cells in p.normal_cone_cells:
+    for _, nc in p.normal_cones:
         avoid.extend(nc.generators)
-        for cell in cells:
+        for cell in nc.basic_cells:
             avoid.extend(cell.generators)
     return list(dict.fromkeys(avoid))
+
+
+def _choose_direction(p: Polytope, y0, seed: int) -> tuple[Direction, list[dict]]:
+    """(direction, attempt log): a Direction as given, else y0 certified or
+    (y0 None) a seeded draw, both against the corner data of p."""
+    if isinstance(y0, Direction):
+        return y0, []
+    avoid = _corner_data_vectors(p)
+    if y0 is None:
+        return sample_direction(p.ambient, avoid, seed)
+    return certify_direction(y0, avoid), []
 
 
 def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
@@ -254,17 +264,11 @@ def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
     q = order - p.dim
     if q < 0:
         raise ValueError(f"order {order} below polytope dimension {p.dim}")
-    attempts: list[dict] = []
-    if y0 is None:
-        direction, attempts = sample_direction(p.ambient, _corner_data_vectors(p), seed)
-    elif isinstance(y0, Direction):
-        direction = y0
-    else:
-        direction = certify_direction(y0, _corner_data_vectors(p))
+    direction, attempts = _choose_direction(p, y0, seed)
     y = direction.y0
     if table is None:
-        mu_lines = [(f, mu_on_line(nc, cmap, y, order, cells, cross_validate))
-                    for f, nc, cells in p.normal_cone_cells]
+        mu_lines = [(f, mu_on_line(nc, cmap, y, order, cross_validate))
+                    for f, nc in p.normal_cones]
     else:
         mu_lines = [(f, restrict_to_direction(v.series, y))
                     for f, v in table.entries]
@@ -327,13 +331,7 @@ def brion_vertex_decomposition_check(p: Polytope, y0=None, q: int = 6,
     partition the cone, and each half-open basic cell contributes a
     closed-form product of geometric series.
     """
-    avoid = _corner_data_vectors(p)
-    if y0 is None:
-        direction, _ = sample_direction(p.ambient, avoid, seed)
-    elif isinstance(y0, Direction):
-        direction = y0
-    else:
-        direction = certify_direction(y0, avoid)
+    direction, _ = _choose_direction(p, y0, seed)
     y = direction.y0
     if p.dim == 0:
         total = LaurentSeries.exp_taylor(-y.dot(p.vertices[0]), q)
@@ -341,7 +339,7 @@ def brion_vertex_decomposition_check(p: Polytope, y0=None, q: int = 6,
     total = None
     for vert in p.faces_of_dim(0):
         apex, scone = supporting_cone(p, vert)
-        cells = list(subdivide_to_basic(scone).children)
+        cells = scone.basic_cells
         probe, duals = _interior_probe(scone, cells, seed)
         for cell, rows in zip(cells, duals):
             open_facets = {i for i, h in enumerate(rows) if dot(h, probe) < 0}

@@ -432,14 +432,14 @@ def line_reducer(cone: Cone, cmap, order: int, pivot_order=None,
     """The library's reducer with the cone once on each line (by default
     lattice_lines), and the lines."""
     lines = lattice_lines(cone.ambient, order) if lines is None else list(lines)
-    return SquarefreeReducer([cone] * len(lines), lines, cmap, order, pivot_order), lines
+    return SquarefreeReducer([cone], lines, cmap, order, pivot_order), lines
 
 
 def walk_values(red: SquarefreeReducer, expo) -> dict[frozenset[int], list[Fraction]]:
     """red.reduce_monomial(expo) read as values: per subset S, the coefficient
-    of D_S (homogeneous of degree |e| - |S|) at each cell's line y, t = 1."""
-    m = sum(expo)  # cell[2] is the cell's scale L: an entry N stands for N / L^|e|
-    return {s: [Fraction(c, cell[2] ** m) for c, cell in zip(col, red._cells)]
+    of D_S (homogeneous of degree |e| - |S|) at each pair's line y, t = 1."""
+    m = sum(expo)  # red._scales holds each pair's L: an entry N stands for N / L^|e|
+    return {s: [Fraction(c, L ** m) for c, L in zip(col, red._scales)]
             for s, col in red.reduce_monomial(expo).items()}
 
 

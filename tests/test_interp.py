@@ -364,7 +364,7 @@ class TestGradedRoute:
         line, order = V(0, 0), 3
         cells = subdivide_to_basic(cone).children
         with pytest.raises(UnknownRayError):
-            SquarefreeReducer(cells, [line] * len(cells), cmap, order).reduce()
+            SquarefreeReducer(cells, [line], cmap, order).reduce()
         want = _outcome(lambda: mu_on_line_cell_by_cell(cone, cmap, line, order))
         assert want[0] is NotGenericError
         assert _outcome(lambda: mu_on_line(cone, cmap, line, order)) == want
@@ -376,7 +376,7 @@ class TestGradedRoute:
         cmap = RayTableMap([(V(-1, 2), V(1, 0)), (V(0, 1), V(0, 1)), (V(1, 0), V(1, 0))])
         line, order = V(1, -2), 3
         cells = subdivide_to_basic(cone).children
-        red = SquarefreeReducer(cells, [line] * len(cells), cmap, order)
+        red = SquarefreeReducer(cells, [line], cmap, order)
         red.reduce()
         assert any(0 in w and any(w) for _, spill in red._rewrites.values() for _, w in spill)
         got = mu_on_line(cone, cmap, line, order)
@@ -415,7 +415,7 @@ class TestMemoRelease:
     def test_reduce_empties_the_memo(self):
         cells = subdivide_to_basic(self.CONE).children
         assert len(cells) > 1
-        for red in (SquarefreeReducer(cells, [V(2, 3, 5)] * len(cells), IP3, 6),
+        for red in (SquarefreeReducer(cells, [V(2, 3, 5)], IP3, 6),
                     line_reducer(cells[0], IP3, 6)[0]):
             red.reduce()
             assert red._memo == {}
@@ -425,8 +425,7 @@ class TestMemoRelease:
         # gives the Taylor coefficients of the cell's own mu on that line
         cells = subdivide_to_basic(self.CONE).children
         lines = lattice_lines(3, 4)
-        got = SquarefreeReducer([c for c in cells for _ in lines], lines * len(cells),
-                                IP3, 4).reduce()
+        got = SquarefreeReducer(cells, lines, IP3, 4).reduce()
         want = [restrict_to_direction(FullRingReducer(cell, IP3, 4).reduce(), y)
                 for cell in cells for y in lines]
         assert [LaurentSeries.from_taylor(v, 4) for v in got] == want
@@ -499,6 +498,17 @@ class TestMuBasic:
                 want = Fraction(1, 4) - Fraction(1, 12) * (u1.dot(b) + u2.dot(a))
                 assert mu_basic(c, m, order=0).mu0 == want
 
+    def test_psi_read_once_per_subset(self, monkeypatch):
+        # one walk over all lattice lines reads psi once per generator subset
+        cmap, calls = standard_inner_product(3), []
+        psi = cmap.psi
+        monkeypatch.setattr(cmap, "psi", lambda rays: calls.append(rays) or psi(rays))
+        cone = Cone([V(1, 0, 0), V(1, 1, 0), V(1, 1, 1)])
+        for order in (0, 3, 6):
+            for po in permutations(range(3)):
+                calls.clear()
+                mu_basic(cone, cmap, order, po)
+                assert len(calls) == 7, (order, po, len(lattice_lines(3, order)))
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.one_of(unimodular_cases(), partial_map_cases().map(lambda case: case[:2])))

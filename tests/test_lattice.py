@@ -54,9 +54,9 @@ class TestTypeBoundary:
             assert all(_is_point(a) and type(b) is int for a, b, _ in p._facets), p
             assert all(_is_point(a) and type(b) is int for a, b, _ in p.facet_normals()), p
             assert all(map(_is_point, p.lattice_points())), p
-            for f, nc, cells in p.normal_cone_cells:
+            for f, nc in p.normal_cones:
                 assert _cone_is_int(nc), (p, f)
-                assert all(_cone_is_int(cell) for cell in cells), (p, f)
+                assert all(_cone_is_int(cell) for cell in nc.basic_cells), (p, f)
             for v in p.faces_of_dim(0):
                 apex, tangent = supporting_cone(p, v)
                 assert _is_point(apex) and _cone_is_int(tangent), (p, v)

@@ -7,7 +7,10 @@ library would otherwise only show up when the benchmark is run.
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import mucone
 
@@ -45,6 +48,43 @@ def test_bench_names_resolve():
 
 def test_mu_cache_exists():
     assert isinstance(mucone.interp._MU_CACHE, dict)
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    """The benchmark's Tracer installed on the imported package; every
+    attribute install replaces is restored after the test."""
+    tracing = _tracing()
+    for name, mod in list(sys.modules.items()):
+        if name == "mucone" or name.startswith("mucone."):
+            for key, val in list(vars(mod).items()):
+                if not key.startswith("__"):
+                    monkeypatch.setattr(mod, key, val)
+    for mod_name, cls_name, meth, _, _ in tracing.METHODS:
+        cls = getattr(getattr(mucone, mod_name), cls_name)
+        monkeypatch.setattr(cls, meth, cls.__dict__[meth])
+    t = tracing.Tracer()
+    t.install(mucone)
+    return t
+
+
+def test_tracer_sees_the_normal_fan_and_mu_cache_hits(tracer):
+    # the fan and the basic cells are built behind cached properties, which
+    # must still call the module-level functions the tracer wraps
+    p = mucone.geometry.Polytope([(0, 0), (1, 0), (1, 2)])
+    cmap = mucone.complement.standard_inner_product(2)
+    counts = {mucone.valuations.count_via_local_formula(p, cmap) for _ in range(2)}
+    assert counts == {len(p.lattice_points())}
+    nonbasic = [nc for _, nc in p.normal_cones if not nc.is_basic]
+    assert nonbasic
+    values = tracer.metrics(0.0)
+    assert values["geometry.normal_cone_calls"] == len(p.faces)
+    assert values["geometry.subdivide_calls"] == len(nonbasic)
+    assert values["geometry.basic_cells"] == sum(len(nc.basic_cells) for nc in nonbasic)
+    # the second count reads mu of every nonzero normal cone from the cache
+    cached = [nc for _, nc in p.normal_cones if not nc.is_zero]
+    assert tracer.counts["interp.mu_cache_hits"] >= len(cached)
+    assert values["interp.mu_cache_hit_ratio"] > 0
 
 
 def test_pivot_vector_goes_through_solve_u(monkeypatch):

@@ -13,7 +13,7 @@ from mucone.complement import (
     standard_inner_product,
 )
 from mucone.errors import DirectionDegenerateError, NotGenericError
-from mucone.geometry import Polytope, normal_cone
+from mucone.geometry import Polytope, normal_cone, supporting_cone
 from mucone.interp import (
     MuTable,
     MuValue,
@@ -339,14 +339,40 @@ class TestCellsKeptOnPolytope:
         p = Polytope(PYRAMID.vertices, name="pyramid")
         reports = [verify_interpolator(p, cmap, order=6) for cmap in (IP3, GRAM3)]
         assert brion_vertex_decomposition_check(p, q=4)
-        nonbasic = [nc for _, nc, _ in p.normal_cone_cells if not nc.is_basic]
+        nonbasic = [nc for _, nc in p.normal_cones if not nc.is_basic]
         assert nonbasic
-        assert calls == Counter(nonbasic)
+        # Brion subdivides each non-basic tangent cone once
+        tangent = [supporting_cone(p, v)[1] for v in p.faces_of_dim(0)]
+        assert calls == Counter(nonbasic + [c for c in tangent if not c.is_basic])
         # nothing that depends on the map is kept with the cells
         for cmap, rep in zip((IP3, GRAM3), reports):
             assert rep.passed
             fresh = Polytope(PYRAMID.vertices, name="pyramid")
             assert verify_interpolator(fresh, cmap, order=6).to_json() == rep.to_json()
+
+    def test_count_reads_the_normal_fan(self, monkeypatch):
+        # under both maps: one normal_cone per face, one subdivision per
+        # non-basic normal cone
+        cones, subdivided = Counter(), Counter()
+        normal, subdivide = geometry.normal_cone, geometry.subdivide_to_basic
+
+        def counting_normal(p, f):
+            cones[f] += 1
+            return normal(p, f)
+
+        def counting_subdivide(cone):
+            subdivided[cone] += 1
+            return subdivide(cone)
+
+        monkeypatch.setattr(geometry, "normal_cone", counting_normal)
+        monkeypatch.setattr(geometry, "subdivide_to_basic", counting_subdivide)
+        clear_mu_cache()
+        p = Polytope(PYRAMID.vertices, name="pyramid")
+        counts = {count_via_local_formula(p, cmap) for cmap in (IP3, GRAM3)}
+        assert counts == {len(p.lattice_points())}
+        assert cones == Counter(p.faces)
+        nonbasic = [nc for _, nc in p.normal_cones if not nc.is_basic]
+        assert nonbasic and subdivided == Counter(nonbasic)
 
 
 class TestBrion:
