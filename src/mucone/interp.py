@@ -6,34 +6,30 @@ with <w_i,u> = 1 and <w_j,u> = 0 for the other j in S.  The relation
 
     D_i D_S = u * D_S - sum over j outside S of <w_j,u> D_j D_S
 
-rewrites any repeated variable; supports only grow, so rewriting reaches
-the unique squarefree normal form.  mu is the coefficient of the full
-product D_1...D_k in the normal form of the Todd element, and is computed
-a second, independent way from an explicit alternating sum over chains of
-subsets.
+rewrites any repeated variable into squarefree terms, so multiplication by
+D_i is a linear map M_i on the squarefree monomials.  The normal form is
+unique, so the M_i commute, and the Todd element's form is
+Td(M_1)...Td(M_k) applied to 1.  mu is the coefficient of the full product
+D_1...D_k in it, and is computed a second, independent way from an
+explicit alternating sum over chains of subsets.
 
 Grading: with each D_i and each coordinate v_i of degree 1 the relation
 is homogeneous, so the coefficient of D_S in the normal form of D^e is a
-homogeneous polynomial of degree |e| - |S|, and every coefficient of the
-Todd element is a constant.  The degree of an entry never falls under a
-rewrite and supports only grow, so the reducer drops every entry with
-|e| - |S| > order: it cannot reach the full subset at degree <= order.
-The degree-r part of mu collects the monomials with |e| = k + r.  On a
-line t*y that coefficient is a scalar times t^(|e| - |S|), so the
-reduction runs in one ring, ints on lines (SquarefreeReducer): mu_on_line
-walks a cone's basic cells on one line, and mu_basic walks one cell on
-the lines of an interpolation lattice, whose values determine the series.
+homogeneous polynomial of degree r = |e| - |S|, and every coefficient of
+the Todd element is a constant.  No M_i lowers r or shrinks S, so the
+reducer drops every entry with r > order: it cannot reach the full subset
+at degree <= order.  On a line t*y the coefficient is a scalar times t^r,
+so the reduction runs in one ring, ints on lines (SquarefreeReducer):
+mu_on_line reduces a cone's basic cells on one line, and mu_basic one cell
+on the lines of an interpolation lattice, whose values determine the series.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import factorial, gcd, lcm, prod
-from types import MappingProxyType
 
 from .errors import (InconsistentExplicitFormulaError, InternalInconsistencyError,
                      NotGenericError, UnknownRayError)
@@ -52,34 +48,41 @@ def pivot_vector(cone: Cone, cmap, subset, i: int) -> Vector:
 
 
 class SquarefreeReducer:
-    """Memoized rewriting of D-monomials into squarefree normal form, on lines.
+    """The squarefree normal form of the Todd element, on lines, as commuting
+    operators.
 
-    One walk serves every pair of a basic cell (k generators each) and a
-    line t*y, cell-major: reduce_monomial(e) maps each subset S to the
-    coefficients of D_S, one int N per pair for N / L^|e| times
-    t^(|e| - |S|) (the degree of the module docstring); reduce() frees each
-    memo entry after its last read.  L is the line's denominator times the
-    lcm m of the cell's pivot denominators (PsiSubspace.denominator, read
-    once per cell), so L*<u,y> and L*<w_j,u> are integers.  A subset whose
-    psi fails is left out of m; the rewrite that needs it raises.
+    Multiplication by D_i is a linear map M_i on the squarefree monomials:
+    D_i D_S = D_(S+i) for i outside S, else the rewrite of the module
+    docstring, whose right side is squarefree.  The normal form is unique,
+    so the M_i commute and the Todd element's form is Td(M_1)...Td(M_k) 1,
+    one factor per position of pivot_order.  A vector maps (S, r) to one int
+    N per pair of a basic cell (k generators each) and a line t*y,
+    cell-major, for N / L^(|S| + r) times t^r.  L is the line's denominator
+    times the lcm m of the cell's pivot denominators (PsiSubspace.denominator,
+    read once per subset and cell), so L*<u,y> and L*<w_j,u> are integers.
+    A psi failure raises at set-up, in the order of cell, subset size and
+    subset, except on the full subset at order 0, which is never rewritten.
     """
 
     def __init__(self, cells, lines, cmap, order: int = DEFAULT_ORDER, pivot_order=None):
-        self.cmap, self.order = cmap, order
+        self.order = order
         self.k = k = len(cells[0].generators)
         if not all(c.is_basic and len(c.generators) == k for c in cells):
             raise ValueError("reduction is defined over basic cones with equally many generators")
         self.pivot_order = tuple(range(k) if pivot_order is None else map(int, pivot_order))
         if sorted(self.pivot_order) != list(range(k)):
             raise ValueError("pivot_order must permute the generator positions")
-        self._memo, self._uses, self._rewrites = {}, {}, {}
+        self._rewrites = {}
         subsets = [frozenset(s) for m in range(1, k + 1) for s in combinations(range(k), m)]
-        self._cells = []  # (rays, psi per generic subset, m)
+        self._cells = []  # (rays, psi per subset, m)
         for cell in cells:
             rays, subs = cell.generators, {}
             for s in subsets:
-                with suppress(NotGenericError, UnknownRayError):
+                try:
                     subs[s] = cmap.psi(tuple(rays[j] for j in sorted(s)))
+                except (NotGenericError, UnknownRayError):
+                    if len(s) < k or order:
+                        raise
             self._cells.append((rays, subs, lcm(*(p.denominator for p in subs.values()))))
         self._lines = [cleared(line) for line in lines]  # (y, q)
         self._scales = [m * q for _, _, m in self._cells for _, q in self._lines]
@@ -87,7 +90,7 @@ class SquarefreeReducer:
     def _pivot(self, cell, s: frozenset[int], i: int, rest: list[int]):
         """L<u,y> and [-L<w_j,u> for j in rest] per line, in one cell."""
         rays, subs, m = cell
-        sub = subs.get(s) or self.cmap.psi(tuple(rays[j] for j in sorted(s)))  # re-raises
+        sub = subs[s]
         u, per = sub.numerators[sorted(s).index(i)], m // sub.denominator
         spill = [-per * dot(rays[j], u) for j in rest]
         return [(per * dot(u, y), [q * w for w in spill]) for y, q in self._lines]
@@ -104,84 +107,59 @@ class SquarefreeReducer:
                 us, [(s | {j}, col) for j, col in zip(rest, zip(*spills)) if any(col)])
         return got
 
-    def reduce_monomial(self, expo) -> dict[frozenset[int], list[int]]:
-        """Memoized; see reduce() for when an entry is dropped."""
-        expo = tuple(expo)
-        got = self._memo.get(expo)
-        if got is None:
-            got = self._memo[expo] = self._expand(expo)
-        self._uses[expo] = left = self._uses.get(expo, 0) - 1
-        if not left:
-            del self._memo[expo]
-        return got
-
-    def _expand(self, expo: tuple[int, ...]) -> dict[frozenset[int], list[int]]:
-        if all(e <= 1 for e in expo):
-            m = sum(expo)
-            return {frozenset(i for i, e in enumerate(expo) if e): [L ** m for L in self._scales]}
-        # D^e = D_i * D^(e - e_i), rewriting every term that repeats D_i
-        i, inner = _peel(expo, self.pivot_order)
-        low = sum(expo) - self.order  # the drop rule: keep |S| >= |e| - order
-        out: dict[frozenset[int], list[int]] = {}
-        for s, c in self.reduce_monomial(inner).items():
-            u, spill = self._rewrite(s, i)  # i is in s: supports only grow
-            if len(s) >= low:
-                _bump(out, s, [x * y for x, y in zip(c, u)])
-            for t, w in spill:
-                _bump(out, t, [x * y for x, y in zip(w, c)])
+    def _apply(self, vec: dict, i: int) -> dict:
+        """M_i vec, without the entries of t-degree above order.  Empties vec
+        as it reads it, so each column is let go once read."""
+        out: dict[tuple[frozenset[int], int], list[int]] = {}
+        for s, r in list(vec):
+            c = vec.pop((s, r))
+            if i not in s:
+                _bump(out, (s | {i}, r), [x * L for x, L in zip(c, self._scales)])
+            elif r < self.order or len(s) < self.k:  # else nothing of it survives
+                u, spill = self._rewrite(s, i)
+                if r < self.order:
+                    _bump(out, (s, r + 1), [x * y for x, y in zip(c, u)])
+                for t, w in spill:
+                    _bump(out, (t, r), [x * y for x, y in zip(w, c)])
         return out
 
+    def reduce_monomial(self, expo) -> dict[frozenset[int], list[int]]:
+        """The form of D^expo, one int N per pair for N / L^|expo| times
+        t^(|expo| - |S|): M_i^(e_i - 1) applied to D_supp(e), i in reversed
+        pivot_order, the path of peeling the first i with e_i >= 2."""
+        supp = frozenset(i for i, e in enumerate(expo) if e)
+        vec = {(supp, 0): [L ** len(supp) for L in self._scales]}
+        for i in reversed(self.pivot_order):
+            for _ in range(expo[i] - 1):
+                vec = self._apply(vec, i)
+        return {s: c for (s, _), c in vec.items()}
+
     def reduce(self) -> list[list[Fraction]]:
-        """Full-subset coefficient of the Todd element sum_e td[e] D^e, whose
-        term of exponent e has degree |e| - k, per pair: its Taylor
+        """Full-subset coefficient of the Todd element per pair: its Taylor
         coefficients on the pair's line through t^order, one Fraction each.
-        Each memo entry is dropped after its last read counted here (_reads);
-        other reads count below zero and keep it."""
-        k, order, (td, dk) = self.k, self.order, _td_numerators(self.k, self.order)
-        self._uses = dict(_reads(k, order, self.pivot_order))
-        parts, full = {}, frozenset(range(k))  # parts: degree r -> per pair
-        for expo, a in td.items():
-            c = self.reduce_monomial(expo).get(full)
-            if c is not None:
-                _bump(parts, sum(expo) - k, [a * x for x in c])
-        return [[Fraction(parts[r][c] if r in parts else 0, dk * L ** (k + r))
+        The factor of i maps vec to the sum of tdn[m] M_i^m vec over its power
+        chain, tdn = d*td as in _todd_over_integers, and the last factor keeps
+        only the full subset: (full, r) stands for N / (d^k L^(k + r))."""
+        k, order, full = self.k, self.order, frozenset(range(self.k))
+        tdn, d = _todd_over_integers(k + order)
+        vec = {(frozenset(), 0): [1] * len(self._scales)}
+        for n, i in enumerate(self.pivot_order, 1):
+            power, vec = vec, {}
+            for m, a in enumerate(tdn):
+                if a:
+                    for (s, r), c in power.items():
+                        if n < k or s == full:
+                            _bump(vec, (s, r), [a * x for x in c])
+                if m == k + order or not power:
+                    break
+                power = self._apply(power, i)
+        return [[Fraction(vec[full, r][c] if (full, r) in vec else 0, d ** k * L ** (k + r))
                  for r in range(order + 1)] for c, L in enumerate(self._scales)]
 
 
 def _bump(out: dict, key, c: list):
     got = out.get(key)
     out[key] = c if got is None else [x + y for x, y in zip(got, c)]
-
-
-def _peel(expo: tuple[int, ...], pivot_order) -> tuple[int, tuple[int, ...]]:
-    """(i, e - e_i) for the first i in pivot_order with e_i >= 2."""
-    i = next(j for j in pivot_order if expo[j] >= 2)
-    return i, expo[:i] + (expo[i] - 1,) + expo[i + 1:]
-
-
-@cache
-def _reads(k: int, order: int, pivot_order) -> Mapping[tuple[int, ...], int]:
-    """Memo reads in reduce(): one per Todd exponent, one per exponent _peel maps to it."""
-    uses: dict[tuple[int, ...], int] = {}
-    for expo in _td_numerators(k, order)[0]:
-        uses[expo] = uses.get(expo, 0) + 1
-        while uses[expo] == 1 and any(e >= 2 for e in expo):  # first visit: reads its peel
-            expo = _peel(expo, pivot_order)[1]
-            uses[expo] = uses.get(expo, 0) + 1
-    return MappingProxyType(uses)
-
-
-@cache
-def _td_numerators(k: int, order: int) -> tuple[Mapping[tuple[int, ...], int], int]:
-    """The Todd element as (integer numerators, d^k), d as in _todd_over_integers."""
-    cap = k + order
-    tdn, d = _todd_over_integers(cap)
-    terms = {(0,) * k: 1}
-    for i in range(k):
-        terms = {expo[:i] + (m,) + expo[i + 1:]: c * tdn[m]
-                 for expo, c in terms.items()
-                 for m in range(cap - sum(expo) + 1) if tdn[m]}
-    return MappingProxyType(terms), d ** k
 
 
 class MuValue:
@@ -347,9 +325,10 @@ def _explicit_terms(cone: Cone, cmap):
 
 
 @cache
-def _todd_over_integers(cap: int) -> tuple[list[int], int]:
-    """([d*td_0, ..., d*td_cap], d) with d the least common denominator."""
-    return cleared(todd_univariate(cap))
+def _todd_over_integers(cap: int) -> tuple[tuple[int, ...], int]:
+    """((d*td_0, ..., d*td_cap), d) with d the least common denominator."""
+    tdn, d = cleared(todd_univariate(cap))
+    return tuple(tdn), d
 
 
 def _chain_sum_on_line(groups, values, k: int, order: int) -> list[Fraction]:
@@ -529,23 +508,20 @@ def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
     """mu of a pointed generic cone restricted to the line t*line.
 
     Equals restrict_to_direction(mu(cone, cmap, order).series, line)
-    exactly.  All basic cells are reduced in one walk with scalars on the
-    line.  Its first failure may be in a later cell than a cell-by-cell run
-    fails in, so on a failure the cells are rerun one at a time.  Values
-    depend on the line, so nothing is cached.  cross_validate also
-    computes each basic cell's full mu by both pipelines (see mu) and
-    aborts unless its restriction matches the line value.
+    exactly.  All basic cells are reduced in one batch with scalars on the
+    line; a psi failure surfaces at its set-up, in the first failing cell,
+    as a cell-by-cell run would raise it.  Values depend on the line, so
+    nothing is cached.  cross_validate also computes each basic cell's full
+    mu by both pipelines (see mu) and aborts unless its restriction matches
+    the line value.
     """
     if len(line) != cone.ambient:
         raise ValueError("direction dimension mismatch")
     if cone.is_zero:
         return LaurentSeries.from_taylor([1], order)
-    cells, batch = cone.basic_cells, None
-    with suppress(NotGenericError, UnknownRayError):
-        batch = SquarefreeReducer(cells, [line], cmap, order).reduce()
+    cells = cone.basic_cells
     total = [Fraction(0)] * (order + 1)
-    for c, cell in enumerate(cells):
-        val = batch[c] if batch else SquarefreeReducer([cell], [line], cmap, order).reduce()[0]
+    for cell, val in zip(cells, SquarefreeReducer(cells, [line], cmap, order).reduce()):
         if cross_validate:
             full = mu(cell, cmap, order, cross_validate=True).series
             if restrict_to_direction(full, line) != LaurentSeries.from_taylor(val, order):

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import (
     DirectionDegenerateError,
     NonIntegerResultError,
+    NotFullDimError,
 )
 from .geometry import (
     Cone,
@@ -329,8 +330,12 @@ def brion_vertex_decomposition_check(p: Polytope, y0=None, q: int = 6,
     Each vertex cone is subdivided into basic cells, the cells are made
     half-open against a common interior probe so their lattice points
     partition the cone, and each half-open basic cell contributes a
-    closed-form product of geometric series.
+    closed-form product of geometric series.  Vertex cones need a
+    full-dimensional polytope, so any other polytope but a point raises
+    NotFullDimError up front, whatever y0 is.
     """
+    if p.dim and not p.is_full_dimensional:
+        raise NotFullDimError("the Brion check needs a full-dimensional polytope")
     direction, _ = _choose_direction(p, y0, seed)
     y = direction.y0
     if p.dim == 0:

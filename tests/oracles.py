@@ -5,9 +5,10 @@ each D variable by its dual linear form (the ideal's kernel must vanish
 under it, and a Todd element must keep its value through reduction), the
 Todd element as constants, the squarefree normal form in the full ring
 of MultiSeries coefficients (FullRingReducer, the reference the library's
-integer line walk is checked against at the nodes of an interpolation
-lattice, and which normal_form extends to a whole D-expansion by
-linearity), the alternating chain sum for one subset pair, and the whole chain-sum mu as
+integer reduction on lines is checked against at the nodes of an
+interpolation lattice, and which normal_form extends to a whole D-expansion
+by linearity), psi's error on each failing generator subset, the
+alternating chain sum for one subset pair, and the whole chain-sum mu as
 multivariate rational functions over one common denominator.  A
 D-expansion is a plain dict from exponent tuples to coefficients
 (Fractions or MultiSeries).  Also here: the star step and the lattice
@@ -328,10 +329,27 @@ def span_route_duals(cmap, rays) -> list[Vector]:
 def mu_on_line_cell_by_cell(cone: Cone, cmap, line: Vector,
                             order: int = DEFAULT_ORDER) -> LaurentSeries:
     """mu_on_line of each basic cell of the cone on its own, summed in the
-    subdivision's order: one reduction walk per cell, and the error of the
-    first cell whose walk fails."""
+    subdivision's order: one reduction per cell, and the error of the first
+    cell whose reduction fails."""
     return sum((mu_on_line(cell, cmap, line, order) for cell in subdivide_to_basic(cone).children),
                LaurentSeries.zero(order))
+
+
+def psi_failures(cells, cmap, order: int) -> list[tuple[type, str]]:
+    """(type, message) of psi's error on each generator subset of each basic
+    cell where it fails, by calling cmap.psi directly, in the order of cell,
+    subset size and subset.  The full subset is left out at order 0, where no
+    reduction rewrites it."""
+    out = []
+    for cell in cells:
+        k = len(cell.generators)
+        for size in range(1, k + (order > 0)):
+            for subset in combinations(cell.generators, size):
+                try:
+                    cmap.psi(subset)
+                except (NotGenericError, UnknownRayError) as exc:
+                    out.append((type(exc), str(exc)))
+    return out
 
 
 def is_generic(cmap, cone: Cone) -> bool:
@@ -371,9 +389,10 @@ class FullRingReducer:
     coefficients: D_i D_S = u D_S - sum_{j not in S} <w_j,u> D_j D_S with
     u = pivot_vector(cone, cmap, S, i), i the first position of pivot_order
     whose exponent is >= 2.  An entry of D_S in the form of D^e has degree
-    |e| - |S| and is dropped above `order`.  Every expansion stays memoized;
-    entries and rewrites come in the order the library's walk makes them, so
-    a failing map fails at the same rewrite."""
+    |e| - |S| and is dropped above `order`.  Every expansion stays memoized,
+    and its entries come in the order the library's reduce_monomial makes
+    them.  A map that fails on some subset fails at the first rewrite that
+    needs one, which may name another subset than psi_failures lists first."""
 
     def __init__(self, cone: Cone, cmap, order: int = DEFAULT_ORDER, pivot_order=None):
         self.cone, self.cmap, self.order = cone, cmap, order
@@ -454,8 +473,9 @@ def value_at(series: MultiSeries, y) -> Fraction:
 
 
 def check_walk(reference: FullRingReducer, red: SquarefreeReducer, lines, expo) -> None:
-    """The library walk's form of D^expo has the reference's subsets, and
-    each coefficient's value on each line is the reference's there."""
+    """The library's form of D^expo (reduce_monomial, which takes the
+    reference's path) has the reference's subsets in its order, and each
+    coefficient's value on each line is the reference's there."""
     want, got = reference.reduce_monomial(expo), walk_values(red, expo)
     assert list(got) == list(want), (expo, list(got), list(want))
     for s, vals in got.items():
@@ -466,7 +486,7 @@ def normal_form(terms: dict, cone: Cone, cmap, order: int,
                 pivot_order=None) -> dict[frozenset[int], MultiSeries]:
     """sum of coeff * reduce_monomial(e) over constant-coefficient terms by
     the full-ring reference, each coefficient as a series through `order`,
-    after check_walk on the library's walk at lattice_lines: equal values
+    after check_walk on the library's reducer at lattice_lines: equal values
     at those nodes mean equal polynomials of degree <= order."""
     reference = FullRingReducer(cone, cmap, order, pivot_order)
     red, lines = line_reducer(cone, cmap, order, pivot_order)

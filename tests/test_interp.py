@@ -64,6 +64,7 @@ from oracles import (
     mu_explicit_combined,
     mu_on_line_cell_by_cell,
     normal_form,
+    psi_failures,
     row,
     td_element,
     value_at,
@@ -112,10 +113,10 @@ class TestLinearRelation:
             linear_relation(Cone([V(1, 0), V(0, 1)]), IP2, (0,), V(0, 1))
 
 
-def _walk_td(k, order):
-    """The Todd element the library's walk reads, as constants."""
-    terms, dk = interp._td_numerators(k, order)
-    return {e: Fraction(c, dk) for e, c in terms.items()}
+def _reducer_td(cap):
+    """The univariate Todd series the reducer's factors read, as constants."""
+    tdn, d = interp._todd_over_integers(cap)
+    return [Fraction(c, d) for c in tdn]
 
 
 class TestTdElement:
@@ -125,11 +126,11 @@ class TestTdElement:
         assert td[(1,)] == Fraction(1, 2)
         assert td[(2,)] == Fraction(1, 12)
         assert max(map(sum, td)) == 1 + 1
-        assert _walk_td(1, 1) == td
+        assert _reducer_td(2) == todd_univariate(2) == [td[(m,)] for m in range(3)]
 
     def test_k0(self):
         assert td_element(zero_cone(2), order=4) == {(): 1}
-        assert _walk_td(0, 4) == {(): 1}
+        assert _reducer_td(4) == todd_univariate(4)
 
     def test_k2_degree2_part(self):
         td = td_element(Cone([V(1, 0), V(0, 1)]), order=3)
@@ -137,27 +138,29 @@ class TestTdElement:
         assert td[(2, 0)] == Fraction(1, 12)
         assert td[(0, 2)] == Fraction(1, 12)
         assert max(map(sum, td)) == 2 + 3
-        assert _walk_td(2, 3) == td
+        tdu = _reducer_td(5)
+        assert tdu == todd_univariate(5)
+        assert td == {e: tdu[e[0]] * tdu[e[1]] for e in td}
 
     def test_shared_read_only_value(self):
-        # built once per (k, order): the reductions read it and leave it as it was
+        # built once per (k, order) or cap: the reductions read it and leave it as it was
         c = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 1)])
         first = td_element(c, order=4)
         snapshot = dict(first)
-        walk_first = interp._td_numerators(3, 4)
-        walk_snapshot = dict(walk_first[0])
+        reducer_first = interp._todd_over_integers(7)
+        reducer_snapshot = tuple(reducer_first[0])
         mu_basic(c, IP3, 4)
         mu_on_line(c, IP3, V(2, 3, 5), 4)
         FullRingReducer(c, IP3, 4).reduce()
         second = td_element(Cone([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)]), order=4)
         assert second is first
         assert second == snapshot
-        assert interp._td_numerators(3, 4) is walk_first
-        assert walk_first[0] == walk_snapshot
+        assert interp._todd_over_integers(7) is reducer_first
+        assert reducer_first[0] == reducer_snapshot
         with pytest.raises(TypeError):
             first[(0, 0, 0)] = 2
         with pytest.raises(TypeError):
-            walk_first[0][(0, 0, 0)] = 2
+            reducer_first[0][0] = 2
         assert td_element(c, order=3) != snapshot
 
 
@@ -316,6 +319,16 @@ def _outcome(route):
         return type(exc), str(exc)
 
 
+def _check_against_reference(got, want, failures):
+    """got, the library's outcome, is the reference's value want when psi
+    fails on no subset the reduction rewrites; else got is psi's error on
+    the first failing subset, and want is psi's error on some failing one."""
+    if failures:
+        assert got == failures[0] and want in failures, (got, want, failures)
+    else:
+        assert got == want
+
+
 class TestGradedRoute:
     ORDER = 4
 
@@ -336,37 +349,40 @@ class TestGradedRoute:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(partial_map_cases())
     def test_line_route_raises_what_full_route_raises(self, case):
-        # the line route reads every subset's psi up front; a failure there
-        # surfaces only at the rewrite that needs the subset, as in the
-        # full-ring reference
+        # the line route reads every subset's psi up front and raises the
+        # first failure; the full-ring reference raises where a rewrite needs
+        # a failing subset, which it does exactly when there is one
         cone, cmap, line = case
         for order in range(7):
             full = _outcome(lambda: restrict_to_direction(
                 FullRingReducer(cone, cmap, order).reduce(), line))
-            assert _outcome(lambda: mu_on_line(cone, cmap, line, order)) == full
+            _check_against_reference(_outcome(lambda: mu_on_line(cone, cmap, line, order)),
+                                     full, psi_failures([cone], cmap, order))
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(multicell_partial_map_cases())
     def test_batched_line_route_matches_cell_by_cell(self, case):
-        # one walk serves all cells; where it fails, the cells are rerun one
-        # at a time, so the error is the first failing cell's own
+        # one batch serves all cells; its set-up reads psi cell by cell, so
+        # the error is the first failing cell's own
         cone, cmap, line = case
         for order in range(7):
             want = _outcome(lambda: mu_on_line_cell_by_cell(cone, cmap, line, order))
             assert _outcome(lambda: mu_on_line(cone, cmap, line, order)) == want
 
-    def test_rerun_gives_the_first_failing_cells_error(self):
-        # the batch first meets the ray (1, 1), which the table lacks; cell by
-        # cell, the first cell's own rays (1, 2), (1, 3) are not generic
+    def test_batch_raises_the_first_failing_cells_error(self):
+        # a later cell needs the ray (1, 1), which the table lacks; the first
+        # cell's own rays (1, 2), (1, 3) are not generic, and the batch's
+        # set-up meets that first
         cone = Cone([V(1, -2), V(1, 3)])
         cmap = RayTableMap([(V(1, -2), V(-1, 0)), (V(1, -1), V(0, -1)), (V(1, 0), V(1, 0)),
                             (V(1, 2), V(1, 0)), (V(1, 3), V(-1, 0))])
         line, order = V(0, 0), 3
         cells = subdivide_to_basic(cone).children
-        with pytest.raises(UnknownRayError):
-            SquarefreeReducer(cells, [line], cmap, order).reduce()
+        failures = psi_failures(cells, cmap, order)
+        assert {UnknownRayError, NotGenericError} <= {kind for kind, _ in failures}
         want = _outcome(lambda: mu_on_line_cell_by_cell(cone, cmap, line, order))
-        assert want[0] is NotGenericError
+        assert want == failures[0] and want[0] is NotGenericError
+        assert _outcome(lambda: SquarefreeReducer(cells, [line], cmap, order)) == want
         assert _outcome(lambda: mu_on_line(cone, cmap, line, order)) == want
 
     def test_spill_that_vanishes_in_one_cell_only(self):
@@ -386,7 +402,7 @@ class TestGradedRoute:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(graded_cases(), st.lists(st.integers(0, 6), min_size=3, max_size=3))
     def test_full_ring_coefficients_homogeneous(self, case, raw):
-        # the walk's value of each coefficient on the line t*2y is 2^degree
+        # the reducer's value of each coefficient on the line t*2y is 2^degree
         # times its value on t*y, and the reference's is a homogeneous series
         cone, cmap, _ = case
         expo = tuple(raw[:len(cone.generators)])
@@ -409,19 +425,62 @@ class TestGradedRoute:
                 mu_on_line(cone, IP2, V(1, 2, 3))
 
 
+class TestOperators:
+    """Multiplication by D_i as the linear map M_i on squarefree monomials."""
+
+    ORDER = 3
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.one_of(graded_cases(), partial_map_cases()))
+    def test_operators_commute(self, case):
+        # on every basis vector (S, r): M_i M_j = M_j M_i, and no M_i shrinks
+        # S or lowers r.  This is the uniqueness of the normal form.
+        cone, cmap, line = case
+        k = len(cone.generators)
+        assume(not psi_failures([cone], cmap, self.ORDER))
+        red = SquarefreeReducer([cone], [line], cmap, self.ORDER)
+
+        def nonzero(vec):
+            return {key: c for key, c in vec.items() if any(c)}
+
+        for size in range(k + 1):
+            for s in map(frozenset, combinations(range(k), size)):
+                for r in range(self.ORDER + 1):
+                    for i in range(k):
+                        assert all(s <= t and r <= q for t, q in red._apply({(s, r): [1]}, i))
+                        for j in range(i):
+                            assert (nonzero(red._apply(red._apply({(s, r): [1]}, i), j))
+                                    == nonzero(red._apply(red._apply({(s, r): [1]}, j), i)))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.one_of(unimodular_cases(), partial_map_cases().map(lambda case: case[:2])))
+    def test_factor_orders_agree(self, case):
+        # every order of the Todd factors gives the same values on the lattice
+        # lines, or the same error: psi's on the first failing subset
+        cone, cmap = case
+        k = len(cone.generators)
+        for order in (0, 1, self.ORDER):
+            lines = lattice_lines(cone.ambient, order)
+            failures = psi_failures([cone], cmap, order)
+            got = [_outcome(lambda: SquarefreeReducer([cone], lines, cmap, order, po).reduce())
+                   for po in permutations(range(k))]
+            assert got == [failures[0] if failures else got[0]] * len(got)
+
+    def test_slant_cube(self):
+        # D1^3 on the slant cone, from D_1 by two applications of M_1
+        red, lines = line_reducer(SLANT, IP2, 2)
+        q = Fraction(1, 4)
+        want = {frozenset({0}): MultiSeries(2, 2, {(2, 0): q, (1, 1): 2 * q, (0, 2): q}),
+                frozenset({0, 1}): MultiSeries(2, 1, {(1, 0): -3 * q, (0, 1): -q})}
+        assert walk_values(red, (3, 0)) == {
+            s: [value_at(c, y) for y in lines] for s, c in want.items()}
+
+
 class TestMemoRelease:
     CONE = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 3)])  # index 3
 
-    def test_reduce_empties_the_memo(self):
-        cells = subdivide_to_basic(self.CONE).children
-        assert len(cells) > 1
-        for red in (SquarefreeReducer(cells, [V(2, 3, 5)], IP3, 6),
-                    line_reducer(cells[0], IP3, 6)[0]):
-            red.reduce()
-            assert red._memo == {}
-
     def test_full_ring_batch_is_per_cell(self):
-        # every cell on every lattice line in one walk: each (cell, line) pair
+        # every cell on every lattice line in one batch: each (cell, line) pair
         # gives the Taylor coefficients of the cell's own mu on that line
         cells = subdivide_to_basic(self.CONE).children
         lines = lattice_lines(3, 4)
@@ -431,20 +490,6 @@ class TestMemoRelease:
         assert [LaurentSeries.from_taylor(v, 4) for v in got] == want
         assert want == [restrict_to_direction(mu_basic(cell, IP3, 4).series, y)
                         for cell in cells for y in lines]
-
-    def test_direct_calls_memoize(self):
-        red, lines = line_reducer(SLANT, IP2, 2)
-        got = red.reduce_monomial((3, 0))
-        assert red.reduce_monomial((3, 0)) is got
-        assert {(1, 0), (2, 0), (3, 0)} <= set(red._memo)
-        q = Fraction(1, 4)
-        want = {frozenset({0}): MultiSeries(2, 2, {(2, 0): q, (1, 1): 2 * q, (0, 2): q}),
-                frozenset({0, 1}): MultiSeries(2, 1, {(1, 0): -3 * q, (0, 1): -q})}
-        assert walk_values(red, (3, 0)) == {
-            s: [value_at(c, y) for y in lines] for s, c in want.items()}
-        red.reduce()
-        assert red.reduce_monomial((3, 0)) == got
-        assert (3, 0) in red._memo
 
 
 class TestMuBasic:
@@ -499,7 +544,7 @@ class TestMuBasic:
                 assert mu_basic(c, m, order=0).mu0 == want
 
     def test_psi_read_once_per_subset(self, monkeypatch):
-        # one walk over all lattice lines reads psi once per generator subset
+        # one reduction over all lattice lines reads psi once per generator subset
         cmap, calls = standard_inner_product(3), []
         psi = cmap.psi
         monkeypatch.setattr(cmap, "psi", lambda rays: calls.append(rays) or psi(rays))
@@ -514,12 +559,15 @@ class TestMuBasic:
     @given(st.one_of(unimodular_cases(), partial_map_cases().map(lambda case: case[:2])))
     def test_equals_full_ring_reference(self, case):
         # under Gram maps, flag maps and ray tables with missing rays, at
-        # every pivot order: the same series, or the same error
+        # every pivot order: the same series, or an error from both routes,
+        # the library's being psi's on the first failing subset
         cone, cmap = case
-        for po in permutations(range(len(cone.generators))):
-            for order in range(7):
+        for order in range(7):
+            failures = psi_failures([cone], cmap, order)
+            for po in permutations(range(len(cone.generators))):
                 want = _outcome(lambda: FullRingReducer(cone, cmap, order, po).reduce())
-                assert _outcome(lambda: mu_basic(cone, cmap, order, po).series) == want
+                _check_against_reference(_outcome(lambda: mu_basic(cone, cmap, order, po).series),
+                                         want, failures)
 
     def test_corpus_digest(self):
         # mu_basic's series over the criterion-4 pairs, pinned byte for byte

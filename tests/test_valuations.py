@@ -1,5 +1,6 @@
 """Exponential sums/integrals, local counting, and the identity harness."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ from mucone.complement import (
     diaconis_fulton_map,
     standard_inner_product,
 )
-from mucone.errors import DirectionDegenerateError, NotGenericError
-from mucone.geometry import Polytope, normal_cone, supporting_cone
+from mucone.errors import DirectionDegenerateError, NotFullDimError, NotGenericError
+from mucone.geometry import Polytope, in_convex_hull, normal_cone, supporting_cone
 from mucone.interp import (
     MuTable,
     MuValue,
@@ -22,7 +23,7 @@ from mucone.interp import (
     mu_on_line,
     mu_table,
 )
-from mucone.linalg import Matrix, Vector
+from mucone.linalg import Matrix, Vector, dot
 from mucone.series import restrict_to_direction
 from mucone.valuations import (
     Direction,
@@ -398,3 +399,49 @@ class TestBrion:
 
     def test_point(self):
         assert brion_vertex_decomposition_check(Polytope([V(2, 2)]), q=3)
+
+    def test_lower_dimensional_raises_for_every_direction_form(self):
+        # the segment (0,0)-(2,0) in R^2: given a Direction, the check used to
+        # skip the normal fan and pass; every form of y0 now raises up front
+        p = Polytope([V(0, 0), V(2, 0)])
+        for y0 in (Direction(V(1, 3)), V(1, 3), None):
+            with pytest.raises(NotFullDimError, match="Brion check"):
+                brion_vertex_decomposition_check(p, y0=y0, q=4)
+
+
+def _random_lattice_polytope(rng: random.Random, n: int) -> Polytope:
+    """A full-dimensional lattice polytope in R^n, the hull of a few points
+    with coordinates in [-2, 2], given by its extreme points (in_convex_hull)."""
+    while True:
+        pts = list(dict.fromkeys(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n + 3)))
+        pts = [x for i, x in enumerate(pts) if not in_convex_hull(x, pts[:i] + pts[i + 1:])]
+        p = Polytope([Vector(x) for x in pts])
+        if p.is_full_dimensional:
+            return p
+
+
+class TestEhrhart:
+    """The local formula's face sums are the Ehrhart coefficients.
+
+    c_k, the sum of mu0 * vol over the k-faces (rows of count_breakdown), is
+    the t^k coefficient of L_P(t) = #(tP lattice points), since the normal
+    fan does not change under dilation and vol scales by t^k.  Reciprocity
+    gives L_P(-t) = (-1)^d #(interior lattice points of tP), interior being
+    strict on every facet inequality.  The check adds no library code."""
+
+    @pytest.mark.parametrize("n, seed", [(2, s) for s in range(6)] + [(3, s) for s in range(4)])
+    def test_coefficients_and_reciprocity(self, n, seed):
+        p = _random_lattice_polytope(random.Random(seed), n)
+        coeffs = set()
+        for cmap in (standard_inner_product(n), GRAM2 if n == 2 else GRAM3):
+            c = [Fraction(0)] * (n + 1)
+            for f, mu0, vol in count_breakdown(p, cmap)[1]:
+                c[f.dim] += mu0 * vol
+            coeffs.add(tuple(c))
+        assert len(coeffs) == 1  # the polynomial does not depend on the map
+        for t in range(1, n + 2):
+            tp = Polytope([[t * a for a in v] for v in p.vertices])
+            points, facets = tp.lattice_points(), tp.facet_normals()
+            inside = [x for x in points if all(dot(a, x) > b for a, b, _ in facets)]
+            assert sum(ck * t ** k for k, ck in enumerate(c)) == len(points), (p, t)
+            assert sum(ck * (-t) ** k for k, ck in enumerate(c)) == (-1) ** n * len(inside), (p, t)
