@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mucone
@@ -806,6 +806,36 @@ class TestExplicitRoutes:
         assert len(pairs) >= 60
         for c, m in pairs:
             assert mu_explicit(c, m, 4).series == mu_explicit_combined(c, m, 4).series, (c, m)
+
+    @staticmethod
+    def _chain_key_subsets(k):
+        """The generator subsets in the order the full-subset chain sum first
+        reads their pivots: T by size, then by subset; T's own pivots, then
+        each chain's steps.  The chains from the empty set reach every
+        subset, {0} first, then {0, 1}, ..., the full one."""
+        full, seen = frozenset(range(k)), []
+        for size in range(k + 1):
+            for T in combinations(range(k), size):
+                for chain in interp._chains_between(frozenset(T), full):
+                    seen += [s for s in chain if s and s not in seen]
+        return seen
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(partial_map_cases().map(lambda case: case[:2]))
+    @example((Cone([V(1, 0, 0), V(0, 1, 0)]), FlagMap([V(1, 0, 0), V(0, 0, 1), V(0, 1, 0)])))
+    def test_raises_psis_first_error_in_chain_key_order(self, case):
+        # flag maps and ray tables that lack rays: psi's own error on the
+        # first failing subset, else the reduction's series.  In the example
+        # {1} and {0, 1} fail; by size {1} would come first
+        cone, cmap = case
+        failures = [_outcome(lambda: cmap.psi(tuple(cone.generators[j] for j in sorted(s))))
+                    for s in self._chain_key_subsets(len(cone.generators))]
+        failures = [f for f in failures if isinstance(f, tuple)]
+        got = _outcome(lambda: mu_explicit(cone, cmap, 2).series)
+        if failures:
+            assert got == failures[0], (got, failures)
+        else:
+            assert got == mu_basic(cone, cmap, 2).series
 
 
 class TestMu:
