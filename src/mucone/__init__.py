@@ -58,7 +58,6 @@ from .interp import (
     mu_explicit,
     mu_on_line,
     mu_table,
-    pivot_vector,
 )
 from .linalg import Matrix, Vector, format_rational, parse_rational, primitive
 from .series import (
@@ -99,8 +98,7 @@ __all__ = [
     "Cone", "Face", "Polytope", "Subdivision", "normal_cone",
     "normalized_volume", "subdivide_to_basic", "zero_cone",
     "DEFAULT_ORDER", "MuTable", "MuValue", "SquarefreeReducer",
-    "clear_mu_cache", "mu", "mu_basic", "mu_explicit", "mu_on_line",
-    "mu_table", "pivot_vector",
+    "clear_mu_cache", "mu", "mu_basic", "mu_explicit", "mu_on_line", "mu_table",
     "Matrix", "Vector", "format_rational", "parse_rational", "primitive",
     "LaurentSeries", "MultiSeries", "compose_linear", "compose_multivariate",
     "restrict_to_direction", "t2_series", "t_series", "todd_univariate",

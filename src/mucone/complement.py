@@ -37,7 +37,7 @@ class PsiSubspace:
     is a square invertible pairing, and solves for every pivot vector: u_j,
     the unique u in the subspace with <rays[i], u> = 1 if i = j, else 0, is
     numerators[j] / denominator (one positive denominator for all j).
-    `duals` reads them as Vectors.
+    `ComplementMap.solve_u` reads one as a Vector.
     """
 
     __slots__ = ("rays", "basis", "numerators", "denominator")
@@ -60,10 +60,6 @@ class PsiSubspace:
         g = gcd(d, *itertools.chain.from_iterable(nums)) * (1 if d > 0 else -1)
         self.numerators = tuple(tuple(x // g for x in u) for u in nums)
         self.denominator = d // g
-
-    @property
-    def duals(self) -> tuple[Vector, ...]:
-        return tuple(Vector([Fraction(x, self.denominator) for x in u]) for u in self.numerators)
 
 
 class ComplementMap:
@@ -88,10 +84,10 @@ class ComplementMap:
 
     def solve_u(self, rays: Sequence[Sequence], target: int) -> Vector:
         """The unique u in psi(rays) pairing to 1 with rays[target], 0 with the rest."""
-        duals = self.psi(rays).duals
-        if not 0 <= target < len(duals):
-            raise ValueError(f"target {target} out of range for {len(duals)} rays")
-        return duals[target]
+        sub = self.psi(rays)
+        if not 0 <= target < len(sub.numerators):
+            raise ValueError(f"target {target} out of range for {len(sub.numerators)} rays")
+        return Vector([Fraction(x, sub.denominator) for x in sub.numerators[target]])
 
     def key(self) -> tuple:
         raise NotImplementedError

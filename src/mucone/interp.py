@@ -40,13 +40,6 @@ from .series import LaurentSeries, MultiSeries, restrict_to_direction, todd_univ
 DEFAULT_ORDER = 6
 
 
-def pivot_vector(cone: Cone, cmap, subset, i: int) -> Vector:
-    """u with <w_i,u> = 1 and <w_j,u> = 0 for the other j in the subset."""
-    idx = sorted(subset)
-    rays = tuple(cone.generators[j] for j in idx)
-    return cmap.solve_u(rays, idx.index(i))
-
-
 class SquarefreeReducer:
     """The squarefree normal form of the Todd element, on lines, as commuting
     operators.
@@ -229,22 +222,21 @@ def _chains_between(lo: frozenset, hi: frozenset):
                 yield (lo,) + tail
 
 
-def _chain_terms(cone: Cone, cmap, S: frozenset, T: frozenset):
-    """(sign, denominator forms) for each chain from T to S.
+def _chain_terms(S: frozenset, T: frozenset):
+    """(sign, pivot keys) for each chain from T to S.
 
-    The forms of one chain are the |T| pivots of T itself plus, per step,
-    the pivots of the newly added positions inside the enlarged subset;
-    every term carries exactly |S| linear forms.
+    A key (subset, i) names the pivot of position i inside the subset, so
+    the terms are combinatorics of positions and a cone enters only through
+    the pivots the keys name.  A chain's keys are T's own |T| pivots plus,
+    per step, those of the newly added positions inside the enlarged
+    subset: |S| denominator forms per term.
     """
     out = []
     for chain in _chains_between(T, S):
-        r = len(chain) - 1
-        forms = [pivot_vector(cone, cmap, T, t) for t in sorted(T)]
-        for lvl in range(1, r + 1):
-            cur = chain[lvl]
-            for c in sorted(cur - chain[lvl - 1]):
-                forms.append(pivot_vector(cone, cmap, cur, c))
-        out.append((Fraction((-1) ** r), forms))
+        keys = [(T, t) for t in sorted(T)]
+        for lo, hi in zip(chain, chain[1:]):
+            keys += [(hi, c) for c in sorted(hi - lo)]
+        out.append(((-1) ** (len(chain) - 1), keys))
     return out
 
 
@@ -304,24 +296,34 @@ def _lattice(m: int, levels: int, shift: int) -> _Lattice:
 def _explicit_terms(cone: Cone, cmap):
     """The chain sum for the full subset, indexed for evaluation.
 
-    Returns (forms, groups): the entry tuples of the distinct pivot vectors,
-    and per subset T the pair (positions of T's own pivots, [(sign,
-    positions of the chain's denominator forms)]) over chains from T to
-    the full set.
+    Returns (forms, groups): psi's integer pivot (numerators, denominator)
+    per distinct pivot key, and per subset T the pair (positions of T's own
+    pivots, [(sign, positions of the chain's denominator forms)]) over
+    chains from T to the full set.  psi is read in the order the keys first
+    appear, so a failing map raises psi's error on the first subset read.
     """
     k = len(cone.generators)
     full = frozenset(range(k))
-    index: dict[Vector, int] = {}
+    index: dict[tuple[frozenset, int], int] = {}
+    forms = []
+
+    def at(key) -> int:
+        got = index.get(key)
+        if got is None:
+            idx = sorted(key[0])
+            sub = cmap.psi(tuple(cone.generators[j] for j in idx))
+            forms.append((sub.numerators[idx.index(key[1])], sub.denominator))
+            got = index[key] = len(index)
+        return got
+
     groups = []
     for size in range(k + 1):
         for T in combinations(range(k), size):
             T = frozenset(T)
-            pivots = [index.setdefault(pivot_vector(cone, cmap, T, i), len(index))
-                      for i in sorted(T)]
-            chains = [(int(sign), [index.setdefault(f, len(index)) for f in forms])
-                      for sign, forms in _chain_terms(cone, cmap, full, T)]
-            groups.append((pivots, chains))
-    return [v.entries for v in index], groups
+            groups.append(([at((T, i)) for i in sorted(T)],
+                           [(sign, [at(key) for key in keys])
+                            for sign, keys in _chain_terms(full, T)]))
+    return forms, groups
 
 
 @cache
@@ -331,22 +333,21 @@ def _todd_over_integers(cap: int) -> tuple[tuple[int, ...], int]:
     return tuple(tdn), d
 
 
-def _chain_sum_on_line(groups, values, k: int, order: int) -> list[Fraction]:
+def _chain_sum_on_line(groups, pq, k: int, order: int) -> list[Fraction]:
     """t^k times the chain sum on the line t*y, through t^(k + order).
 
-    values[j] = <form j, y>, all nonzero.  On the line each chain term is
-    sign * num_T(t) / (t^k prod <f,y>), so the sum is t^-k sum_T c_T num_T(t)
-    with c_T = sum over chains of sign / prod <f,y> and num_T(t) the
-    product of td(<u,y> t) over T's pivots u.  Where mu is a power series,
-    the coefficients of t^0..t^(k-1) cancel and the t^(k+r) coefficient is
-    p_r(y), the degree-r part of mu at y.
+    pq[j] = (p, q), q > 0, with <form j, y> = p/q nonzero.  On the line
+    each chain term is sign * num_T(t) / (t^k prod <f,y>), so the sum is
+    t^-k sum_T c_T num_T(t) with c_T = sum over chains of sign / prod <f,y>
+    and num_T(t) the product of td(<u,y> t) over T's pivots u.  Where mu is
+    a power series, the coefficients of t^0..t^(k-1) cancel and the
+    t^(k+r) coefficient is p_r(y), the degree-r part of mu at y.
 
     The products run in integers: with <u,y> = p/q, d*q^cap * td(<u,y> t)
     has the integer coefficients (d td_m) p^m q^(cap-m).
     """
     cap = k + order
     tdn, d = _todd_over_integers(cap)
-    pq = [(v.numerator, v.denominator) for v in values]
     total, total_den = [0] * (cap + 1), 1
     for pivots, chains in groups:
         c, den = 0, 1  # c_T = c / den
@@ -381,18 +382,17 @@ def _chain_sum_on_line(groups, values, k: int, order: int) -> list[Fraction]:
 
 
 def _nodes(forms, m: int, levels: int):
-    """The lattice with the least shift = 1, 2, ... on which no form vanishes,
-    and the forms' values at each of its points y = (1, x).  Terminates: a
-    form that vanishes at a node for infinitely many shifts is zero."""
-    scaled = [cleared(f) for f in forms]
+    """The lattice with the least shift = 1, 2, ... on which no form
+    (numerators, q) vanishes, and the forms' values at each of its points
+    y = (1, x) as integer pairs (p, q) for p/q.  Terminates: a form that
+    vanishes at a node for infinitely many shifts is zero."""
     shift = 1
     while True:
         lattice = _lattice(m, levels, shift)
-        rows = [[f[0] + sum(a * b for a, b in zip(f[1:], x)) for f, _ in scaled]
+        rows = [[(u[0] + sum(a * b for a, b in zip(u[1:], x)), q) for u, q in forms]
                 for x in lattice.coords]
-        if all(all(row) for row in rows):
-            return lattice, [[Fraction(v, den) for v, (_, den) in zip(row, scaled)]
-                             for row in rows]
+        if all(p for row in rows for p, _ in row):
+            return lattice, rows
         shift += 1
 
 
@@ -425,7 +425,7 @@ def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
     lattice, rows = _nodes(forms, n - 1, order + 1)
     values = [taylor(row) for row in rows]
     if n == 1:
-        second = taylor([2 * v for v in rows[0]])
+        second = taylor([(2 * p, q) for p, q in rows[0]])
         if any(b != a * 2 ** r for r, (a, b) in enumerate(zip(values[0], second))):
             fail("chain sum is not homogeneous on the line")
     series = _interpolate(lattice, values, order, lambda r: fail(

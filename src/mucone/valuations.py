@@ -157,7 +157,8 @@ def i_face_series(f: Face, y0, q: int) -> LaurentSeries:
 
 
 def count_breakdown(p: Polytope, cmap, order: int = 0):
-    """(total, rows): per-face (face, mu0, normalized volume) and their sum."""
+    """(total, rows): per-face (face, mu0, normalized volume) and their sum,
+    an int; NonIntegerResultError when the sum is not an integer."""
     table = mu_table(p, cmap, order)
     total = Fraction(0)
     rows = []
@@ -165,16 +166,15 @@ def count_breakdown(p: Polytope, cmap, order: int = 0):
         vol = normalized_volume(f)
         rows.append((f, v.mu0, vol))
         total += v.mu0 * vol
-    return total, rows
+    if total.denominator != 1:
+        raise NonIntegerResultError(
+            f"local count {total} of {p.name} is not an integer")
+    return int(total), rows
 
 
 def count_via_local_formula(p: Polytope, cmap, order: int = 0) -> int:
     """Lattice-point count as sum over faces of mu0 times normalized volume."""
-    total, _ = count_breakdown(p, cmap, order)
-    if total.denominator != 1:
-        raise NonIntegerResultError(
-            f"local count {total} of {p.name} is not an integer")
-    return int(total)
+    return count_breakdown(p, cmap, order)[0]
 
 
 # -- identity verification ----------------------------------------------------

@@ -14,7 +14,9 @@ D-expansion is a plain dict from exponent tuples to coefficients
 (Fractions or MultiSeries).  Also here: the star step and the lattice
 index by linear solves and the Hermite normal form, the half-open
 parallelepiped's lattice points in a saturation basis, the complement
-map's pivot vectors by way of a span basis, the line-restricted mu cell
+map's pivot vectors by way of a span basis, one pivot as a Vector by
+ComplementMap.solve_u and the chain terms' pivot keys read as such
+Vectors, the line-restricted mu cell
 by cell, the reduced row echelon form by Gauss-Jordan over fractions,
 dual rows by a scan of minors, a rational span and kernel basis,
 coordinates in a basis by a linear solve, cone membership, a matrix
@@ -53,7 +55,6 @@ from mucone.interp import (
     _chain_terms,
     _lattice,
     mu_on_line,
-    pivot_vector,
 )
 from mucone.linalg import (
     Matrix,
@@ -326,6 +327,20 @@ def span_route_duals(cmap, rays) -> list[Vector]:
             for j in range(k)]
 
 
+def pivot_vector(cone: Cone, cmap, subset, i: int) -> Vector:
+    """u with <w_i,u> = 1 and <w_j,u> = 0 for the other j in the subset, as a
+    Vector read through ComplementMap.solve_u."""
+    idx = sorted(subset)
+    return cmap.solve_u(tuple(cone.generators[j] for j in idx), idx.index(i))
+
+
+def chain_forms(cone: Cone, cmap, S, T) -> list[tuple[int, list[Vector]]]:
+    """The chain terms from T to S with each pivot key (subset, i) read as
+    its pivot Vector: (sign, denominator forms) per chain."""
+    return [(sign, [pivot_vector(cone, cmap, s, i) for s, i in keys])
+            for sign, keys in _chain_terms(frozenset(S), frozenset(T))]
+
+
 def mu_on_line_cell_by_cell(cone: Cone, cmap, line: Vector,
                             order: int = DEFAULT_ORDER) -> LaurentSeries:
     """mu_on_line of each basic cell of the cone on its own, summed in the
@@ -578,7 +593,7 @@ def chain_sum(cone: Cone, cmap, S, T, order: int = DEFAULT_ORDER) -> RationalFun
     k = len(cone.generators)
     if not (T <= S <= frozenset(range(k))):
         raise ValueError("need T <= S <= generator positions")
-    raw = _chain_terms(cone, cmap, S, T)
+    raw = chain_forms(cone, cmap, S, T)
     bound = order + len(denominator_union(forms for _, forms in raw))
     terms = [RationalFunctionTerm(MultiSeries.constant(sign, cone.ambient, bound), forms)
              for sign, forms in raw]
@@ -597,7 +612,7 @@ def mu_explicit_combined(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValu
     for size in range(k + 1):
         for T in combinations(range(k), size):
             T = frozenset(T)
-            for sign, forms in _chain_terms(cone, cmap, full, T):
+            for sign, forms in chain_forms(cone, cmap, full, T):
                 raw.append((T, sign, forms))
     target = order + len(denominator_union(forms for _, _, forms in raw))
     tdc = todd_univariate(target)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
-from mucone import cli, interp
-from mucone.errors import InternalInconsistencyError
+from mucone import cli, interp, valuations
+from mucone.complement import standard_inner_product
+from mucone.errors import InternalInconsistencyError, NonIntegerResultError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -448,6 +450,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "mu_table", boom)
         code, _, _ = run_cli(capsys, "mu", "--input", triangle2)
         assert code == 4
+
+    def test_non_integer_count_exits_4(self, capsys, tmp_path, monkeypatch):
+        # a point of volume 1/2 has local count 1/2: the library raises, and
+        # the CLI reports that as a bug
+        monkeypatch.setattr(valuations, "normalized_volume", lambda face: Fraction(1, 2))
+        path = write_json(tmp_path / "pt.json", {"vertices": [[3, 4]], "name": "pt"})
+        with pytest.raises(NonIntegerResultError, match="local count 1/2 of pt is not"):
+            valuations.count_via_local_formula(cli.load_input(path), standard_inner_product(2))
+        code, out, err = run_cli(capsys, "count", "--input", path)
+        assert (code, out) == (4, "")
+        assert err == "internal inconsistency: local count 1/2 of pt is not an integer\n"
 
 
 # random JSON: ints, rational strings, bools and null, nested in lists, and

@@ -79,9 +79,10 @@ class TestInnerProduct:
         sub = m.psi(rays)
         assert sub.denominator > 0
         assert all(isinstance(x, int) for u in sub.numerators for x in u)
-        assert sub.duals == tuple(m.solve_u(rays, j) for j in range(2))
-        for j, u in enumerate(sub.duals):
-            assert [w.dot(u) for w in rays] == [int(i == j) for i in range(2)]
+        for j, u in enumerate(sub.numerators):
+            got = m.solve_u(rays, j)
+            assert got == Vector([Fraction(x, sub.denominator) for x in u])
+            assert [w.dot(got) for w in rays] == [int(i == j) for i in range(2)]
 
     def test_solve_u_singleton_formula(self):
         m = standard_inner_product(2)

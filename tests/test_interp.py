@@ -37,7 +37,6 @@ from mucone.interp import (
     mu_explicit,
     mu_on_line,
     mu_table,
-    pivot_vector,
 )
 from mucone.linalg import Matrix, Vector
 from mucone.series import (
@@ -64,6 +63,7 @@ from oracles import (
     mu_explicit_combined,
     mu_on_line_cell_by_cell,
     normal_form,
+    pivot_vector,
     psi_failures,
     row,
     td_element,
@@ -709,13 +709,12 @@ CONE3 = Cone([V(2, 1, 0), V(1, 1, 0), V(3, 2, 1)])
 BY_K = {2: (SLANT, IP2), 3: (CONE3, IP3)}  # a k-generator cone and its map
 
 
-def _chain_positions(cone, cmap):
+def _chain_positions(k):
     """(T, chain index) for every chain of the full-subset chain sum."""
-    k = len(cone.generators)
     full = frozenset(range(k))
     return [(frozenset(T), i)
             for size in range(k + 1) for T in combinations(range(k), size)
-            for i in range(len(interp._chain_terms(cone, cmap, full, frozenset(T))))]
+            for i in range(len(interp._chain_terms(full, frozenset(T))))]
 
 
 class TestExplicitChecks:
@@ -725,11 +724,11 @@ class TestExplicitChecks:
     def test_one_flipped_chain_raises(self, monkeypatch, k):
         cone, cmap = BY_K[k]
         real = interp._chain_terms
-        positions = _chain_positions(cone, cmap)
+        positions = _chain_positions(k)
         assert len(positions) == {2: 6, 3: 26}[k]
         for flip_T, flip_i in positions:
-            def flipped(cone_, cmap_, S, T, flip_T=flip_T, flip_i=flip_i):
-                out = real(cone_, cmap_, S, T)
+            def flipped(S, T, flip_T=flip_T, flip_i=flip_i):
+                out = real(S, T)
                 if T == flip_T:
                     sign, forms = out[flip_i]
                     out[flip_i] = (-sign, forms)

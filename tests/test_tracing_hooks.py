@@ -2,17 +2,19 @@
 
 bench/tracing.py wraps functions and methods of mucone by name, and the
 workloads read `m.<module>.<name>` off a fresh import; a rename in the
-library would otherwise only show up when the benchmark is run.
+library would otherwise only show up when the benchmark is run.  The
+benchmark's own tests import mucone afresh, replacing the `mucone*` entries
+of sys.modules, so these tests read the package that sys.modules holds
+when each test runs.
 """
 
+import importlib
 import importlib.util
 import re
 import sys
 from pathlib import Path
 
 import pytest
-
-import mucone
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -25,18 +27,24 @@ def _tracing():
     return module
 
 
-def test_functions_resolve():
+@pytest.fixture
+def mucone():
+    """The mucone package as sys.modules holds it now."""
+    return importlib.import_module("mucone")
+
+
+def test_functions_resolve(mucone):
     for mod_name, attr, _, _ in _tracing().FUNCTIONS:
         assert callable(getattr(getattr(mucone, mod_name), attr)), (mod_name, attr)
 
 
-def test_methods_defined_on_their_class():
+def test_methods_defined_on_their_class(mucone):
     for mod_name, cls_name, meth, _, _ in _tracing().METHODS:
         cls = getattr(getattr(mucone, mod_name), cls_name)
         assert meth in cls.__dict__, (cls_name, meth)
 
 
-def test_bench_names_resolve():
+def test_bench_names_resolve(mucone):
     # bench/workloads.py binds the package as m.pkg and each module as m.<module>
     names = {(mod, attr) for path in sorted(BENCH.glob("*.py"))
              for mod, attr in re.findall(r"\bm\.(\w+)\.(\w+)", path.read_text())}
@@ -46,12 +54,12 @@ def test_bench_names_resolve():
         assert hasattr(owner, attr), (mod, attr)
 
 
-def test_mu_cache_exists():
+def test_mu_cache_exists(mucone):
     assert isinstance(mucone.interp._MU_CACHE, dict)
 
 
 @pytest.fixture
-def tracer(monkeypatch):
+def tracer(monkeypatch, mucone):
     """The benchmark's Tracer installed on the imported package; every
     attribute install replaces is restored after the test."""
     tracing = _tracing()
@@ -68,7 +76,7 @@ def tracer(monkeypatch):
     return t
 
 
-def test_tracer_sees_the_normal_fan_and_mu_cache_hits(tracer):
+def test_tracer_sees_the_normal_fan_and_mu_cache_hits(tracer, mucone):
     # the fan and the basic cells are built behind cached properties, which
     # must still call the module-level functions the tracer wraps
     p = mucone.geometry.Polytope([(0, 0), (1, 0), (1, 2)])
@@ -87,20 +95,16 @@ def test_tracer_sees_the_normal_fan_and_mu_cache_hits(tracer):
     assert values["interp.mu_cache_hit_ratio"] > 0
 
 
-def test_pivot_vector_goes_through_solve_u(monkeypatch):
-    # the tracer's complement.solve_u_* metrics time this method and read
+def test_tracer_reads_a_direct_solve_u_call(tracer, mucone):
+    # the tracer's complement.solve_u_* metrics time this method and key
     # its positional (cmap, rays, target) arguments
-    calls = []
-    real = mucone.complement.ComplementMap.solve_u
-
-    def counting(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(mucone.complement.ComplementMap, "solve_u", counting)
     V = mucone.linalg.Vector
-    cone = mucone.geometry.Cone([V([1, 0]), V([1, 2])])
     cmap = mucone.complement.standard_inner_product(2)
-    u = mucone.interp.pivot_vector(cone, cmap, (1, 0), 1)
-    assert calls == [((cmap, tuple(cone.generators), 1), {})]
-    assert u == real(cmap, tuple(cone.generators), 1)
+    rays = (V([1, 0]), V([1, 2]))
+    u = cmap.solve_u(rays, 1)
+    assert [w.dot(u) for w in rays] == [0, 1]
+    cmap.solve_u(rays, 1)
+    values = tracer.metrics(0.0)
+    assert values["complement.solve_u_calls"] == 2
+    assert values["complement.solve_u_distinct"] == 1
+    assert tracer._solve_u_keys == {(id(cmap), rays, 1)}

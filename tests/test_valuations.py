@@ -3,8 +3,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mucone import geometry
 from mucone.complement import (
@@ -445,3 +448,36 @@ class TestEhrhart:
             inside = [x for x in points if all(dot(a, x) > b for a, b, _ in facets)]
             assert sum(ck * t ** k for k, ck in enumerate(c)) == len(points), (p, t)
             assert sum(ck * (-t) ** k for k, ck in enumerate(c)) == (-1) ** n * len(inside), (p, t)
+
+
+@st.composite
+def polytopes_under_gram_maps(draw, dims):
+    """A full-dimensional lattice polytope in R^n, n drawn from dims, the
+    hull of a few points with coordinates in [-1, 2], and a random
+    positive-definite Gram map B^T B + I with B's entries in [-2, 2]."""
+    n = draw(st.sampled_from(dims))
+    pts = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * n),
+                        min_size=n + 1, max_size=n + 3, unique=True))
+    pts = [x for i, x in enumerate(pts) if not in_convex_hull(x, pts[:i] + pts[i + 1:])]
+    p = Polytope(pts)
+    assume(p.is_full_dimensional)
+    b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    gram = [[sum(r[i] * r[j] for r in b) + (i == j) for j in range(n)] for i in range(n)]
+    return p, InnerProductMap(Matrix(gram))
+
+
+class TestRandomPolytopes:
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(polytopes_under_gram_maps((2, 3)))
+    def test_local_count_equals_brute_force(self, case):
+        # brute force: every point of the bounding box, by in_convex_hull
+        p, cmap = case
+        box = product(*(range(min(c), max(c) + 1) for c in zip(*p.vertices)))
+        assert count_via_local_formula(p, cmap) == sum(in_convex_hull(x, p.vertices) for x in box)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(polytopes_under_gram_maps((1, 2)))
+    def test_verify_interpolator_passes(self, case):
+        p, cmap = case
+        report = verify_interpolator(p, cmap, order=p.dim + 2)
+        assert report.passed and report.achieved == report.q == 2
