@@ -569,11 +569,12 @@ class TestMuBasic:
                 _check_against_reference(_outcome(lambda: mu_basic(cone, cmap, order, po).series),
                                          want, failures)
 
-    def test_corpus_digest(self):
-        # mu_basic's series over the criterion-4 pairs, pinned byte for byte
+    @pytest.mark.parametrize("route", [mu_basic, mu_explicit], ids=lambda f: f.__name__)
+    def test_corpus_digest(self, route):
+        # both routes' series over the criterion-4 pairs, pinned byte for byte
         digest = hashlib.sha256()
         for c, m in _criterion_4_pairs():
-            digest.update(json.dumps(mu_basic(c, m, 5).series.to_json(), sort_keys=True).encode())
+            digest.update(json.dumps(route(c, m, 5).series.to_json(), sort_keys=True).encode())
         assert digest.hexdigest() == (
             "a724fc991f801186551af05a28a98806d65827b13e48f2c37dad50502f88a5ab")
 
