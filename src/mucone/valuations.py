@@ -292,13 +292,7 @@ def _half_open_cone_series(apex: tuple[int, ...], cell: Cone, open_facets, y0: V
         c = y0.dot(b)
         if c == 0:
             raise DirectionDegenerateError(f"direction annihilates ray {b}")
-        # 1 - e^{-tc} = sum_{r>=1} -(-c)^r/r! t^r
-        coeffs = [Fraction(0)]
-        term = Fraction(1)
-        for r in range(1, pad + 1):
-            term = term * (-c) / r
-            coeffs.append(-term)
-        geom = LaurentSeries.from_taylor(coeffs, pad).inverse()
+        geom = (LaurentSeries.from_taylor([1], pad) - LaurentSeries.exp_taylor(-c, pad)).inverse()
         if i in open_facets:
             geom = geom * LaurentSeries.exp_taylor(-c, pad)
         total = total * geom
