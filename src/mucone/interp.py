@@ -11,7 +11,9 @@ D_i is a linear map M_i on the squarefree monomials.  The normal form is
 unique, so the M_i commute, and the Todd element's form is
 Td(M_1)...Td(M_k) applied to 1.  mu is the coefficient of the full product
 D_1...D_k in it, and is computed a second, independent way from an
-explicit alternating sum over chains of subsets.
+explicit alternating sum over chains of subsets, run as a recursion over
+subsets.  Both routes read psi in one order, _subsets, and raise its first
+failure in it.
 
 Grading: with each D_i and each coordinate v_i of degree 1 the relation
 is homogeneous, so the coefficient of D_S in the normal form of D^e is a
@@ -66,11 +68,10 @@ class SquarefreeReducer:
         if sorted(self.pivot_order) != list(range(k)):
             raise ValueError("pivot_order must permute the generator positions")
         self._rewrites = {}
-        subsets = [frozenset(s) for m in range(1, k + 1) for s in combinations(range(k), m)]
         self._cells = []  # (rays, psi per subset, m)
         for cell in cells:
             rays, subs = cell.generators, {}
-            for s in subsets:
+            for s in _subsets(k):
                 try:
                     subs[s] = cmap.psi(tuple(rays[j] for j in sorted(s)))
                 except (NotGenericError, UnknownRayError):
@@ -155,6 +156,13 @@ def _bump(out: dict, key, c: list):
     out[key] = c if got is None else [x + y for x, y in zip(got, c)]
 
 
+@cache
+def _subsets(k: int) -> tuple[frozenset[int], ...]:
+    """The nonempty subsets of range(k) by size, then by subset: the order
+    both mu routes read psi in, so both raise psi's first failure in it."""
+    return tuple(frozenset(s) for m in range(1, k + 1) for s in combinations(range(k), m))
+
+
 class MuValue:
     """A computed local coefficient with its provenance."""
 
@@ -208,36 +216,6 @@ def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER, pivot_order=None) -> 
 
 
 # -- explicit chain-sum route ------------------------------------------------
-
-
-def _chains_between(lo: frozenset, hi: frozenset):
-    """Strictly increasing subset chains from lo to hi, inclusive ends."""
-    if lo == hi:
-        yield (lo,)
-        return
-    rest = sorted(hi - lo)
-    for r in range(1, len(rest) + 1):
-        for extra in combinations(rest, r):
-            for tail in _chains_between(lo | frozenset(extra), hi):
-                yield (lo,) + tail
-
-
-def _chain_terms(S: frozenset, T: frozenset):
-    """(sign, pivot keys) for each chain from T to S.
-
-    A key (subset, i) names the pivot of position i inside the subset, so
-    the terms are combinatorics of positions and a cone enters only through
-    the pivots the keys name.  A chain's keys are T's own |T| pivots plus,
-    per step, those of the newly added positions inside the enlarged
-    subset: |S| denominator forms per term.
-    """
-    out = []
-    for chain in _chains_between(T, S):
-        keys = [(T, t) for t in sorted(T)]
-        for lo, hi in zip(chain, chain[1:]):
-            keys += [(hi, c) for c in sorted(hi - lo)]
-        out.append(((-1) ** (len(chain) - 1), keys))
-    return out
 
 
 class _Lattice:
@@ -294,36 +272,27 @@ def _lattice(m: int, levels: int, shift: int) -> _Lattice:
 
 
 def _explicit_terms(cone: Cone, cmap):
-    """The chain sum for the full subset, indexed for evaluation.
+    """The chain sum for the full subset as a recursion over subsets.
 
-    Returns (forms, groups): psi's integer pivot (numerators, denominator)
-    per distinct pivot key, and per subset T the pair (positions of T's own
-    pivots, [(sign, positions of the chain's denominator forms)]) over
-    chains from T to the full set.  psi is read in the order the keys first
-    appear, so a failing map raises psi's error on the first subset read.
+    Over the subsets T in the order of the empty set, then _subsets(k),
+    returns (forms, own, steps): psi's integer pivot (numerators,
+    denominator) per subset and position, read subset by subset in that
+    order, so a failing map raises psi's error on the first failing subset;
+    per T, the positions in forms of T's own pivots; and per T, one step
+    (index of T', positions of the pivots of T' - T inside T') for each T'
+    strictly containing T.  The full set comes last and has no steps.
     """
-    k = len(cone.generators)
-    full = frozenset(range(k))
-    index: dict[tuple[frozenset, int], int] = {}
-    forms = []
-
-    def at(key) -> int:
-        got = index.get(key)
-        if got is None:
-            idx = sorted(key[0])
-            sub = cmap.psi(tuple(cone.generators[j] for j in idx))
-            forms.append((sub.numerators[idx.index(key[1])], sub.denominator))
-            got = index[key] = len(index)
-        return got
-
-    groups = []
-    for size in range(k + 1):
-        for T in combinations(range(k), size):
-            T = frozenset(T)
-            groups.append(([at((T, i)) for i in sorted(T)],
-                           [(sign, [at(key) for key in keys])
-                            for sign, keys in _chain_terms(full, T)]))
-    return forms, groups
+    gens, subsets = cone.generators, (frozenset(),) + _subsets(len(cone.generators))
+    forms, own = [], []
+    for T in subsets:
+        idx = sorted(T)
+        own.append({t: len(forms) + n for n, t in enumerate(idx)})
+        if idx:
+            sub = cmap.psi(tuple(gens[j] for j in idx))
+            forms += [(u, sub.denominator) for u in sub.numerators]
+    steps = [[(j, [own[j][c] for c in sorted(hi - lo)]) for j, hi in enumerate(subsets) if lo < hi]
+             for lo in subsets]
+    return forms, [list(o.values()) for o in own], steps
 
 
 @cache
@@ -333,33 +302,44 @@ def _todd_over_integers(cap: int) -> tuple[tuple[int, ...], int]:
     return tuple(tdn), d
 
 
-def _chain_sum_on_line(groups, pq, k: int, order: int) -> list[Fraction]:
+def _chain_sum_on_line(own, steps, pq, k: int, order: int) -> list[Fraction]:
     """t^k times the chain sum on the line t*y, through t^(k + order).
 
-    pq[j] = (p, q), q > 0, with <form j, y> = p/q nonzero.  On the line
-    each chain term is sign * num_T(t) / (t^k prod <f,y>), so the sum is
-    t^-k sum_T c_T num_T(t) with c_T = sum over chains of sign / prod <f,y>
-    and num_T(t) the product of td(<u,y> t) over T's pivots u.  Where mu is
-    a power series, the coefficients of t^0..t^(k-1) cancel and the
-    t^(k+r) coefficient is p_r(y), the degree-r part of mu at y.
+    pq[j] = (p, q), q > 0, with <form j, y> = p/q nonzero.  Splitting each
+    chain from T to the full set S at its first step T < T' gives T's chain
+    sum without T's own forms as g_S = 1 and
+    g_T = -sum over T' of g_T' / prod_(c in T' - T) <u_(T',c), y>,
+    so the chain sum over T is c_T = g_T / prod_(t in T) <u_(T,t), y>.  On
+    the line the whole sum is t^-k sum_T c_T num_T(t), num_T(t) the product
+    of td(<u,y> t) over T's pivots u.  Where mu is a power series, the
+    coefficients of t^0..t^(k-1) cancel and the t^(k+r) coefficient is
+    p_r(y), the degree-r part of mu at y.
 
-    The products run in integers: with <u,y> = p/q, d*q^cap * td(<u,y> t)
-    has the integer coefficients (d td_m) p^m q^(cap-m).
+    g runs on integer pairs, one gcd per T.  The products run in integers:
+    with <u,y> = p/q, d*q^cap * td(<u,y> t) has the integer coefficients
+    (d td_m) p^m q^(cap-m).
     """
     cap = k + order
     tdn, d = _todd_over_integers(cap)
     total, total_den = [0] * (cap + 1), 1
-    for pivots, chains in groups:
-        c, den = 0, 1  # c_T = c / den
-        for sign, forms in chains:
-            p = prod(pq[j][0] for j in forms)
-            c = c * p + sign * prod(pq[j][1] for j in forms) * den
-            den *= p
-        if not c:
+    last = len(own) - 1
+    g = [None] * last + [(1, 1)]  # g_S
+    for t in reversed(range(len(own))):
+        if t < last:  # g_T = -a / b
+            a, b = 0, 1
+            for j, forms in steps[t]:
+                x, y = g[j]
+                if x:
+                    p = y * prod(pq[f][0] for f in forms)
+                    a = a * p + x * prod(pq[f][1] for f in forms) * b
+                    b *= p
+            r = gcd(a, b)
+            g[t] = (-a // r, b // r)
+        a, b = g[t]
+        if not a:
             continue
-        g = gcd(c, den)
-        num, den = [c // g], den // g
-        for j in pivots:
+        num, den = [a * prod(pq[j][1] for j in own[t])], b * prod(pq[j][0] for j in own[t])
+        for j in own[t]:
             p, q = pq[j]
             factor, pm, qm = [], 1, q ** cap
             for m in range(cap + 1):
@@ -374,7 +354,7 @@ def _chain_sum_on_line(groups, pq, k: int, order: int) -> list[Fraction]:
             num = out
             den *= d * q ** cap
         common = lcm(total_den, den)
-        total = [a * (common // total_den) for a in total]
+        total = [v * (common // total_den) for v in total]
         for i, x in enumerate(num):
             total[i] += x * (common // den)
         total_den = common
@@ -398,7 +378,8 @@ def _nodes(forms, m: int, levels: int):
 
 def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
     """mu assembled from the closed chain-sum formula: sum over subsets T of
-    td(pivots of T) times the alternating chain sum from T to the full set.
+    td(pivots of T) times the alternating chain sum from T to the full set,
+    the chains summed by splitting each at its first step (_chain_sum_on_line).
 
     The degree-r part p_r of mu is a homogeneous polynomial.  The chain sum
     is evaluated on lines t*y with y = (1, x) at the points x of a
@@ -410,14 +391,14 @@ def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
     """
     k = len(cone.generators)
     n = cone.ambient
-    forms, groups = _explicit_terms(cone, cmap)
+    forms, own, steps = _explicit_terms(cone, cmap)
 
     def fail(what: str):
         raise InconsistentExplicitFormulaError(
             f"{what}: cone={cone!r} map={cmap.describe()}")
 
     def taylor(row):
-        line = _chain_sum_on_line(groups, row, k, order)
+        line = _chain_sum_on_line(own, steps, row, k, order)
         if any(line[:k]):
             fail("chain sum has a pole on a line")
         return line[k:]

@@ -8,6 +8,8 @@ of MultiSeries coefficients (FullRingReducer, the reference the library's
 integer reduction on lines is checked against at the nodes of an
 interpolation lattice, and which normal_form extends to a whole D-expansion
 by linearity), psi's error on each failing generator subset, the
+strictly increasing subset chains and their pivot keys (the library sums
+the chains by a recursion over subsets and never lists them), the
 alternating chain sum for one subset pair, and the whole chain-sum mu as
 multivariate rational functions over one common denominator.  A
 D-expansion is a plain dict from exponent tuples to coefficients
@@ -52,7 +54,6 @@ from mucone.interp import (
     DEFAULT_ORDER,
     MuValue,
     SquarefreeReducer,
-    _chain_terms,
     _lattice,
     mu_on_line,
 )
@@ -332,6 +333,36 @@ def pivot_vector(cone: Cone, cmap, subset, i: int) -> Vector:
     Vector read through ComplementMap.solve_u."""
     idx = sorted(subset)
     return cmap.solve_u(tuple(cone.generators[j] for j in idx), idx.index(i))
+
+
+def _chains_between(lo: frozenset, hi: frozenset):
+    """Strictly increasing subset chains from lo to hi, inclusive ends."""
+    if lo == hi:
+        yield (lo,)
+        return
+    rest = sorted(hi - lo)
+    for r in range(1, len(rest) + 1):
+        for extra in combinations(rest, r):
+            for tail in _chains_between(lo | frozenset(extra), hi):
+                yield (lo,) + tail
+
+
+def _chain_terms(S: frozenset, T: frozenset):
+    """(sign, pivot keys) for each chain from T to S.
+
+    A key (subset, i) names the pivot of position i inside the subset, so
+    the terms are combinatorics of positions and a cone enters only through
+    the pivots the keys name.  A chain's keys are T's own |T| pivots plus,
+    per step, those of the newly added positions inside the enlarged
+    subset: |S| denominator forms per term.
+    """
+    out = []
+    for chain in _chains_between(T, S):
+        keys = [(T, t) for t in sorted(T)]
+        for lo, hi in zip(chain, chain[1:]):
+            keys += [(hi, c) for c in sorted(hi - lo)]
+        out.append(((-1) ** (len(chain) - 1), keys))
+    return out
 
 
 def chain_forms(cone: Cone, cmap, S, T) -> list[tuple[int, list[Vector]]]:

@@ -705,40 +705,49 @@ class TestMuExplicit:
         c = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 1)])
         assert mu_basic(c, IP3, order=2).series == mu_explicit(c, IP3, order=2).series
 
+    def test_4_generators_fan_cones(self):
+        df = diaconis_fulton_map(4)
+        cones = [c for c in projective_fan_cones(4) if len(c.generators) == 4]
+        assert cones
+        for c in cones:
+            for order in (1, 2):
+                assert mu_explicit(c, df, order).series == mu_basic(c, df, order).series, c
+
+    def test_4_generators_gram(self):
+        c = Cone([V(1, 0, 0, 0), V(-1, 1, 0, 0), V(0, 2, 1, 0), V(1, 0, -1, 1)])
+        m = InnerProductMap(Matrix([[2, 1, 0, 0], [1, 3, 1, 0], [0, 1, 2, 1], [0, 0, 1, 3]]))
+        assert c.is_basic
+        for order in (1, 2):
+            assert mu_explicit(c, m, order).series == mu_basic(c, m, order).series
+
 
 CONE3 = Cone([V(2, 1, 0), V(1, 1, 0), V(3, 2, 1)])
 BY_K = {2: (SLANT, IP2), 3: (CONE3, IP3)}  # a k-generator cone and its map
-
-
-def _chain_positions(k):
-    """(T, chain index) for every chain of the full-subset chain sum."""
-    full = frozenset(range(k))
-    return [(frozenset(T), i)
-            for size in range(k + 1) for T in combinations(range(k), size)
-            for i in range(len(interp._chain_terms(full, frozenset(T))))]
 
 
 class TestExplicitChecks:
     """The exactness checks of the explicit route fire on broken input."""
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_one_flipped_chain_raises(self, monkeypatch, k):
+    def test_one_duplicated_step_raises(self, monkeypatch, k):
+        # a step counted twice adds g_T' / prod <u,y> once more to g_T, so
+        # the chain sum keeps a pole
         cone, cmap = BY_K[k]
-        real = interp._chain_terms
-        positions = _chain_positions(k)
-        assert len(positions) == {2: 6, 3: 26}[k]
-        for flip_T, flip_i in positions:
-            def flipped(S, T, flip_T=flip_T, flip_i=flip_i):
-                out = real(S, T)
-                if T == flip_T:
-                    sign, forms = out[flip_i]
-                    out[flip_i] = (-sign, forms)
-                return out
+        real = interp._explicit_terms
+        _, _, plan = real(cone, cmap)
+        where = [(t, i) for t, steps in enumerate(plan) for i in range(len(steps))]
+        assert len(where) == 3 ** k - 2 ** k
+        for t, i in where:
+            def doubled(*args, t=t, i=i):
+                forms, own, steps = real(*args)
+                steps = [list(s) for s in steps]
+                steps[t].append(steps[t][i])
+                return forms, own, steps
 
-            monkeypatch.setattr(interp, "_chain_terms", flipped)
+            monkeypatch.setattr(interp, "_explicit_terms", doubled)
             with pytest.raises(InconsistentExplicitFormulaError, match="pole"):
                 mu_explicit(cone, cmap, order=2)
-        monkeypatch.setattr(interp, "_chain_terms", real)
+        monkeypatch.setattr(interp, "_explicit_terms", real)
         assert mu_explicit(cone, cmap, order=2).series == mu_basic(cone, cmap, 2).series
 
     @staticmethod
@@ -807,35 +816,26 @@ class TestExplicitRoutes:
         for c, m in pairs:
             assert mu_explicit(c, m, 4).series == mu_explicit_combined(c, m, 4).series, (c, m)
 
-    @staticmethod
-    def _chain_key_subsets(k):
-        """The generator subsets in the order the full-subset chain sum first
-        reads their pivots: T by size, then by subset; T's own pivots, then
-        each chain's steps.  The chains from the empty set reach every
-        subset, {0} first, then {0, 1}, ..., the full one."""
-        full, seen = frozenset(range(k)), []
-        for size in range(k + 1):
-            for T in combinations(range(k), size):
-                for chain in interp._chains_between(frozenset(T), full):
-                    seen += [s for s in chain if s and s not in seen]
-        return seen
-
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(partial_map_cases().map(lambda case: case[:2]))
     @example((Cone([V(1, 0, 0), V(0, 1, 0)]), FlagMap([V(1, 0, 0), V(0, 0, 1), V(0, 1, 0)])))
-    def test_raises_psis_first_error_in_chain_key_order(self, case):
-        # flag maps and ray tables that lack rays: psi's own error on the
-        # first failing subset, else the reduction's series.  In the example
-        # {1} and {0, 1} fail; by size {1} would come first
+    def test_raises_psis_first_error_in_size_order(self, case):
+        # flag maps and ray tables that lack rays.  At orders >= 1 both routes
+        # read psi on every subset, so they give the same series or raise the
+        # same error.  At order 0 the explicit route still reads the full
+        # subset: psi's own error on the first failing subset by size, then
+        # by subset, else the reduction's series.  In the example {1} and
+        # {0, 1} fail, and {1} comes first
         cone, cmap = case
-        failures = [_outcome(lambda: cmap.psi(tuple(cone.generators[j] for j in sorted(s))))
-                    for s in self._chain_key_subsets(len(cone.generators))]
-        failures = [f for f in failures if isinstance(f, tuple)]
-        got = _outcome(lambda: mu_explicit(cone, cmap, 2).series)
+        for order in (1, 2, 3):
+            assert (_outcome(lambda: mu_explicit(cone, cmap, order).series)
+                    == _outcome(lambda: mu_basic(cone, cmap, order).series)), order
+        failures = psi_failures([cone], cmap, 1)
+        got = _outcome(lambda: mu_explicit(cone, cmap, 0).series)
         if failures:
             assert got == failures[0], (got, failures)
         else:
-            assert got == mu_basic(cone, cmap, 2).series
+            assert got == mu_basic(cone, cmap, 0).series
 
 
 class TestMu:
