@@ -328,10 +328,10 @@ def _chain_sum_on_line(own, steps, pq, k: int, order: int) -> list[Fraction]:
         if t < last:  # g_T = -a / b
             a, b = 0, 1
             for j, forms in steps[t]:
-                x, y = g[j]
-                if x:
-                    p = y * prod(pq[f][0] for f in forms)
-                    a = a * p + x * prod(pq[f][1] for f in forms) * b
+                ga, gb = g[j]
+                if ga:
+                    p = gb * prod(pq[f][0] for f in forms)
+                    a = a * p + ga * prod(pq[f][1] for f in forms) * b
                     b *= p
             r = gcd(a, b)
             g[t] = (-a // r, b // r)
