@@ -7,7 +7,9 @@ parallelepiped points ((1,1) for Cone((1,0),(1,2)); (1,2) then (1,1) for
 Cone((1,0),(1,3))).
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -39,6 +41,7 @@ from mucone.geometry import (
 from mucone.linalg import Matrix, Vector, cone_index, dot, dual_rows, saturation_basis
 from oracles import (cone_contains, dual_basis, matvec, saturation_index,
                      saturation_route_points, star_subdivision_cells)
+from test_acceptance import make_polytope_corpus
 
 
 def V(*xs):
@@ -211,6 +214,19 @@ class TestStarStep:
             for x in points:
                 by_rows = all(sum(a * b for a, b in zip(h, x)) >= 0 for h in rows)
                 assert by_rows == cone_contains(ch.generators, x), (ch, x)
+
+    def test_acceptance_corpus_cells_pinned(self):
+        # every normal cone's basic cells over the acceptance corpus, per face:
+        # face indices, then normal-cone generators, then cell generators
+        digest = hashlib.sha256()
+        for p in make_polytope_corpus():
+            for f, nc in p.normal_cones:
+                digest.update(json.dumps([
+                    sorted(f.indices), [[int(x) for x in g] for g in nc.generators],
+                    [[[int(x) for x in g] for g in c.generators] for c in nc.basic_cells],
+                ]).encode())
+        assert digest.hexdigest() == (
+            "3e730cd2a55d6888ea10bba015c3be17397550099ecc1af4983ea2a14accb1ab")
 
 
 @st.composite

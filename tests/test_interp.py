@@ -312,6 +312,19 @@ def multicell_partial_map_cases(draw):
     return cone, cmap, Vector([draw(st.integers(-2, 2)) for _ in range(n)])
 
 
+@st.composite
+def truncation_cases(draw):
+    """A case of multicell_partial_map_cases, its map swapped half the time
+    for a positive-definite Gram map."""
+    cone, cmap, line = draw(multicell_partial_map_cases())
+    if draw(st.booleans()):
+        n = cone.ambient
+        b = Matrix([[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)])
+        cmap = InnerProductMap(Matrix([[row(b, i).dot(row(b, j)) + int(i == j)
+                                        for j in range(n)] for i in range(n)]))
+    return cone, cmap, line
+
+
 def _outcome(route):
     try:
         return route()
@@ -368,6 +381,21 @@ class TestGradedRoute:
         for order in range(7):
             want = _outcome(lambda: mu_on_line_cell_by_cell(cone, cmap, line, order))
             assert _outcome(lambda: mu_on_line(cone, cmap, line, order)) == want
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(truncation_cases())
+    def test_lower_order_is_a_truncation(self, case):
+        # no M_i lowers the t-degree, so reducing through q >= 1 gives the
+        # first q + 1 coefficients of the reduction through a higher order,
+        # and reads the same psi subsets in the same order: the same error
+        cone, cmap, line = case
+        order = 6
+        full = _outcome(lambda: mu_on_line(cone, cmap, line, order))
+        for q in range(1, order + 1):
+            want = full
+            if isinstance(full, LaurentSeries):
+                want = LaurentSeries.from_taylor([full.coefficient(r) for r in range(q + 1)], q)
+            assert _outcome(lambda: mu_on_line(cone, cmap, line, q)) == want
 
     def test_batch_raises_the_first_failing_cells_error(self):
         # a later cell needs the ray (1, 1), which the table lacks; the first
@@ -843,6 +871,16 @@ class TestMu:
         v = mu(SLANT, IP2, order=3, cross_validate=True)
         assert v.provenance == "reduction"
         assert v.mu0 == Fraction(3, 8)
+
+    def test_cross_validate_needs_the_full_subsets_psi_at_order_0(self):
+        # at order 0 the reduction never reads the full subset's psi, but the
+        # explicit route needs its pivots, so the cross-check is refused
+        cone = Cone([V(1, 0, 0), V(0, 1, 0)])
+        cmap = FlagMap([V(-1, -1, -1), V(-1, -1, 0), V(-1, 0, -1)])
+        assert mu_basic(cone, cmap, 0).mu0 == Fraction(1, 12)
+        assert mu(cone, cmap, 0).mu0 == Fraction(1, 12)
+        with pytest.raises(NotGenericError, match="does not pair invertibly with the rays"):
+            mu(cone, cmap, 0, cross_validate=True)
 
     def test_additivity_split(self):
         # additive over the top cells of a subdivision, no boundary correction

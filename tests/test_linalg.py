@@ -15,6 +15,7 @@ from mucone.linalg import (
     Vector,
     cleared,
     cone_index,
+    dot,
     dual_rows,
     eliminate,
     format_rational,
@@ -284,6 +285,15 @@ def test_dual_rows_matches_minor_scan(data):
         assert d > 0
         assert [[Vector(h).dot(g) for g in gens] for h in got] == [
             [d if i == j else 0 for j in range(k)] for i in range(k)]
+
+
+def test_dot():
+    assert dot((1, -2, 3), (4, 5, 6)) == 12
+    assert dot((), ()) == 0
+    assert dot([Fraction(1, 2), 1], (3, Fraction(1, 3))) == Fraction(11, 6)
+    for a, b in [((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (1,))]:
+        with pytest.raises(ValueError):
+            dot(a, b)
 
 
 def test_primitive():
