@@ -383,50 +383,48 @@ def subdivide_to_basic(cone: Cone) -> Subdivision:
     """Subdivide a pointed cone into basic (unimodular simplicial) cones.
 
     First a pulling triangulation of the extreme rays, then repeated star
-    subdivisions at the minimal-coefficient-sum lattice point of the
+    subdivisions at the minimal-coefficient-sum lattice point w of the
     half-open parallelepiped of some non-basic cell. The star step is
-    applied fan-wide (every cell containing the point splits), which keeps
-    the subdivision face-to-face; each affected cell's index strictly
-    drops, so the loop terminates. Each cell's dual rows are computed when
-    it appears; their pairings with the point decide containment.
+    applied fan-wide (every cell containing w splits), which keeps the
+    subdivision face-to-face; each affected cell's index strictly drops,
+    so the loop terminates. Containment is decided by ray sets: w lies in
+    the relative interior of the victim's face spanned by the rays tau
+    with a positive coefficient, so in a face-to-face fan the cells that
+    contain w are those whose rays include tau, and tau are exactly their
+    positively weighted rays.
     """
     if cone.is_zero or cone.is_basic:
         return Subdivision(cone, [cone])
 
     rays = sorted(cone.extreme_rays())
-
-    # (rays, dual rows, index) per cell
-    def cell(gens: list[Point]) -> tuple[list[Point], list[Point], int]:
-        return gens, dual_rows(gens), cone_index(gens)
-
-    cells = [cell([rays[i] for i in c]) for c in _pulling_triangulation(rays)]
+    cells = [(gens, cone_index(gens))
+             for gens in ([rays[i] for i in c] for c in _pulling_triangulation(rays))]
 
     rounds = 0
     while True:
         rounds += 1
         if rounds > 10_000:
             raise InternalInconsistencyError("stellar subdivision did not terminate")
-        victim = next((gens for gens, _, index in cells if index != 1), None)
+        victim = next((gens for gens, index in cells if index != 1), None)
         if victim is None:
             break
         points = _half_open_parallelepiped_points(victim)
-        w, _ = min(points, key=lambda pc: (sum(pc[1]), pc[1]))
+        w, num = min(points, key=lambda pc: (sum(pc[1]), pc[1]))
+        tau = {r for r, x in zip(victim, num) if x}
         new_cells = []
-        for c in cells:
-            # w lies in the span, so the row pairings are its coordinates times d > 0
-            signs = [dot(h, w) for h in c[1]]
-            if any(x < 0 for x in signs):
-                new_cells.append(c)
+        for gens, index in cells:
+            if not tau.issubset(gens):
+                new_cells.append((gens, index))
                 continue
-            # cell contains w: replace each positively-weighted ray by w
-            for i, x in enumerate(signs):
-                if x > 0:
-                    child = list(c[0])
+            # cell contains w: replace each ray of tau by w
+            for i, r in enumerate(gens):
+                if r in tau:
+                    child = list(gens)
                     child[i] = w
-                    new_cells.append(cell(child))
+                    new_cells.append((child, cone_index(child)))
         cells = new_cells
 
-    children = [Cone(gens, cone.ambient) for gens, _, _ in cells]
+    children = [Cone(gens, cone.ambient) for gens, _ in cells]
     return Subdivision(cone, children)
 
 

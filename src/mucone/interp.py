@@ -456,7 +456,9 @@ def mu(cone: Cone, cmap, order: int = DEFAULT_ORDER,
        cross_validate: bool = False) -> MuValue:
     """mu of a pointed generic cone: by reduction when basic, else summed
     over a basic subdivision.  cross_validate reruns basic cones through
-    the explicit formula and aborts on any mismatch.
+    the explicit formula and aborts on any mismatch.  That formula reads
+    psi on the full subset at every order, so at order 0 it may raise
+    NotGenericError on a cone whose reduction never reads that psi.
     """
     if cone.is_zero:
         return MuValue(cone, cmap.key(), order,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -123,7 +124,9 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def dot(a: Sequence, b: Sequence):
     """Coordinate pairing of two equal-length sequences, e.g. of ints."""
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"dot of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def cleared(entries: Iterable[Fraction]) -> tuple[list[int], int]:

@@ -258,9 +258,11 @@ def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
 
     The left side is the enumerated exponential sum; the right side pairs
     each face's integral series with mu of its normal cone restricted to
-    the chosen direction, computed directly on that line (mu_on_line).  A
-    precomputed (possibly corrupted) MuTable can be injected for negative
-    controls; its full series are restricted instead.
+    the chosen direction, computed directly on that line (mu_on_line)
+    through t^max(q, 1): no M_i lowers the t-degree, and at order 0 the
+    reduction would skip the full subset's psi.  cross_validate reduces
+    through order.  A precomputed (possibly corrupted) MuTable can be
+    injected for negative controls; its full series are restricted instead.
     """
     q = order - p.dim
     if q < 0:
@@ -268,7 +270,8 @@ def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
     direction, attempts = _choose_direction(p, y0, seed)
     y = direction.y0
     if table is None:
-        mu_lines = [(f, mu_on_line(nc, cmap, y, order, cross_validate))
+        through = order if cross_validate else max(q, 1)
+        mu_lines = [(f, mu_on_line(nc, cmap, y, through, cross_validate))
                     for f, nc in p.normal_cones]
     else:
         mu_lines = [(f, restrict_to_direction(v.series, y))
