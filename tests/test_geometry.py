@@ -188,7 +188,8 @@ def star_cones(draw):
 
 
 class TestStarStep:
-    """The star step by dual rows against solving for each cell's coordinates."""
+    """The star step by ray sets against solving for each cell's coordinates,
+    and containment by each cell's dual rows against cone membership."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(star_cones(), st.data())

@@ -13,6 +13,7 @@ from mucone import geometry
 from mucone.complement import (
     FlagMap,
     InnerProductMap,
+    RayTableMap,
     diaconis_fulton_map,
     standard_inner_product,
 )
@@ -197,6 +198,17 @@ class TestVerifyInterpolator:
         m = FlagMap([V(1, 2), V(1, 0)])
         r = verify_interpolator(UNIT_SQUARE, m, order=6)
         assert r.passed
+
+    def test_q0_still_reads_the_full_subsets_psi(self):
+        # at q = 0 each line is reduced through t^1, not t^0, so a table whose
+        # vectors pair singularly with the vertex cone at the origin is still
+        # refused, as when the lines were reduced through order
+        cmap = RayTableMap([(V(1, 0), V(1, 1)), (V(0, 1), V(1, 1)),
+                            (V(-1, 0), V(-1, 0)), (V(0, -1), V(0, -1))], ambient=2)
+        corner = dict(UNIT_SQUARE.normal_cones)[UNIT_SQUARE.faces_of_dim(0)[0]]
+        assert mu_on_line(corner, cmap, V(3, 5), 0).coefficient(0) == Fraction(1, 12)
+        with pytest.raises(NotGenericError, match="does not pair invertibly"):
+            verify_interpolator(UNIT_SQUARE, cmap, order=2)
 
     def test_triangle_df_map(self):
         r = verify_interpolator(triangle(1), diaconis_fulton_map(2), order=6)
