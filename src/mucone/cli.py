@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "and sum-integral identity checks")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_input=True, need_map=True):
+    def common(sp, need_input=True, need_map=True, order=False, cross_validate=False):
+        # each subcommand takes only the options it reads
         if need_input:
             sp.add_argument("--input", help="cone or polytope JSON file")
         if need_map:
@@ -90,19 +91,21 @@ def build_parser() -> argparse.ArgumentParser:
                             help="'ip', 'df', or a map JSON file (default ip)")
         sp.add_argument("--degree", type=_nonnegative_int, default=DEFAULT_ORDER,
                         help="series truncation degree")
-        sp.add_argument("--order", type=_nonnegative_int, default=None,
-                        help="verification order override (verify only)")
+        if order:
+            sp.add_argument("--order", type=_nonnegative_int, default=None,
+                            help="verification order override (verify only)")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--out", help="write JSON here instead of stdout")
-        sp.add_argument("--cross-validate", action="store_true",
-                        help="run basic cones through both mu pipelines")
+        if cross_validate:
+            sp.add_argument("--cross-validate", action="store_true",
+                            help="run basic cones through both mu pipelines")
 
     sp = sub.add_parser("mu", help="mu series for a cone or a polytope's faces")
-    common(sp)
+    common(sp, cross_validate=True)
     sp = sub.add_parser("count", help="lattice points via the local formula")
     common(sp)
     sp = sub.add_parser("verify", help="check the sum = weighted-integrals identity")
-    common(sp)
+    common(sp, order=True, cross_validate=True)
     sp.add_argument("--corpus", help="directory of polytope JSON files")
     sp.add_argument("--brion", action="store_true",
                     help="also run the vertex-decomposition cross-check")

@@ -46,12 +46,11 @@ from .linalg import (
     dual_rows,
     eliminate,
     format_rational,
-    hermite_normal_form,
     kernel,
+    lower_form,
     parse_rational,
     primitive,
     rank,
-    saturation_basis,
     solve_linear,
 )
 
@@ -325,25 +324,15 @@ def _half_open_parallelepiped_points(rays: Sequence[Point]) -> list[tuple[Point,
     honest integer vectors. Returns (point, numerators) pairs: c_i is
     numerators[i] / index, with index = cone_index(rays).
     """
-    m = len(rays)
-    if m == len(rays[0]):  # full-dimensional: the saturated lattice is Z^n
-        cols = list(rays)
-    else:
-        # coordinates in a saturation basis: the i-th is dual_rows(sat)[i] . r / d
-        sat = saturation_basis(rays)
-        duals = dual_rows(sat)
-        d = dot(duals[0], sat[0])
-        cols = [[dot(h, r) for h in duals] for r in rays]
-        assert all(x % d == 0 for c in cols for x in c)
-        cols = [tuple(x // d for x in c) for c in cols]
-    h, _ = hermite_normal_form(list(zip(*cols)))
-    diag = [h[i][i] for i in range(m)]
+    low = lower_form(rays)
+    diag = [row[i] for i, row in enumerate(low)]
     index = math.prod(diag)
     if index > PARALLELEPIPED_CAP:
         raise TooLargeError(f"parallelepiped with {index} lattice points")
-    # the HNF's digit boxes z are the cosets of the rays' lattice, with
-    # coefficients (index C^-1 z mod index) / index; dual_rows(cols) = index C^-1
-    inv = dual_rows(cols)
+    # in the saturated lattice the rays are the rows of L, so the digit boxes
+    # z are the cosets of their lattice, with coefficients z L^-1, that is
+    # (dual_rows(L) . z mod index) / index
+    inv = dual_rows(low)
     out = []
     for digits in itertools.product(*(range(dd) for dd in diag)):
         num = tuple(dot(row, digits) % index for row in inv)
@@ -570,17 +559,6 @@ class Polytope:
 
     def faces_of_dim(self, d: int) -> list[Face]:
         return [f for f in self.faces if f.dim == d]
-
-    @property
-    def whole_face(self) -> Face:
-        return self.faces[-1]
-
-    def face_for(self, indices: Iterable[int]) -> Face:
-        key = frozenset(indices)
-        for f in self.faces:
-            if f.indices == key:
-                return f
-        raise KeyError(f"no face with vertex indices {sorted(key)}")
 
     def facet_normals(self) -> list[tuple[Point, int, frozenset[int]]]:
         """Ambient primitive inner normals (a, b, on) with <a, x> >= b on P.

@@ -117,17 +117,6 @@ class SquarefreeReducer:
                     _bump(out, (t, r), [x * y for x, y in zip(w, c)])
         return out
 
-    def reduce_monomial(self, expo) -> dict[frozenset[int], list[int]]:
-        """The form of D^expo, one int N per pair for N / L^|expo| times
-        t^(|expo| - |S|): M_i^(e_i - 1) applied to D_supp(e), i in reversed
-        pivot_order, the path of peeling the first i with e_i >= 2."""
-        supp = frozenset(i for i, e in enumerate(expo) if e)
-        vec = {(supp, 0): [L ** len(supp) for L in self._scales]}
-        for i in reversed(self.pivot_order):
-            for _ in range(expo[i] - 1):
-                vec = self._apply(vec, i)
-        return {s: c for (s, _), c in vec.items()}
-
     def reduce(self) -> list[list[Fraction]]:
         """Full-subset coefficient of the Todd element per pair: its Taylor
         coefficients on the pair's line through t^order, one Fraction each.

@@ -2,8 +2,9 @@
 
 Lattice data (ray generators, vertices, facet normals, the rows of a
 subdivision cell) are tuples of Python ints, and the lattice routines here
-take and return ints: eliminate, rank, kernel, primitive, dot, cone_index,
-dual_rows, the Hermite normal form and saturation bases. Rational data
+take and return ints: eliminate, rank, kernel, primitive, dot, dual_rows
+and the Hermite normal form, whose lower_form answers every lattice-index
+question (cone_index, a cell's cosets, its saturated lattice). Rational data
 (directions, pivot vectors, Gram and flag data, solutions of linear
 systems) are Vectors and Matrices of fractions.Fraction entries. No floats
 anywhere: a float entry raises TypeError. One fraction-free elimination of
@@ -15,7 +16,6 @@ polytopes live in is the coordinate dot product throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from operator import mul
@@ -372,44 +372,28 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
     return h, u
 
 
-def integer_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of the lattice {x integer : A x = 0}, A given by its integer
-    rows (at least one). Always saturated."""
-    h, u = hermite_normal_form(rows)
-    return [tuple(r[j] for r in u) for j in range(len(rows[0]))
-            if all(hr[j] == 0 for hr in h)]
-
-
-def saturation_basis(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of the saturated lattice Z^n  intersect  span_Q(vectors).
-
-    The vectors must be integral. The result has one basis vector per
-    dimension of the span; expressing any integer point of the span in this
-    basis gives integer coordinates.
-    """
-    if not vectors:
-        return []
-    orth = integer_kernel(vectors)
-    if not orth:  # full rank
-        n = len(vectors[0])
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return integer_kernel(orth)
+def lower_form(generators: Sequence[Sequence[int]]) -> list[list[int]]:
+    """L from the column Hermite form G U = [L | 0] of independent integer
+    generators (the k rows of G): k x k, lower triangular, with a positive
+    diagonal.  U is unimodular, so it maps Z^n  intersect  span(G) onto
+    Z^k + 0: the rows of L are the generators' coordinates in a basis of
+    the saturated lattice of their span.  Dependent rows (k > n included)
+    leave a zero on the diagonal."""
+    h, _ = hermite_normal_form(generators)
+    k = len(h)
+    if k > len(h[0]) or not all(h[i][i] for i in range(k)):
+        raise DependentGeneratorsError("generators are linearly dependent")
+    return [row[:k] for row in h]
 
 
 def cone_index(generators: Sequence[Sequence[int]]) -> int:
     """Index of the sublattice spanned by independent integer generators
-    inside the saturated lattice of their span: by the Smith normal form,
-    the gcd of the k x k minors of the generator matrix (|det| if k = n)."""
+    inside the saturated lattice of their span: the product of
+    lower_form's diagonal, |det L| (U keeps the gcd of the k x k minors)."""
     gens = list(generators)
     if not gens:
         return 1
-    _require_ints(gens)
-    g = 0
-    for sub in itertools.combinations(zip(*gens), len(gens)):
-        g = math.gcd(g, _det(sub))
-    if g == 0:
-        raise DependentGeneratorsError("generators are linearly dependent")
-    return g
+    return math.prod(row[i] for i, row in enumerate(lower_form(gens)))
 
 
 def dual_rows(generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

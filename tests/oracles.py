@@ -13,17 +13,19 @@ the chains by a recursion over subsets and never lists them), the
 alternating chain sum for one subset pair, and the whole chain-sum mu as
 multivariate rational functions over one common denominator.  A
 D-expansion is a plain dict from exponent tuples to coefficients
-(Fractions or MultiSeries).  Also here: the star step and the lattice
-index by linear solves and the Hermite normal form, the half-open
-parallelepiped's lattice points in a saturation basis, the complement
-map's pivot vectors by way of a span basis, one pivot as a Vector by
-ComplementMap.solve_u and the chain terms' pivot keys read as such
-Vectors, the line-restricted mu cell
-by cell, the reduced row echelon form by Gauss-Jordan over fractions,
-dual rows by a scan of minors, a rational span and kernel basis,
-coordinates in a basis by a linear solve, cone membership, a matrix
-from its columns, rows and columns as Vectors, and small linear-algebra
-and genericity checks the library never calls.
+(Fractions or MultiSeries).  Also here: the library reducer's form of
+one monomial, the integer kernel and the saturation basis (two integer
+kernels), the star step and the lattice index by linear solves in a
+saturation basis, the lattice index as the gcd of the k x k minors, the
+half-open parallelepiped's lattice points in a saturation basis, the
+complement map's pivot vectors by way of a span basis, one pivot as a
+Vector by ComplementMap.solve_u and the chain terms' pivot keys read as
+such Vectors, the line-restricted mu cell by cell, the reduced row
+echelon form by Gauss-Jordan over fractions, dual rows by a scan of
+minors, a rational span and kernel basis, coordinates in a basis by a
+linear solve, cone membership, a polytope's face by its vertex indices,
+a matrix from its columns, rows and columns as Vectors, and small
+linear-algebra and genericity checks the library never calls.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
+from math import gcd
 from types import MappingProxyType
 
 from mucone.complement import RayTableMap
@@ -46,6 +49,8 @@ from mucone.errors import (
 )
 from mucone.geometry import (
     Cone,
+    Face,
+    Polytope,
     _half_open_parallelepiped_points,
     _pulling_triangulation,
     subdivide_to_basic,
@@ -63,7 +68,6 @@ from mucone.linalg import (
     dot,
     eliminate_cleared,
     hermite_normal_form,
-    saturation_basis,
     solve_linear,
 )
 from mucone.series import (
@@ -84,6 +88,20 @@ class VectorNotInSubspaceError(MuconeError):
 
 class NotUnimodularError(MuconeError):
     """A lattice basis was required (determinant +-1)."""
+
+
+def whole_face(p: Polytope) -> Face:
+    """The polytope as its own face: the last of its faces."""
+    return p.faces[-1]
+
+
+def face_for(p: Polytope, indices) -> Face:
+    """The face of p with the given vertex indices."""
+    key = frozenset(indices)
+    for f in p.faces:
+        if f.indices == key:
+            return f
+    raise KeyError(f"no face with vertex indices {sorted(key)}")
 
 
 def cone_contains(rays, x) -> bool:
@@ -172,6 +190,44 @@ def dual_rows_by_minors(generators) -> list[tuple[int, ...]]:
     inv, at = inverse(sub), {c: j for j, c in enumerate(coords)}
     return [tuple(int(abs(det) * row[at[c]]) if c in at else 0 for c in range(n))
             for row in inv.rows]
+
+
+def integer_kernel(rows) -> list[tuple[int, ...]]:
+    """Basis of the lattice {x integer : A x = 0}, A given by its integer
+    rows (at least one): the columns of U over the zero columns of the
+    Hermite form A U = H.  Always saturated."""
+    h, u = hermite_normal_form(rows)
+    return [tuple(r[j] for r in u) for j in range(len(rows[0]))
+            if all(hr[j] == 0 for hr in h)]
+
+
+def saturation_basis(vectors) -> list[tuple[int, ...]]:
+    """Basis of the saturated lattice Z^n  intersect  span_Q(vectors), for
+    integral vectors, by two integer kernels: the kernel of the kernel.
+    Any integer point of the span has integer coordinates in it."""
+    if not vectors:
+        return []
+    orth = integer_kernel(vectors)
+    if not orth:  # full rank
+        n = len(vectors[0])
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return integer_kernel(orth)
+
+
+def minor_gcd(generators) -> int:
+    """cone_index by the Smith normal form: the gcd of the k x k minors of
+    the generator matrix (|det| if k = n)."""
+    gens = list(generators)
+    if not gens:
+        return 1
+    if any(type(e) is not int for g in gens for e in g):
+        raise ValueError("integer entries required")
+    g = 0
+    for sub in combinations(zip(*gens), len(gens)):
+        g = gcd(g, int(Matrix(sub).det()))
+    if g == 0:
+        raise DependentGeneratorsError("generators are linearly dependent")
+    return g
 
 
 def saturation_index(generators) -> int:
@@ -436,8 +492,8 @@ class FullRingReducer:
     u = pivot_vector(cone, cmap, S, i), i the first position of pivot_order
     whose exponent is >= 2.  An entry of D_S in the form of D^e has degree
     |e| - |S| and is dropped above `order`.  Every expansion stays memoized,
-    and its entries come in the order the library's reduce_monomial makes
-    them.  A map that fails on some subset fails at the first rewrite that
+    and its entries come in the order reduce_monomial makes them on the
+    library's reducer.  A map that fails on some subset fails at the first rewrite that
     needs one, which may name another subset than psi_failures lists first."""
 
     def __init__(self, cone: Cone, cmap, order: int = DEFAULT_ORDER, pivot_order=None):
@@ -500,12 +556,25 @@ def line_reducer(cone: Cone, cmap, order: int, pivot_order=None,
     return SquarefreeReducer([cone], lines, cmap, order, pivot_order), lines
 
 
+def reduce_monomial(red: SquarefreeReducer, expo) -> dict[frozenset[int], list[int]]:
+    """The library reducer's form of D^expo, one int N per pair for
+    N / L^|expo| times t^(|expo| - |S|): its M_i (red._apply) applied
+    e_i - 1 times to D_supp(e), i in reversed pivot_order, the path of
+    peeling the first i with e_i >= 2."""
+    supp = frozenset(i for i, e in enumerate(expo) if e)
+    vec = {(supp, 0): [L ** len(supp) for L in red._scales]}
+    for i in reversed(red.pivot_order):
+        for _ in range(expo[i] - 1):
+            vec = red._apply(vec, i)
+    return {s: c for (s, _), c in vec.items()}
+
+
 def walk_values(red: SquarefreeReducer, expo) -> dict[frozenset[int], list[Fraction]]:
-    """red.reduce_monomial(expo) read as values: per subset S, the coefficient
+    """reduce_monomial(red, expo) read as values: per subset S, the coefficient
     of D_S (homogeneous of degree |e| - |S|) at each pair's line y, t = 1."""
     m = sum(expo)  # red._scales holds each pair's L: an entry N stands for N / L^|e|
     return {s: [Fraction(c, L ** m) for c, L in zip(col, red._scales)]
-            for s, col in red.reduce_monomial(expo).items()}
+            for s, col in reduce_monomial(red, expo).items()}
 
 
 def value_at(series: MultiSeries, y) -> Fraction:
@@ -519,8 +588,8 @@ def value_at(series: MultiSeries, y) -> Fraction:
 
 
 def check_walk(reference: FullRingReducer, red: SquarefreeReducer, lines, expo) -> None:
-    """The library's form of D^expo (reduce_monomial, which takes the
-    reference's path) has the reference's subsets in its order, and each
+    """The library's form of D^expo (reduce_monomial on its reducer, which
+    takes the reference's path) has the reference's subsets in its order, and each
     coefficient's value on each line is the reference's there."""
     want, got = reference.reduce_monomial(expo), walk_values(red, expo)
     assert list(got) == list(want), (expo, list(got), list(want))

@@ -336,6 +336,21 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "mu")
         assert code == 1
 
+    @pytest.mark.parametrize("command, option", [
+        ("mu", ["--order", "2"]), ("count", ["--order", "2"]),
+        ("todd", ["--order", "2"]), ("pn-demo", ["--order", "2"]),
+        ("count", ["--cross-validate"]), ("todd", ["--cross-validate"]),
+        ("pn-demo", ["--cross-validate"]),
+    ], ids=lambda x: x if isinstance(x, str) else x[0].lstrip("-"))
+    def test_option_of_another_subcommand_exits_1(self, capsys, triangle2, command, option):
+        """A subcommand refuses an option it would not read: count
+        --cross-validate would otherwise skip the cross-check it asks for."""
+        given = {"mu": ["--input", triangle2], "count": ["--input", triangle2],
+                 "todd": [], "pn-demo": ["--n", "2"]}[command]
+        code, out, err = run_cli(capsys, command, *given, *option)
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+
     def test_unreadable_input(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "mu", "--input",
                                str(tmp_path / "nope.json"))

@@ -20,11 +20,10 @@ from mucone.linalg import (
     eliminate,
     format_rational,
     hermite_normal_form,
-    integer_kernel,
     kernel,
+    lower_form,
     parse_rational,
     primitive,
-    saturation_basis,
     scaled_inverse,
     solve_linear,
 )
@@ -33,9 +32,12 @@ from oracles import (
     dual_basis,
     dual_rows_by_minors,
     express_in_basis,
+    integer_kernel,
     inverse,
     matmul,
+    minor_gcd,
     rref,
+    saturation_basis,
     saturation_index,
 )
 
@@ -173,14 +175,52 @@ def test_cone_index_matches_hnf_diagonal():
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.data())
 def test_cone_index_is_minor_gcd(data):
-    """The gcd of the k x k minors equals the index found through a
-    saturation basis and the Hermite normal form."""
+    """The product of lower_form's diagonal is the gcd of the k x k minors,
+    and the index found through a saturation basis (two integer kernels)."""
     n = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(1, n))
     gens = [tuple(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
             for _ in range(k)]
     assume(Matrix([list(g) for g in gens]).rank() == k)
+    assert cone_index(gens) == minor_gcd(gens)
     assert cone_index(gens) == saturation_index(gens)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_lower_form_is_saturated_coordinates(data):
+    """L is lower triangular with a positive diagonal, and its rows are the
+    generators' coordinates in a basis of the saturated lattice: the
+    first k rows of U^-1, which span the generators over Q."""
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, n))
+    gens = [tuple(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+            for _ in range(k)]
+    assume(Matrix([list(g) for g in gens]).rank() == k)
+    low = lower_form(gens)
+    assert all(low[i][i] > 0 and not any(low[i][i + 1:]) for i in range(k))
+    _, u = hermite_normal_form(gens)
+    basis = inverse(Matrix(u)).rows[:k]
+    assert [tuple(sum(c * b[j] for c, b in zip(row, basis)) for j in range(n))
+            for row in low] == gens
+
+
+@pytest.mark.parametrize("gens", [
+    [(1, 1), (2, 2)],
+    [(1, 0), (0, 1), (1, 1)],
+    [(0, 0)],
+    [(1, 0, 0), (0, 0, 0)],
+    [()],
+    [(1, Fraction(1, 2))],
+    [(1, 0), (0, 1.0)],
+], ids=["dependent", "k-above-n", "zero-row", "zero-second-row", "empty-row",
+        "fraction-entry", "float-entry"])
+def test_cone_index_errors_match_minor_gcd(gens):
+    with pytest.raises(Exception) as got:
+        cone_index(gens)
+    with pytest.raises(Exception) as want:
+        minor_gcd(gens)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_cone_index_lower_dimensional():
