@@ -318,56 +318,40 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
     nr, nc = len(rows), (len(rows[0]) if rows else 0)
     h = [list(row) for row in rows]
     u = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def colop(j, k, c):
-        # col_j += c * col_k
-        for i in range(nr):
-            h[i][j] += c * h[i][k]
-        for i in range(nc):
-            u[i][j] += c * u[i][k]
-
-    def colswap(j, k):
-        for i in range(nr):
-            h[i][j], h[i][k] = h[i][k], h[i][j]
-        for i in range(nc):
-            u[i][j], u[i][k] = u[i][k], u[i][j]
-
-    def colneg(j):
-        for i in range(nr):
-            h[i][j] = -h[i][j]
-        for i in range(nc):
-            u[i][j] = -u[i][j]
-
+    both = h + u  # a column operation acts on the rows of H and of U alike
     pc = 0
     for i in range(nr):
         if pc >= nc:
             break
-        j0 = next((j for j in range(pc, nc) if h[i][j] != 0), None)
-        if j0 is None:
+        hi = h[i]
+        j0 = pc
+        while j0 < nc and not hi[j0]:
+            j0 += 1
+        if j0 == nc:
             continue
         if j0 != pc:
-            colswap(pc, j0)
+            for r in both:
+                r[pc], r[j0] = r[j0], r[pc]
         for j in range(pc + 1, nc):
-            if h[i][j] == 0:
+            bb = hi[j]
+            if not bb:
                 continue
-            aa, bb = h[i][pc], h[i][j]
+            aa = hi[pc]
             g, x, y = _extgcd(aa, bb)
             # unimodular 2-column mix sending (aa, bb) -> (g, 0)
             p, q = aa // g, bb // g
-            for r in range(nr):
-                hp, hj = h[r][pc], h[r][j]
-                h[r][pc] = x * hp + y * hj
-                h[r][j] = -q * hp + p * hj
-            for r in range(nc):
-                up, uj = u[r][pc], u[r][j]
-                u[r][pc] = x * up + y * uj
-                u[r][j] = -q * up + p * uj
-        if h[i][pc] < 0:
-            colneg(pc)
-        piv = h[i][pc]
+            for r in both:
+                a, b = r[pc], r[j]
+                r[pc], r[j] = x * a + y * b, p * b - q * a
+        if hi[pc] < 0:
+            for r in both:
+                r[pc] = -r[pc]
+        piv = hi[pc]
         for j in range(pc):
-            if h[i][j] != 0:
-                colop(j, pc, -(h[i][j] // piv))
+            c = hi[j] // piv
+            if c:
+                for r in both:
+                    r[j] -= c * r[pc]
         pc += 1
     return h, u
 
@@ -381,7 +365,7 @@ def lower_form(generators: Sequence[Sequence[int]]) -> list[list[int]]:
     leave a zero on the diagonal."""
     h, _ = hermite_normal_form(generators)
     k = len(h)
-    if k > len(h[0]) or not all(h[i][i] for i in range(k)):
+    if k > len(h[0]) or 0 in [row[i] for i, row in enumerate(h)]:
         raise DependentGeneratorsError("generators are linearly dependent")
     return [row[:k] for row in h]
 
