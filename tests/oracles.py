@@ -21,8 +21,8 @@ half-open parallelepiped's lattice points in a saturation basis, the
 complement map's pivot vectors by way of a span basis, one pivot as a
 Vector by ComplementMap.solve_u and the chain terms' pivot keys read as
 such Vectors, the line-restricted mu cell by cell, the reduced row
-echelon form by Gauss-Jordan over fractions, dual rows by a scan of
-minors, a rational span and kernel basis, coordinates in a basis by a
+echelon form by Gauss-Jordan over fractions, the determinant by
+cofactor expansion, dual rows by a scan of minors, a rational span and kernel basis, coordinates in a basis by a
 linear solve, cone membership, a polytope's face by its vertex indices,
 a matrix from its columns, rows and columns as Vectors, and small
 linear-algebra and genericity checks the library never calls.
@@ -133,6 +133,18 @@ def dual_basis(basis) -> list[Vector]:
         raise NotUnimodularError(f"not a lattice basis (determinant {d})")
     inv = inverse(mat)
     return [column(inv, j) for j in range(mat.ncols)]
+
+
+def cofactor_det(rows):
+    """Determinant of a small square matrix given by its rows, by cofactor
+    expansion along the first row: exact, and an int for integer entries."""
+    rows = [tuple(r) for r in rows]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:

@@ -23,11 +23,40 @@ from mucone.complement import (
 from mucone.errors import NotGenericError, UnknownRayError
 from mucone.geometry import Cone
 from mucone.linalg import Matrix, Vector
-from oracles import is_generic, matvec, psi_contains, rational_kernel, span_route_duals
+from oracles import (
+    cofactor_det,
+    is_generic,
+    matvec,
+    psi_contains,
+    rational_kernel,
+    span_route_duals,
+)
 
 
 def V(*xs):
     return Vector(xs)
+
+
+def _sylvester(rows) -> bool:
+    """Positive definiteness of a symmetric matrix: every leading principal
+    minor, by cofactor expansion, is positive."""
+    return all(cofactor_det([r[:k] for r in rows[:k]]) > 0 for k in range(1, len(rows) + 1))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n (n <= 4) integer or rational matrices, a random
+    multiple of the identity added so that both verdicts are common."""
+    n = draw(st.integers(0, 4))
+    entries = st.one_of(st.integers(-3, 3),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    shift = draw(st.integers(0, 8))
+    return [[upper[min(i, j), max(i, j)] + shift * (i == j) for j in range(n)]
+            for i in range(n)]
+
+
+_NOT_POSITIVE_DEFINITE = "Gram matrix must be positive definite"
 
 
 class TestInnerProduct:
@@ -36,6 +65,29 @@ class TestInnerProduct:
             InnerProductMap(Matrix([[1, 2], [0, 1]]))  # not symmetric
         with pytest.raises(ValueError):
             InnerProductMap(Matrix([[1, 2], [2, 1]]))  # not positive definite
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(symmetric_matrices())
+    def test_positive_definite_check_is_sylvester(self, rows):
+        if _sylvester(rows):
+            assert InnerProductMap(Matrix(rows)).ambient == len(rows)
+            return
+        with pytest.raises(ValueError) as exc:
+            InnerProductMap(Matrix(rows))
+        assert str(exc.value) == _NOT_POSITIVE_DEFINITE
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 1], [1, 1]],
+        [[1, 2], [2, 1]],
+        [[0, 0], [0, 1]],
+        [[-1]],
+        [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+    ], ids=["semidefinite", "indefinite", "zero-first-minor", "negative", "singular-3x3"])
+    def test_rejects_what_sylvester_rejects(self, rows):
+        assert not _sylvester(rows)
+        with pytest.raises(ValueError) as exc:
+            InnerProductMap(Matrix(rows))
+        assert str(exc.value) == _NOT_POSITIVE_DEFINITE
 
     def test_psi_standard_singleton(self):
         m = standard_inner_product(2)
@@ -125,6 +177,16 @@ class TestFlag:
         with pytest.raises(NotGenericError):
             m.psi([V(0, 1)])
 
+    @pytest.mark.parametrize("rays", [
+        [V(0, 1)],
+        [V(1, 0), V(0, 1), V(1, 1)],
+    ], ids=["singular-pairing", "more-rays-than-steps"])
+    def test_not_generic_message(self, rays):
+        with pytest.raises(NotGenericError) as exc:
+            FlagMap([V(1, 0), V(0, 1)]).psi(rays)
+        assert str(exc.value) == (f"complement subspace for {rays} does not pair "
+                                  "invertibly with the rays")
+
     def test_solve_u_in_flag_step(self):
         m = FlagMap([V(1, 1), V(0, 1)])
         u = m.solve_u((V(2, 1),), 0)
@@ -183,6 +245,12 @@ def _random_maps(rng, n):
 
 
 class TestSharedInvariants:
+    def test_empty_ray_set(self):
+        for m in (standard_inner_product(2), FlagMap([V(1, 0), V(0, 1)]),
+                  diaconis_fulton_map(2)):
+            sub = m.psi(())
+            assert (sub.numerators, sub.denominator) == ((), 1)
+
     def test_monotonicity_and_complementarity(self):
         rng = random.Random(23)
         for n in (2, 3):
