@@ -14,10 +14,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import NotGenericError, ParseError, UnknownRayError
+from .errors import DependentGeneratorsError, NotGenericError, ParseError, UnknownRayError
 from .geometry import Cone
-from .linalg import (Matrix, Vector, cleared, dot, format_rational, parse_rational,
-                     primitive, scaled_inverse, unit_vector)
+from .linalg import (Matrix, Vector, cleared, dot, dual_rows, eliminate, format_rational,
+                     parse_rational, primitive, unit_vector)
 
 
 def _integral(row: Sequence) -> tuple[Sequence[int], int]:
@@ -33,9 +33,9 @@ class PsiSubspace:
     Vectors).  Clearing the denominators of rays and basis changes
     neither the subspace nor, mapped back to each ray's scale, the pivot
     vectors, so one fraction-free elimination of the integer pairing[i][j]
-    = <rays[i], basis[j]> (linalg.scaled_inverse) decides genericity, which
-    is a square invertible pairing, and solves for every pivot vector: u_j,
-    the unique u in the subspace with <rays[i], u> = 1 if i = j, else 0, is
+    = <rays[i], basis[j]> (linalg.dual_rows) decides genericity, which is a
+    square invertible pairing, and solves for every pivot vector: u_j, the
+    unique u in the subspace with <rays[i], u> = 1 if i = j, else 0, is
     numerators[j] / denominator (one positive denominator for all j).
     `ComplementMap.solve_u` reads one as a Vector.
     """
@@ -48,16 +48,19 @@ class PsiSubspace:
         scaled = [_integral(w) for w in self.rays]  # w = ints / scale
         cols = [_integral(b)[0] for b in self.basis]
         pairing = [[dot(w, b) for b in cols] for w, _ in scaled]
-        got = scaled_inverse(pairing) if len(cols) == len(scaled) else None
-        if got is None:
+        try:
+            duals = dual_rows(pairing) if len(cols) == len(scaled) else None
+        except DependentGeneratorsError:
+            duals = None
+        if duals is None:
             raise NotGenericError(
                 f"complement subspace for {list(map(Vector, self.rays))} does not pair "
                 "invertibly with the rays")
-        # u_j = scale_j * sum_i (pairing^-1)[i][j] basis_i, over d
-        d, inv = got
-        nums = [[a * sum(row[j] * x for row, x in zip(inv, coord)) for coord in zip(*cols)]
-                for j, (_, a) in enumerate(scaled)]
-        g = gcd(d, *itertools.chain.from_iterable(nums)) * (1 if d > 0 else -1)
+        # h_j is column j of d * pairing^-1, d > 0: u_j = scale_j * sum_i h_j[i] basis_i / d
+        d = dot(duals[0], pairing[0]) if duals else 1
+        nums = [[a * dot(h, coord) for coord in zip(*cols)]
+                for h, (_, a) in zip(duals, scaled)]
+        g = gcd(d, *itertools.chain.from_iterable(nums))
         self.numerators = tuple(tuple(x // g for x in u) for u in nums)
         self.denominator = d // g
 
@@ -111,14 +114,17 @@ class InnerProductMap(ComplementMap):
             raise ValueError("Gram matrix must be square")
         if gram.transpose().rows != gram.rows:
             raise ValueError("Gram matrix must be symmetric")
+        ints = cleared(itertools.chain.from_iterable(gram.rows))[0]
+        self._gram_ints = [ints[i * n:(i + 1) * n] for i in range(n)]
+        # Sylvester's criterion on the scaled Gram matrix.  With minors 1..k-1
+        # positive, eliminating the leading k x k block swaps no row, so its
+        # last pivot d is minor k (fewer than k pivots: minor k is 0).
         for k in range(1, n + 1):
-            minor = Matrix([row[:k] for row in gram.rows[:k]])
-            if minor.det() <= 0:
+            _, d, pivots = eliminate([row[:k] for row in self._gram_ints[:k]])
+            if len(pivots) < k or d <= 0:
                 raise ValueError("Gram matrix must be positive definite")
         self.gram = gram
         self.ambient = n
-        ints = cleared(itertools.chain.from_iterable(gram.rows))[0]
-        self._gram_ints = [ints[i * n:(i + 1) * n] for i in range(n)]
         self._psi_cache: dict = {}
 
     def raw_basis(self, rays: Sequence[Sequence]) -> list[tuple[int, ...]]:

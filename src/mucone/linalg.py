@@ -3,13 +3,14 @@
 Lattice data (ray generators, vertices, facet normals, the rows of a
 subdivision cell) are tuples of Python ints, and the lattice routines here
 take and return ints: eliminate, rank, kernel, primitive, dot, dual_rows
-and the Hermite normal form, whose lower_form answers every lattice-index
+and lower_form, the column Hermite form that answers every lattice-index
 question (cone_index, a cell's cosets, its saturated lattice). Rational data
 (directions, pivot vectors, Gram and flag data, solutions of linear
 systems) are Vectors and Matrices of fractions.Fraction entries. No floats
 anywhere: a float entry raises TypeError. One fraction-free elimination of
-integer rows, eliminate(), gives every rank, kernel, solution, span basis
-and (scaled) inverse: rational rows have their denominators cleared first.
+integer rows, eliminate(), gives every rank, kernel, solution, span basis,
+scaled inverse (dual_rows) and leading principal minor (the Gram check):
+rational rows have their denominators cleared first.
 The dual pairing between a cone's ambient space and the space its
 polytopes live in is the coordinate dot product throughout.
 """
@@ -189,23 +190,6 @@ class Matrix:
     def rank(self) -> int:
         return len(eliminate_cleared(self.rows)[2])
 
-    def det(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        return Fraction(_det(self.rows))
-
-
-def _det(m: Sequence[Sequence]):
-    """Determinant of a small square matrix, by cofactor expansion along
-    the first row: exact, and an int for integer entries."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j, a in enumerate(m[0]) if a)
-
 
 def _require_ints(rows: Sequence[Sequence]):
     if not all(type(x) is int for row in rows for x in row):
@@ -263,17 +247,6 @@ def kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def scaled_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]] | None:
-    """(d, d * A^-1) with d = +-det A for a square integer matrix A, None if
-    A is singular: the elimination of [A | I] ends at [d I | d A^-1]."""
-    k = len(rows)
-    red, d, pivots = eliminate([list(row) + [int(i == j) for j in range(k)]
-                                for i, row in enumerate(rows)])
-    if pivots != list(range(k)):
-        return None
-    return d, [row[k:] for row in red]
-
-
 def solve_linear(a: Matrix, b: Vector) -> Vector | None:
     """One exact solution x of a x = b, or None if b is outside the column span.
 
@@ -305,68 +278,48 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Column-style Hermite normal form of an integer matrix A (its rows):
-    H = A * U with U unimodular, both as lists of int rows.
-
-    H is in column echelon form with positive pivots; in each pivot row the
-    entries left of the pivot are reduced into [0, pivot). Zero columns of H
-    (if A is rank-deficient) come last, and the matching columns of U are a
-    basis of the integer kernel of A.
-    """
-    _require_ints(rows)
-    nr, nc = len(rows), (len(rows[0]) if rows else 0)
-    h = [list(row) for row in rows]
-    u = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    both = h + u  # a column operation acts on the rows of H and of U alike
-    pc = 0
-    for i in range(nr):
-        if pc >= nc:
-            break
-        hi = h[i]
-        j0 = pc
-        while j0 < nc and not hi[j0]:
-            j0 += 1
-        if j0 == nc:
-            continue
-        if j0 != pc:
-            for r in both:
-                r[pc], r[j0] = r[j0], r[pc]
-        for j in range(pc + 1, nc):
-            bb = hi[j]
-            if not bb:
-                continue
-            aa = hi[pc]
-            g, x, y = _extgcd(aa, bb)
-            # unimodular 2-column mix sending (aa, bb) -> (g, 0)
-            p, q = aa // g, bb // g
-            for r in both:
-                a, b = r[pc], r[j]
-                r[pc], r[j] = x * a + y * b, p * b - q * a
-        if hi[pc] < 0:
-            for r in both:
-                r[pc] = -r[pc]
-        piv = hi[pc]
-        for j in range(pc):
-            c = hi[j] // piv
-            if c:
-                for r in both:
-                    r[j] -= c * r[pc]
-        pc += 1
-    return h, u
-
-
 def lower_form(generators: Sequence[Sequence[int]]) -> list[list[int]]:
     """L from the column Hermite form G U = [L | 0] of independent integer
     generators (the k rows of G): k x k, lower triangular, with a positive
-    diagonal.  U is unimodular, so it maps Z^n  intersect  span(G) onto
-    Z^k + 0: the rows of L are the generators' coordinates in a basis of
-    the saturated lattice of their span.  Dependent rows (k > n included)
-    leave a zero on the diagonal."""
-    h, _ = hermite_normal_form(generators)
-    k = len(h)
-    if k > len(h[0]) or 0 in [row[i] for i, row in enumerate(h)]:
-        raise DependentGeneratorsError("generators are linearly dependent")
+    diagonal, each row's entries left of the diagonal reduced into
+    [0, diagonal).  U is unimodular, so it maps Z^n  intersect  span(G)
+    onto Z^k + 0: the rows of L are the generators' coordinates in a basis
+    of the saturated lattice of their span.  The column operations act on
+    G alone (U is never formed); a row with no pivot, as for dependent
+    rows and k > n, raises DependentGeneratorsError."""
+    _require_ints(generators)
+    h = [list(row) for row in generators]
+    k, n = len(h), len(h[0])
+    for i, hi in enumerate(h):
+        j0 = next((j for j in range(i, n) if hi[j]), None)
+        if j0 is None:
+            raise DependentGeneratorsError("generators are linearly dependent")
+        # rows above i are zero from column i on, so the column operations
+        # below leave them as they are
+        rest = h[i:]
+        if j0 != i:
+            for r in rest:
+                r[i], r[j0] = r[j0], r[i]
+        for j in range(i + 1, n):
+            bb = hi[j]
+            if not bb:
+                continue
+            aa = hi[i]
+            g, x, y = _extgcd(aa, bb)
+            # unimodular 2-column mix sending (aa, bb) -> (g, 0)
+            p, q = aa // g, bb // g
+            for r in rest:
+                a, b = r[i], r[j]
+                r[i], r[j] = x * a + y * b, p * b - q * a
+        if hi[i] < 0:
+            for r in rest:
+                r[i] = -r[i]
+        piv = hi[i]
+        for j in range(i):
+            c = hi[j] // piv
+            if c:
+                for r in rest:
+                    r[j] -= c * r[i]
     return [row[:k] for row in h]
 
 
@@ -382,7 +335,9 @@ def cone_index(generators: Sequence[Sequence[int]]) -> int:
 
 def dual_rows(generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Integer rows h_1..h_k for independent integer generators g_1..g_k,
-    with h_i . g_j = 0 for j != i and h_i . g_i = d, one d > 0 for all i.
+    with h_i . g_j = 0 for j != i and h_i . g_i = d, one d > 0 for all i
+    (no rows for no generators).  For a square G, h_j is column j of
+    d G^-1.
 
     On the span of the generators h_i . w / d is the i-th coordinate of w
     in the generator basis: a point w of the span lies in the cone exactly
@@ -393,6 +348,8 @@ def dual_rows(generators: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     there, and the columns of d E, padded by zeros, are the rows.
     """
     _require_ints(generators)
+    if not generators:
+        return []
     k, n = len(generators), len(generators[0])
     red, d, pivots = eliminate([list(row) + [int(i == j) for j in range(k)]
                                 for i, row in enumerate(generators)])

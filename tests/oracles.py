@@ -21,11 +21,12 @@ half-open parallelepiped's lattice points in a saturation basis, the
 complement map's pivot vectors by way of a span basis, one pivot as a
 Vector by ComplementMap.solve_u and the chain terms' pivot keys read as
 such Vectors, the line-restricted mu cell by cell, the reduced row
-echelon form by Gauss-Jordan over fractions, the determinant by
-cofactor expansion, dual rows by a scan of minors, a rational span and kernel basis, coordinates in a basis by a
-linear solve, cone membership, a polytope's face by its vertex indices,
-a matrix from its columns, rows and columns as Vectors, and small
-linear-algebra and genericity checks the library never calls.
+echelon form by Gauss-Jordan over fractions, the determinant by cofactor
+expansion, the column Hermite form H = A U with its unimodular U, dual
+rows by a scan of minors, a rational span and kernel basis, coordinates
+in a basis by a linear solve, cone membership, a polytope's face by its
+vertex indices, a matrix from its columns, rows and columns as Vectors,
+and small linear-algebra and genericity checks the library never calls.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ from mucone.interp import (
 from mucone.linalg import (
     Matrix,
     Vector,
+    _require_ints,
     dot,
     eliminate_cleared,
-    hermite_normal_form,
     solve_linear,
 )
 from mucone.series import (
@@ -128,7 +129,7 @@ def dual_basis(basis) -> list[Vector]:
     mat = Matrix([list(w) for w in basis])
     if mat.nrows != mat.ncols:
         raise NotUnimodularError("dual basis needs n vectors in dimension n")
-    d = mat.det()
+    d = cofactor_det(mat.rows)
     if abs(d) != 1:
         raise NotUnimodularError(f"not a lattice basis (determinant {d})")
     inv = inverse(mat)
@@ -194,7 +195,7 @@ def dual_rows_by_minors(generators) -> list[tuple[int, ...]]:
     k, n = len(gens), len(gens[0])
     for coords in combinations(range(n), k):
         sub = Matrix([[g[c] for g in gens] for c in coords])
-        det = sub.det()
+        det = cofactor_det(sub.rows)
         if det:
             break
     else:
@@ -202,6 +203,73 @@ def dual_rows_by_minors(generators) -> list[tuple[int, ...]]:
     inv, at = inverse(sub), {c: j for j, c in enumerate(coords)}
     return [tuple(int(abs(det) * row[at[c]]) if c in at else 0 for c in range(n))
             for row in inv.rows]
+
+
+def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a x + b y = g = gcd(a, b), g >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def hermite_normal_form(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """Column-style Hermite normal form of an integer matrix A (its rows):
+    H = A * U with U unimodular, both as lists of int rows.
+
+    H is in column echelon form with positive pivots; in each pivot row the
+    entries left of the pivot are reduced into [0, pivot). Zero columns of H
+    (if A is rank-deficient) come last, and the matching columns of U are a
+    basis of the integer kernel of A.  linalg.lower_form runs the same
+    column operations on the rows of A alone.
+    """
+    _require_ints(rows)
+    nr, nc = len(rows), (len(rows[0]) if rows else 0)
+    h = [list(row) for row in rows]
+    u = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    both = h + u  # a column operation acts on the rows of H and of U alike
+    pc = 0
+    for i in range(nr):
+        if pc >= nc:
+            break
+        hi = h[i]
+        j0 = pc
+        while j0 < nc and not hi[j0]:
+            j0 += 1
+        if j0 == nc:
+            continue
+        if j0 != pc:
+            for r in both:
+                r[pc], r[j0] = r[j0], r[pc]
+        for j in range(pc + 1, nc):
+            bb = hi[j]
+            if not bb:
+                continue
+            aa = hi[pc]
+            g, x, y = extended_gcd(aa, bb)
+            # unimodular 2-column mix sending (aa, bb) -> (g, 0)
+            p, q = aa // g, bb // g
+            for r in both:
+                a, b = r[pc], r[j]
+                r[pc], r[j] = x * a + y * b, p * b - q * a
+        if hi[pc] < 0:
+            for r in both:
+                r[pc] = -r[pc]
+        piv = hi[pc]
+        for j in range(pc):
+            c = hi[j] // piv
+            if c:
+                for r in both:
+                    r[j] -= c * r[pc]
+        pc += 1
+    return h, u
 
 
 def integer_kernel(rows) -> list[tuple[int, ...]]:
@@ -236,7 +304,7 @@ def minor_gcd(generators) -> int:
         raise ValueError("integer entries required")
     g = 0
     for sub in combinations(zip(*gens), len(gens)):
-        g = gcd(g, int(Matrix(sub).det()))
+        g = gcd(g, cofactor_det(sub))
     if g == 0:
         raise DependentGeneratorsError("generators are linearly dependent")
     return g
@@ -261,7 +329,7 @@ def saturation_index(generators) -> int:
     d = 1
     for i in range(len(gens)):
         d *= h[i][i]
-    assert d == abs(from_columns(cols).det())
+    assert d == abs(cofactor_det(zip(*cols)))
     return d
 
 

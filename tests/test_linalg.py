@@ -19,19 +19,20 @@ from mucone.linalg import (
     dual_rows,
     eliminate,
     format_rational,
-    hermite_normal_form,
     kernel,
     lower_form,
     parse_rational,
     primitive,
-    scaled_inverse,
     solve_linear,
 )
 from oracles import (
     NotUnimodularError,
+    cofactor_det,
     dual_basis,
     dual_rows_by_minors,
     express_in_basis,
+    from_columns,
+    hermite_normal_form,
     integer_kernel,
     inverse,
     matmul,
@@ -93,7 +94,7 @@ def test_hnf_example():
     h, u = map(Matrix, hermite_normal_form([[1, 1], [0, 2]]))
     assert h == Matrix([[1, 0], [0, 2]])
     assert matmul(a, u) == h
-    assert abs(u.det()) == 1
+    assert abs(cofactor_det(u.rows)) == 1
 
 
 def _random_int_rows(rng, nr, nc, lo=-6, hi=6):
@@ -109,7 +110,7 @@ def test_hnf_properties_random():
         a = Matrix(rows)
         h, u = map(Matrix, hermite_normal_form(rows))
         assert matmul(a, u) == h
-        assert abs(u.det()) == 1
+        assert abs(cofactor_det(u.rows)) == 1
         # column echelon: pivots positive, entries to their left reduced
         pc = 0
         for i in range(nr):
@@ -235,22 +236,45 @@ def test_cone_index_lower_dimensional():
         cone_index([(1, 0), (0, 1), (1, 1)])
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_lower_form_is_the_oracle_hermite_form(data):
+    """lower_form runs the oracle's column operations on G alone: L is the
+    first k columns of H, and G is rejected exactly when H lacks a pivot in
+    one of its k rows (dependent rows, k > n included)."""
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, n + 1))
+    gens = [tuple(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+            for _ in range(k)]
+    h, _ = hermite_normal_form(gens)
+    if k > n or not all(row[i] for i, row in enumerate(h)):
+        with pytest.raises(DependentGeneratorsError):
+            lower_form(gens)
+    else:
+        assert lower_form(gens) == [row[:k] for row in h]
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.data())
-def test_scaled_inverse_matches_rational_inverse(data):
+def test_dual_rows_inverts_square_matrices(data):
+    """For a square A, h_j is column j of d A^-1 with d = |det A| > 0; a
+    singular A raises DependentGeneratorsError, and n = 0 gives no rows."""
     # small entries make singular matrices and zero leading pivots common
     n = data.draw(st.integers(0, 5))
     rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                               min_size=n, max_size=n))
-    det = Matrix(rows).det() if n else 1
-    got = scaled_inverse(rows)
+    det = cofactor_det(rows)
     if det == 0:
-        assert got is None
+        with pytest.raises(DependentGeneratorsError):
+            dual_rows(rows)
         return
-    d, inv = got
-    assert abs(d) == abs(det)
-    want = inverse(Matrix(rows)) if n else Matrix([])
-    assert Matrix([[Fraction(x, d) for x in row] for row in inv]) == want
+    got = dual_rows(rows)
+    if not n:
+        assert got == []
+        return
+    d = dot(got[0], rows[0])
+    assert d == abs(det)
+    assert from_columns([[Fraction(x, d) for x in h] for h in got]) == inverse(Matrix(rows))
 
 
 _ENTRIES = st.one_of(st.integers(-3, 3),
@@ -393,7 +417,7 @@ def test_dual_basis_involution():
 
 def test_matrix_basics():
     a = Matrix([[1, 2], [3, 4]])
-    assert a.det() == -2
+    assert cofactor_det(a.rows) == -2
     assert matmul(inverse(a), a) == Matrix.identity(2)
     assert a.rank() == 2
     assert Matrix([[1, 2], [2, 4]]).rank() == 1
