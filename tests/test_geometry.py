@@ -100,6 +100,13 @@ class TestCone:
         c = Cone([V(1, 0), V(1, 1), V(0, 1)])
         assert set(c.extreme_rays()) == {(1, 0), (0, 1)}
 
+    def test_extreme_rays_of_zero_cones_and_single_rays(self):
+        for n in range(4):
+            assert zero_cone(n).extreme_ray_indices == () and zero_cone(n).extreme_rays() == []
+        for ray in [(1,), (-3,), (0, 1), (2, -4), (1, -1, 2), (0, 0, -5)]:
+            c = Cone([ray])
+            assert c.extreme_ray_indices == (0,) and c.extreme_rays() == [c.generators[0]]
+
     def test_json_roundtrip(self):
         c = Cone([V(1, 0), V(1, 2)])
         assert Cone.from_json(c.to_json()) == c
@@ -110,6 +117,13 @@ class TestSubdivision:
         c = Cone([V(1, 0), V(0, 1)])
         sub = subdivide_to_basic(c)
         assert list(sub) == [c]
+
+    def test_zero_and_basic_cones_are_their_own_subdivision(self):
+        cones = [zero_cone(n) for n in range(4)] + [
+            Cone([V(-1)]), Cone([V(0, 1)]), Cone([V(1, 1, 0)]), Cone([V(1, 0), V(1, 1)]),
+            Cone([V(1, 0, 0), V(1, 1, 2)]), Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 1)])]
+        for c in cones:
+            assert c.is_basic and list(subdivide_to_basic(c)) == [c], c
 
     def test_index_two_cone(self):
         sub = subdivide_to_basic(Cone([V(1, 0), V(1, 2)]))
@@ -441,6 +455,9 @@ class TestVolumesAndTriangulation:
     def test_vertex_volume(self):
         p = triangle(2)
         assert normalized_volume(face_for(p, [0])) == 1
+        points = [Polytope([v]) for v in [(4,), (1, -2), (0, 3, -1)]]
+        for p in make_polytope_corpus() + points:
+            assert all(normalized_volume(f) == 1 for f in p.faces_of_dim(0)), p
 
     def test_hypotenuse_volume(self):
         for t in (2, 5):

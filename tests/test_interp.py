@@ -912,6 +912,23 @@ class TestMu:
                 assert mu(c, m2, order=0).mu0 == Fraction(1, 2)
 
 
+class TestZeroCones:
+    """mu of the zero cone is 1, the empty Todd product, in every R^n, by
+    every route and with or without the cross-check."""
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("cross_validate", [False, True])
+    def test_mu_and_mu_on_line(self, n, cross_validate):
+        z, cmap = zero_cone(n), standard_inner_product(n)
+        line = Vector([Fraction(3 - 2 * i, i + 1) for i in range(n)])
+        for order in (0, 1, 3):
+            v = mu(z, cmap, order, cross_validate)
+            assert v.series == MultiSeries.constant(1, n, order)
+            assert v.mu0 == 1 and v.provenance == "reduction" and v.cone == z
+            got = mu_on_line(z, cmap, line, order, cross_validate)
+            assert got == LaurentSeries.from_taylor([1], order)
+
+
 class TestMuTable:
     def test_triangle(self):
         t = Polytope([V(0, 0), V(1, 0), V(0, 1)])

@@ -28,7 +28,7 @@ from mucone.interp import (
     mu_table,
 )
 from mucone.linalg import Matrix, Vector, dot
-from mucone.series import restrict_to_direction
+from mucone.series import LaurentSeries, restrict_to_direction
 from mucone.valuations import (
     Direction,
     brion_vertex_decomposition_check,
@@ -41,6 +41,7 @@ from mucone.valuations import (
     verify_interpolator,
 )
 from oracles import face_for, whole_face
+from test_acceptance import make_polytope_corpus
 
 
 def V(*xs):
@@ -120,6 +121,16 @@ class TestIFaceSeries:
         assert s.coefficient(1) == -8
         assert s.coefficient(2) == 32
 
+    def test_vertices_are_exponentials(self):
+        # a vertex v contributes e^(-<y,v> t), for integer and rational y
+        for p in make_polytope_corpus():
+            n = p.ambient
+            for y in (V(*(2 * i + 3 for i in range(n))),
+                      V(*(Fraction(1 - 2 * i, i + 2) for i in range(n)))):
+                for f in p.faces_of_dim(0):
+                    (v,) = f.vertices
+                    assert i_face_series(f, y, 5) == LaurentSeries.exp_taylor(-y.dot(v), 5)
+
     def test_unit_segment(self):
         p = segment(1)
         s = i_face_series(whole_face(p), V(1), 3)
@@ -188,6 +199,16 @@ class TestVerifyInterpolator:
     def test_point(self):
         r = verify_interpolator(Polytope([V(3, 4)]), IP2, order=4)
         assert r.passed and r.q == 4
+
+    def test_points_in_every_dimension(self):
+        # both sides are e^(-<y,v> t): one lattice point, mu of the zero cone 1
+        for v in [(5,), (-1, 3), (2, 0, -4)]:
+            p, n = Polytope([v]), len(v)
+            for cmap in (standard_inner_product(n), GRAM[n]):
+                for order, cross_validate in [(0, False), (3, False), (2, True)]:
+                    r = verify_interpolator(p, cmap, order=order, cross_validate=cross_validate)
+                    want = LaurentSeries.exp_taylor(-r.direction.y0.dot(v), order)
+                    assert r.passed and r.q == order and r.left == r.right == want
 
     def test_triangle_fixed_direction(self):
         r = verify_interpolator(triangle(1), IP2, y0=V(2, 3), order=6)
@@ -267,6 +288,7 @@ class TestVerifyInterpolator:
 
 GRAM2 = InnerProductMap(Matrix([[2, 1], [1, 3]]))
 GRAM3 = InnerProductMap(Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]))
+GRAM = {1: InnerProductMap(Matrix([[3]])), 2: GRAM2, 3: GRAM3}
 
 
 def flag_map(n):
@@ -415,6 +437,15 @@ class TestBrion:
 
     def test_point(self):
         assert brion_vertex_decomposition_check(Polytope([V(2, 2)]), q=3)
+
+    def test_points_in_every_dimension(self):
+        for v in [(5,), (-1, 3), (2, 0, -4)]:
+            p = Polytope([v])
+            y = V(*(Fraction(2 * i + 1, 3) for i in range(len(v))))
+            for seed in (1, 7):
+                assert brion_vertex_decomposition_check(p, q=4, seed=seed)
+            assert brion_vertex_decomposition_check(p, y0=y, q=4)
+            assert brion_vertex_decomposition_check(p, y0=Direction(y), q=4)
 
     def test_lower_dimensional_raises_for_every_direction_form(self):
         # the segment (0,0)-(2,0) in R^2: given a Direction, the check used to
