@@ -378,6 +378,8 @@ def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
     mismatch at the second point y = 2 aborts the run as an internal
     inconsistency.
     """
+    if not cone.ambient:  # R^0 has no lines; its one cone is zero
+        return MuValue(cone, cmap.key(), order, MultiSeries.constant(1, 0, order), "explicit")
     k = len(cone.generators)
     n = cone.ambient
     forms, own, steps = _explicit_terms(cone, cmap)

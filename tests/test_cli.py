@@ -65,6 +65,12 @@ class TestMuCommand:
                for t in series["terms"]}
         assert got == {(0,): "1/2", (1,): "1/12", (3,): "-1/720"}
 
+    def test_cone_in_r0_cross_validated(self, capsys, tmp_path):
+        path = write_json(tmp_path / "r0.json", {"generators": [], "ambient": 0})
+        code, out, _ = run_cli(capsys, "mu", "--input", path, "--cross-validate")
+        assert code == 0
+        assert json.loads(out)["mu"]["mu0"] == "1"
+
     def test_triangle_mu0_column(self, capsys, triangle2):
         code, out, _ = run_cli(capsys, "mu", "--input", triangle2)
         assert code == 0

@@ -730,6 +730,15 @@ class TestMuExplicit:
         assert got.series.agrees_with(want, through=d)
         assert got.mu0 == Fraction(3, 8)
 
+    @pytest.mark.parametrize("n", range(4))
+    def test_zero_cones_match(self, n):
+        # R^0 has no lines for the chain sum to run on; both routes give 1
+        z, cmap = zero_cone(n), standard_inner_product(n)
+        for order in (0, 2, 5):
+            a, b = mu_basic(z, cmap, order), mu_explicit(z, cmap, order)
+            assert a.series == b.series == MultiSeries.constant(1, n, order)
+            assert (a.provenance, b.provenance) == ("reduction", "explicit")
+
     def test_3d_matches(self):
         c = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 1)])
         assert mu_basic(c, IP3, order=2).series == mu_explicit(c, IP3, order=2).series
