@@ -105,7 +105,9 @@ def _extreme_indices(count: int, facet_sets: Sequence[frozenset[int]]) -> list[i
     With no facet containing i, the meet is the whole index set. This
     presumes the indexed points are distinct (rays: distinct primitive
     generators) and that every proper face is a meet of facets, which
-    holds for a pointed cone of dimension >= 2 and for any polytope.
+    holds for a pointed cone of any dimension and for any polytope: the
+    zero cone has no rays, and a pointed cone of dimension 1 has one
+    primitive ray and no facets, so its meet is {0}.
     """
     out = []
     for i in range(count):
@@ -197,10 +199,7 @@ class Cone:
 
     @cached_property
     def extreme_ray_indices(self) -> tuple[int, ...]:
-        """Positions of the extreme rays, read off the facets; a cone of
-        dimension <= 1 keeps all its rays."""
-        if self.dim <= 1:
-            return tuple(range(len(self.generators)))
+        """Positions of the extreme rays, read off the facets."""
         return tuple(_extreme_indices(len(self.generators),
                                       [on for _, on in self.facets]))
 
@@ -275,8 +274,6 @@ class Subdivision:
         parent, children = self.parent, self.children
         if not children:
             raise InternalInconsistencyError("empty subdivision")
-        if len(children) == 1 and children[0] == parent:
-            return
         d = parent.dim
         pfacets = parent.facets
         for cell in children:
@@ -382,7 +379,7 @@ def subdivide_to_basic(cone: Cone) -> Subdivision:
     contain w are those whose rays include tau, and tau are exactly their
     positively weighted rays.
     """
-    if cone.is_zero or cone.is_basic:
+    if cone.is_basic:
         return Subdivision(cone, [cone])
 
     rays = sorted(cone.extreme_rays())
@@ -680,11 +677,12 @@ def triangulate_face(f: Face) -> list[tuple[int, ...]]:
 
 
 def lattice_simplices(f: Face) -> list[tuple[tuple[int, ...], int]]:
-    """(simplex, |det|) over the pulling triangulation of a face of dim >= 1.
+    """(simplex, |det|) over the pulling triangulation of a face.
 
     |det| is taken in a basis of the lattice induced on the face's affine
     span, so it is dim(F)! times the simplex's normalized volume: it is the
-    index of the lattice of the simplex's edges in that lattice.
+    index of the lattice of the simplex's edges in that lattice.  A vertex
+    is its own simplex, |det| 1.
     """
     out = []
     for simplex in triangulate_face(f):
@@ -700,6 +698,4 @@ def normalized_volume(f: Face) -> Fraction:
     The unit is the fundamental cell of the lattice induced on the span;
     a point has volume 1, a primitive segment volume 1.
     """
-    if f.dim == 0:
-        return Fraction(1)
     return Fraction(sum(det for _, det in lattice_simplices(f)), math.factorial(f.dim))

@@ -445,15 +445,12 @@ def clear_mu_cache():
 
 def mu(cone: Cone, cmap, order: int = DEFAULT_ORDER,
        cross_validate: bool = False) -> MuValue:
-    """mu of a pointed generic cone: by reduction when basic, else summed
-    over a basic subdivision.  cross_validate reruns basic cones through
+    """mu of a pointed generic cone: by reduction when basic (the zero cone
+    among them, with mu 1), else summed over a basic subdivision.  cross_validate reruns basic cones through
     the explicit formula and aborts on any mismatch.  That formula reads
     psi on the full subset at every order, so at order 0 it may raise
     NotGenericError on a cone whose reduction never reads that psi.
     """
-    if cone.is_zero:
-        return MuValue(cone, cmap.key(), order,
-                       MultiSeries.constant(1, cone.ambient, order), "reduction")
     key = (cone.canonical_key(), cmap.key(), order, bool(cross_validate))
     got = _MU_CACHE.get(key)
     if got is not None:
@@ -491,8 +488,6 @@ def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
     """
     if len(line) != cone.ambient:
         raise ValueError("direction dimension mismatch")
-    if cone.is_zero:
-        return LaurentSeries.from_taylor([1], order)
     cells = cone.basic_cells
     total = [Fraction(0)] * (order + 1)
     for cell, val in zip(cells, SquarefreeReducer(cells, [line], cmap, order).reduce()):

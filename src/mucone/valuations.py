@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from .errors import (
     DirectionDegenerateError,
@@ -56,10 +57,6 @@ class Direction:
         return f"Direction({self.y0!r}, {len(self.certificate)} checked)"
 
 
-def _as_vector(y0) -> Vector:
-    return y0.y0 if isinstance(y0, Direction) else y0
-
-
 def certify_direction(y0: Vector, avoid) -> Direction:
     """Check <y0, v> != 0 for every v (int tuple) in avoid; raise naming the offender."""
     cert = []
@@ -100,18 +97,12 @@ def sample_direction(ambient: int, avoid, seed: int = DEFAULT_SEED,
 # -- the two sides of the identity -------------------------------------------
 
 
-def s_series(p: Polytope, y0, q: int) -> LaurentSeries:
-    """Taylor series in t of the lattice-point exponential sum along t*y0."""
-    y = _as_vector(y0)
-    coeffs = [Fraction(0)] * (q + 1)
-    for x in p.lattice_points():
-        c = -y.dot(x)
-        term = Fraction(1)
-        coeffs[0] += 1
-        for r in range(1, q + 1):
-            term = term * c / r
-            coeffs[r] += term
-    return LaurentSeries.from_taylor(coeffs, q)
+def s_series(p: Polytope, y: Vector, q: int) -> LaurentSeries:
+    """Taylor series in t of the lattice-point exponential sum along t*y:
+    the power sum of -<y,x> over the lattice points x, over r!, at t^r."""
+    values = [-y.dot(x) for x in p.lattice_points()]
+    return LaurentSeries.from_taylor(
+        [sum((c ** r for c in values), Fraction(0)) / factorial(r) for r in range(q + 1)], q)
 
 
 def _homogeneous_sums(values, q: int) -> list[Fraction]:
@@ -124,25 +115,20 @@ def _homogeneous_sums(values, q: int) -> list[Fraction]:
     return h
 
 
-def i_face_series(f: Face, y0, q: int) -> LaurentSeries:
-    """Taylor series of the exponential integral over a face.
+def i_face_series(f: Face, y: Vector, q: int) -> LaurentSeries:
+    """Taylor series of the exponential integral over a face along t*y.
 
     The measure is normalized to the lattice induced on the face's affine
     span.  Each simplex of a lattice triangulation contributes
-    (-1)^r |det| h_r(c_0..c_m) / (m+r)!  at t^r, where the c_j pair y0
+    (-1)^r |det| h_r(c_0..c_m) / (m+r)!  at t^r, where the c_j pair y
     with the simplex vertices and |det| is taken in a basis of the induced
-    lattice.
+    lattice.  A vertex v is its own simplex with |det| 1, so it gives
+    (-<y,v>)^r / r!, the series of e^(-<y,v> t).
     """
-    y = _as_vector(y0)
     p = f.polytope
     m = f.dim
-    if m == 0:
-        (vi,) = f.indices
-        return LaurentSeries.exp_taylor(-y.dot(p.vertices[vi]), q)
     coeffs = [Fraction(0)] * (q + 1)
     for simplex, det in lattice_simplices(f):
-        if det == 0:
-            continue
         h = _homogeneous_sums([y.dot(p.vertices[i]) for i in simplex], q)
         denom = 1
         for i in range(1, m + 1):
@@ -276,10 +262,10 @@ def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
     else:
         mu_lines = [(f, restrict_to_direction(v.series, y))
                     for f, v in table.entries]
-    left = s_series(p, direction, q)
+    left = s_series(p, y, q)
     right = LaurentSeries.zero(q)
     for f, mu_line in mu_lines:
-        right = right + mu_line * i_face_series(f, direction, q)
+        right = right + mu_line * i_face_series(f, y, q)
     return IdentityReport(p, cmap.describe(), direction, seed, order, q,
                           left, right, attempts)
 
@@ -329,15 +315,13 @@ def brion_vertex_decomposition_check(p: Polytope, y0=None, q: int = 6,
     partition the cone, and each half-open basic cell contributes a
     closed-form product of geometric series.  Vertex cones need a
     full-dimensional polytope, so any other polytope but a point raises
-    NotFullDimError up front, whatever y0 is.
+    NotFullDimError up front, whatever y0 is.  A point's vertex cone is the
+    zero cone: one cell, no rays, and the piece e^(-<y0,v> t).
     """
     if p.dim and not p.is_full_dimensional:
         raise NotFullDimError("the Brion check needs a full-dimensional polytope")
     direction, _ = _choose_direction(p, y0, seed)
     y = direction.y0
-    if p.dim == 0:
-        total = LaurentSeries.exp_taylor(-y.dot(p.vertices[0]), q)
-        return total.agrees_with(s_series(p, direction, q), through=q)
     total = None
     for vert in p.faces_of_dim(0):
         apex, scone = supporting_cone(p, vert)
@@ -347,4 +331,4 @@ def brion_vertex_decomposition_check(p: Polytope, y0=None, q: int = 6,
             open_facets = {i for i, h in enumerate(rows) if dot(h, probe) < 0}
             piece = _half_open_cone_series(apex, cell, open_facets, y, q)
             total = piece if total is None else total + piece
-    return total.agrees_with(s_series(p, direction, q), through=q)
+    return total.agrees_with(s_series(p, y, q), through=q)

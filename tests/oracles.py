@@ -24,9 +24,10 @@ such Vectors, the line-restricted mu cell by cell, the reduced row
 echelon form by Gauss-Jordan over fractions, the determinant by cofactor
 expansion, the column Hermite form H = A U with its unimodular U, dual
 rows by a scan of minors, a rational span and kernel basis, coordinates
-in a basis by a linear solve, cone membership, a polytope's face by its
-vertex indices, a matrix from its columns, rows and columns as Vectors,
-and small linear-algebra and genericity checks the library never calls.
+in a basis by a linear solve, the exponential sum over lattice points
+term by term, cone membership, a polytope's face by its vertex indices,
+a matrix from its columns, rows and columns as Vectors, and small
+linear-algebra and genericity checks the library never calls.
 """
 
 from __future__ import annotations
@@ -103,6 +104,20 @@ def face_for(p: Polytope, indices) -> Face:
         if f.indices == key:
             return f
     raise KeyError(f"no face with vertex indices {sorted(key)}")
+
+
+def exp_sum_series(points, y: Vector, q: int) -> LaurentSeries:
+    """Taylor series in t of the sum of e^(-<y,x> t) over the points x, one
+    running term c^r / r! per point, each from the one before."""
+    coeffs = [Fraction(0)] * (q + 1)
+    for x in points:
+        c = -y.dot(x)
+        term = Fraction(1)
+        coeffs[0] += 1
+        for r in range(1, q + 1):
+            term = term * c / r
+            coeffs[r] += term
+    return LaurentSeries.from_taylor(coeffs, q)
 
 
 def cone_contains(rays, x) -> bool:

@@ -40,7 +40,7 @@ from mucone.valuations import (
     sample_direction,
     verify_interpolator,
 )
-from oracles import face_for, whole_face
+from oracles import exp_sum_series, face_for, whole_face
 from test_acceptance import make_polytope_corpus
 
 
@@ -90,6 +90,18 @@ class TestDirections:
             sample_direction(2, avoid, retries=3)
 
 
+@st.composite
+def polytopes_and_directions(draw):
+    """A lattice polytope of any dimension in R^1 to R^3, the hull of a few
+    points in [-2, 2]^n, and a direction with integer or rational entries."""
+    n = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                        min_size=1, max_size=n + 2, unique=True))
+    pts = [x for i, x in enumerate(pts) if not in_convex_hull(x, pts[:i] + pts[i + 1:])]
+    entry = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6))
+    return Polytope(pts), Vector(draw(st.lists(entry, min_size=n, max_size=n)))
+
+
 class TestSSeries:
     def test_origin_point(self):
         s = s_series(Polytope([V(0, 0)]), V(2, 3), 4)
@@ -110,6 +122,15 @@ class TestSSeries:
     def test_triangle_linear_term(self):
         s = s_series(triangle(1), V(2, 3), 2)
         assert s.coefficient(1) == -5
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(polytopes_and_directions(), st.integers(0, 6))
+    def test_power_sums_match_running_terms(self, case, q):
+        p, y = case
+        s = s_series(p, y, q)
+        assert s == exp_sum_series(p.lattice_points(), y, q)
+        # exact: a float anywhere in the sums would have rounded some coefficient
+        assert all(type(c) is Fraction for c in s.coeffs)
 
 
 class TestIFaceSeries:
@@ -467,33 +488,6 @@ def _random_lattice_polytope(rng: random.Random, n: int) -> Polytope:
             return p
 
 
-class TestEhrhart:
-    """The local formula's face sums are the Ehrhart coefficients.
-
-    c_k, the sum of mu0 * vol over the k-faces (rows of count_breakdown), is
-    the t^k coefficient of L_P(t) = #(tP lattice points), since the normal
-    fan does not change under dilation and vol scales by t^k.  Reciprocity
-    gives L_P(-t) = (-1)^d #(interior lattice points of tP), interior being
-    strict on every facet inequality.  The check adds no library code."""
-
-    @pytest.mark.parametrize("n, seed", [(2, s) for s in range(6)] + [(3, s) for s in range(4)])
-    def test_coefficients_and_reciprocity(self, n, seed):
-        p = _random_lattice_polytope(random.Random(seed), n)
-        coeffs = set()
-        for cmap in (standard_inner_product(n), GRAM2 if n == 2 else GRAM3):
-            c = [Fraction(0)] * (n + 1)
-            for f, mu0, vol in count_breakdown(p, cmap)[1]:
-                c[f.dim] += mu0 * vol
-            coeffs.add(tuple(c))
-        assert len(coeffs) == 1  # the polynomial does not depend on the map
-        for t in range(1, n + 2):
-            tp = Polytope([[t * a for a in v] for v in p.vertices])
-            points, facets = tp.lattice_points(), tp.facet_normals()
-            inside = [x for x in points if all(dot(a, x) > b for a, b, _ in facets)]
-            assert sum(ck * t ** k for k, ck in enumerate(c)) == len(points), (p, t)
-            assert sum(ck * (-t) ** k for k, ck in enumerate(c)) == (-1) ** n * len(inside), (p, t)
-
-
 @st.composite
 def polytopes_under_gram_maps(draw, dims):
     """A full-dimensional lattice polytope in R^n, n drawn from dims, the
@@ -508,6 +502,44 @@ def polytopes_under_gram_maps(draw, dims):
     b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
     gram = [[sum(r[i] * r[j] for r in b) + (i == j) for j in range(n)] for i in range(n)]
     return p, InnerProductMap(Matrix(gram))
+
+
+class TestEhrhart:
+    """The local formula's face sums are the Ehrhart coefficients.
+
+    c_k, the sum of mu0 * vol over the k-faces (rows of count_breakdown), is
+    the t^k coefficient of L_P(t) = #(tP lattice points), since the normal
+    fan does not change under dilation and vol scales by t^k.  Reciprocity
+    gives L_P(-t) = (-1)^d #(interior lattice points of tP), interior being
+    strict on every facet inequality.  The check adds no library code."""
+
+    @pytest.mark.parametrize("n, seed", [(2, s) for s in range(6)] + [(3, s) for s in range(4)])
+    def test_coefficients_and_reciprocity(self, n, seed):
+        p = _random_lattice_polytope(random.Random(seed), n)
+        self.check(p, [standard_inner_product(n), GRAM2 if n == 2 else GRAM3])
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(polytopes_under_gram_maps((2, 3)))
+    def test_coefficients_and_reciprocity_under_random_maps(self, case):
+        p, cmap = case
+        self.check(p, [standard_inner_product(p.ambient), cmap])
+
+    @staticmethod
+    def check(p, cmaps):
+        n = p.ambient
+        coeffs = set()
+        for cmap in cmaps:
+            c = [Fraction(0)] * (n + 1)
+            for f, mu0, vol in count_breakdown(p, cmap)[1]:
+                c[f.dim] += mu0 * vol
+            coeffs.add(tuple(c))
+        assert len(coeffs) == 1  # the polynomial does not depend on the map
+        for t in range(1, n + 2):
+            tp = Polytope([[t * a for a in v] for v in p.vertices])
+            points, facets = tp.lattice_points(), tp.facet_normals()
+            inside = [x for x in points if all(dot(a, x) > b for a, b, _ in facets)]
+            assert sum(ck * t ** k for k, ck in enumerate(c)) == len(points), (p, t)
+            assert sum(ck * (-t) ** k for k, ck in enumerate(c)) == (-1) ** n * len(inside), (p, t)
 
 
 class TestRandomPolytopes:
