@@ -9,17 +9,20 @@ Everything the library computes is equivariant under the lattice
 automorphisms x -> A x + b (A in GL_n(Z), b integral).  TestEquivariance
 checks this on inputs that no fixed corpus holds, with no oracle: the
 local count and the identity on moved corpus polytopes, and mu on moved
-random cones under the moved Gram map A^-T G A^-1.
+random cones under the moved Gram map A^-T G A^-1 and under flag maps
+whose basis moves by A^-T.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mucone.complement import InnerProductMap, projective_fan_cones, standard_inner_product
-from mucone.errors import NotPointedError
+from mucone.complement import (FlagMap, InnerProductMap, projective_fan_cones,
+                               standard_inner_product)
+from mucone.errors import NotGenericError, NotPointedError
 from mucone.geometry import (
     Cone,
     Polytope,
@@ -31,7 +34,7 @@ from mucone.interp import mu
 from mucone.linalg import Matrix, Vector
 from mucone.series import compose_multivariate
 from mucone.valuations import count_via_local_formula, verify_interpolator
-from oracles import inverse, matmul
+from oracles import inverse, matmul, matvec
 from test_acceptance import _gram_maps, make_polytope_corpus
 
 CORPUS = make_polytope_corpus()
@@ -161,3 +164,27 @@ class TestEquivariance:
             got = mu(moved, InnerProductMap(moved_gram), 4).series
             want = compose_multivariate(mu(cone, g, 4).series, list(map(Vector, ainv.rows)), 4)
             assert got == want
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(moved_cones(), st.data())
+    def test_mu_flag(self, case, data):
+        """mu(A C, flag(A^-T b))(v) = mu(C, flag(b))(A^-1 v): psi of a moved
+        ray subset is A^-T times psi of the subset, so the pivots move as
+        under a Gram map.  A flag that is not generic on C is not generic
+        on A C either."""
+        cone, a = case
+        n = cone.ambient
+        rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        assume(Matrix(rows).rank() == n)
+        ainv = inverse(Matrix(a))
+        flag = FlagMap([Vector(r) for r in rows])
+        moved_flag = FlagMap([matvec(ainv.transpose(), Vector(r)) for r in rows])
+        moved = Cone([_apply(a, w) for w in cone.generators])
+        try:
+            want = compose_multivariate(mu(cone, flag, 4).series, list(map(Vector, ainv.rows)), 4)
+        except NotGenericError:
+            with pytest.raises(NotGenericError):
+                mu(moved, moved_flag, 4)
+            return
+        assert mu(moved, moved_flag, 4).series == want
