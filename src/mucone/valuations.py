@@ -130,11 +130,9 @@ def i_face_series(f: Face, y: Vector, q: int) -> LaurentSeries:
     coeffs = [Fraction(0)] * (q + 1)
     for simplex, det in lattice_simplices(f):
         h = _homogeneous_sums([y.dot(p.vertices[i]) for i in simplex], q)
-        denom = 1
-        for i in range(1, m + 1):
-            denom *= i
+        denom = factorial(m)
         for r in range(q + 1):
-            coeffs[r] += Fraction((-1) ** r) * det * h[r] / denom
+            coeffs[r] += (-1) ** r * det * h[r] / denom
             denom *= m + r + 1
     return LaurentSeries.from_taylor(coeffs, q)
 

@@ -141,8 +141,6 @@ class TestIFaceSeries:
         assert s.coefficient(0) == 1
         assert s.coefficient(1) == -8
         assert s.coefficient(2) == 32
-
-    def test_vertices_are_exponentials(self):
         # a vertex v contributes e^(-<y,v> t), for integer and rational y
         for p in make_polytope_corpus():
             n = p.ambient
@@ -220,8 +218,6 @@ class TestVerifyInterpolator:
     def test_point(self):
         r = verify_interpolator(Polytope([V(3, 4)]), IP2, order=4)
         assert r.passed and r.q == 4
-
-    def test_points_in_every_dimension(self):
         # both sides are e^(-<y,v> t): one lattice point, mu of the zero cone 1
         for v in [(5,), (-1, 3), (2, 0, -4)]:
             p, n = Polytope([v]), len(v)
@@ -458,8 +454,6 @@ class TestBrion:
 
     def test_point(self):
         assert brion_vertex_decomposition_check(Polytope([V(2, 2)]), q=3)
-
-    def test_points_in_every_dimension(self):
         for v in [(5,), (-1, 3), (2, 0, -4)]:
             p = Polytope([v])
             y = V(*(Fraction(2 * i + 1, 3) for i in range(len(v))))
