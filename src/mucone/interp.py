@@ -446,10 +446,11 @@ def clear_mu_cache():
 def mu(cone: Cone, cmap, order: int = DEFAULT_ORDER,
        cross_validate: bool = False) -> MuValue:
     """mu of a pointed generic cone: by reduction when basic (the zero cone
-    among them, with mu 1), else summed over a basic subdivision.  cross_validate reruns basic cones through
-    the explicit formula and aborts on any mismatch.  That formula reads
-    psi on the full subset at every order, so at order 0 it may raise
-    NotGenericError on a cone whose reduction never reads that psi.
+    among them, with mu 1), else summed over a basic subdivision.
+    cross_validate reruns basic cones through the explicit formula and
+    aborts on any mismatch.  That formula reads psi on the full subset at
+    every order, so at order 0 it may raise NotGenericError on a cone whose
+    reduction never reads that psi.
     """
     key = (cone.canonical_key(), cmap.key(), order, bool(cross_validate))
     got = _MU_CACHE.get(key)
