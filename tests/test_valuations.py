@@ -91,15 +91,19 @@ class TestDirections:
 
 
 @st.composite
-def polytopes_and_directions(draw):
-    """A lattice polytope of any dimension in R^1 to R^3, the hull of a few
-    points in [-2, 2]^n, and a direction with integer or rational entries."""
-    n = draw(st.integers(1, 3))
-    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
-                        min_size=1, max_size=n + 2, unique=True))
+def polytopes_under_gram_maps(draw, dims):
+    """A full-dimensional lattice polytope in R^n, n drawn from dims, the
+    hull of a few points with coordinates in [-1, 2], and a random
+    positive-definite Gram map B^T B + I with B's entries in [-2, 2]."""
+    n = draw(st.sampled_from(dims))
+    pts = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * n),
+                        min_size=n + 1, max_size=n + 3, unique=True))
     pts = [x for i, x in enumerate(pts) if not in_convex_hull(x, pts[:i] + pts[i + 1:])]
-    entry = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6))
-    return Polytope(pts), Vector(draw(st.lists(entry, min_size=n, max_size=n)))
+    p = Polytope(pts)
+    assume(p.is_full_dimensional)
+    b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    gram = [[sum(r[i] * r[j] for r in b) + (i == j) for j in range(n)] for i in range(n)]
+    return p, InnerProductMap(Matrix(gram))
 
 
 class TestSSeries:
@@ -124,9 +128,11 @@ class TestSSeries:
         assert s.coefficient(1) == -5
 
     @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(polytopes_and_directions(), st.integers(0, 6))
-    def test_power_sums_match_running_terms(self, case, q):
-        p, y = case
+    @given(polytopes_under_gram_maps((1, 2, 3)), st.integers(0, 6), st.data())
+    def test_power_sums_match_running_terms(self, case, q, data):
+        p = case[0]
+        entry = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6))
+        y = Vector(data.draw(st.lists(entry, min_size=p.ambient, max_size=p.ambient)))
         s = s_series(p, y, q)
         assert s == exp_sum_series(p.lattice_points(), y, q)
         # exact: a float anywhere in the sums would have rounded some coefficient
@@ -480,22 +486,6 @@ def _random_lattice_polytope(rng: random.Random, n: int) -> Polytope:
         p = Polytope([Vector(x) for x in pts])
         if p.is_full_dimensional:
             return p
-
-
-@st.composite
-def polytopes_under_gram_maps(draw, dims):
-    """A full-dimensional lattice polytope in R^n, n drawn from dims, the
-    hull of a few points with coordinates in [-1, 2], and a random
-    positive-definite Gram map B^T B + I with B's entries in [-2, 2]."""
-    n = draw(st.sampled_from(dims))
-    pts = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * n),
-                        min_size=n + 1, max_size=n + 3, unique=True))
-    pts = [x for i, x in enumerate(pts) if not in_convex_hull(x, pts[:i] + pts[i + 1:])]
-    p = Polytope(pts)
-    assume(p.is_full_dimensional)
-    b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
-    gram = [[sum(r[i] * r[j] for r in b) + (i == j) for j in range(n)] for i in range(n)]
-    return p, InnerProductMap(Matrix(gram))
 
 
 class TestEhrhart:
