@@ -176,7 +176,10 @@ def load_map(spec: str, ambient: int):
 def emit(data, out: str | None) -> None:
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -202,8 +205,7 @@ def cmd_count(args) -> tuple[dict, int]:
     if not isinstance(obj, Polytope):
         raise ParseError("count needs a polytope input")
     cmap = load_map(args.map, obj.ambient)
-    # only constant terms enter the count, so degree 0 regardless of --degree
-    total, rows = count_breakdown(obj, cmap, 0)
+    total, rows = count_breakdown(obj, cmap)
     brute = len(obj.lattice_points())
     match = total == brute
     body = {
@@ -366,6 +368,7 @@ def main(argv=None) -> int:
         if args.command == "verify" and not args.input and not args.corpus:
             parser.error("verify requires --input or --corpus")
         body, code = _COMMANDS[args.command](args)
+        emit(body, args.out)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ParseError as exc:
@@ -383,7 +386,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - contract: nonzero on any failure
         print(f"unexpected failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    emit(body, args.out)
     return code
 
 

@@ -17,7 +17,9 @@ rational. Error messages print lattice points as Vectors.
 
 One routine, cone_facets, finds facets: a polytope's facets are those of
 the cone over it. One rule, _extreme_indices, reads the extreme rays of a
-cone and the vertices of a polytope off their facets.
+cone and the vertices of a polytope off their facets. A polytope has one
+H-description, in ambient coordinates (span equations, facet
+inequalities), and a cone one inequality list.
 """
 
 from __future__ import annotations
@@ -210,18 +212,19 @@ class Cone:
     def _annihilator(self) -> list[Point]:
         return kernel(self.generators, self.ambient)
 
+    @cached_property
+    def inequalities(self) -> list[Point]:
+        """Rows h with <h, x> >= 0 cutting the cone out of its span: the
+        facet normals, or the generators when a cone of dimension <= 1 has
+        no facets (its one ray, or none for the zero cone)."""
+        return [h for h, _ in self.facets] or list(self.generators)
+
     def contains(self, x: Sequence) -> bool:
         """Exact membership of an integer or rational point: x is orthogonal
         to the annihilator (the vectors orthogonal to every ray) and on the
-        inner side of every facet."""
-        if not any(x):
-            return True
-        if self.is_zero or any(dot(z, x) for z in self._annihilator):
-            return False
-        if not self.facets:
-            # dimension 1: x is a multiple of the ray
-            return dot(self.generators[0], x) > 0
-        return all(dot(h, x) >= 0 for h, _ in self.facets)
+        inner side of every inequality."""
+        return (not any(dot(z, x) for z in self._annihilator)
+                and all(dot(h, x) >= 0 for h in self.inequalities))
 
     def __eq__(self, other):
         return (isinstance(other, Cone)
@@ -275,7 +278,6 @@ class Subdivision:
         if not children:
             raise InternalInconsistencyError("empty subdivision")
         d = parent.dim
-        pfacets = parent.facets
         for cell in children:
             if not cell.is_simplicial or cell.dim != d:
                 raise InternalInconsistencyError("cell not simplicial of full dimension")
@@ -288,24 +290,20 @@ class Subdivision:
         for r in parent.extreme_rays():
             if r not in covered:
                 raise InternalInconsistencyError(f"parent ray {Vector(r)} not covered")
-        if d >= 1:
-            counts: dict[tuple, int] = {}
-            boundary: dict[tuple, bool] = {}
-            for cell in children:
-                gens = cell.generators
-                for drop in range(len(gens)):
-                    fr = [g for j, g in enumerate(gens) if j != drop]
-                    key = tuple(sorted(fr))
-                    counts[key] = counts.get(key, 0) + 1
-                    if key not in boundary:
-                        boundary[key] = any(
-                            all(dot(h, g) == 0 for g in fr) for h, _ in pfacets
-                        ) if pfacets else (d == 1)
-            for key, cnt in counts.items():
-                want = 1 if boundary[key] else 2
-                if cnt != want:
-                    raise InternalInconsistencyError(
-                        f"facet {key} appears {cnt} times, expected {want}")
+        counts: dict[tuple, int] = {}
+        for cell in children:
+            gens = cell.generators
+            for drop in range(len(gens)):
+                key = tuple(sorted(g for j, g in enumerate(gens) if j != drop))
+                counts[key] = counts.get(key, 0) + 1
+        for key, cnt in counts.items():
+            # on the parent's boundary when all its rays lie on one wall
+            on_boundary = any(all(dot(h, g) == 0 for g in key)
+                              for h in parent.inequalities)
+            want = 1 if on_boundary else 2
+            if cnt != want:
+                raise InternalInconsistencyError(
+                    f"facet {key} appears {cnt} times, expected {want}")
 
     def __iter__(self):
         return iter(self.children)
@@ -477,11 +475,12 @@ def _lattice_point(p: Sequence) -> Point:
 class Polytope:
     """Integral polytope given by its exact vertex set.
 
-    Every input point must be integral and extreme; the face lattice and
-    facet descriptions are computed once at construction. The facets are
-    those of the cone over P (_compute_facets), and an input point is a
-    vertex when the facets through it meet in that point alone
-    (_extreme_indices).
+    Every input point must be integral and extreme. One H-description, in
+    ambient coordinates, is computed at construction: equations (z, c)
+    with <z, x> = c on the affine span and facets (a, b, on) with
+    <a, x> >= b on P. The facets are those of the cone over P
+    (_compute_facets), and an input point is a vertex when the facets
+    through it meet in that point alone (_extreme_indices).
     """
 
     def __init__(self, points: Iterable[Sequence], name: str | None = None):
@@ -497,13 +496,11 @@ class Polytope:
         self.vertices: tuple[Point, ...] = tuple(uniq)
         self.ambient = n
         self.name = name or "polytope"
-        self._base = base = uniq[0]
-        # the span of the vertex differences: d R, its pivot columns and d
-        red, self._d, self._pivots = eliminate(
-            [tuple(a - b for a, b in zip(v, base)) for v in uniq[1:]])
-        self.dim = len(self._pivots)
-        self._span = red[:self.dim]
-        self._coords = [tuple(v[p] - base[p] for p in self._pivots) for v in uniq]
+        # the affine span: <z, x> = <z, v0> for z orthogonal to every v - v0
+        v0 = uniq[0]
+        self._equations = [(z, dot(z, v0)) for z in kernel(
+            [tuple(a - b for a, b in zip(v, v0)) for v in uniq[1:]], n)]
+        self.dim = n - len(self._equations)
         self._facets = self._compute_facets()
         extreme = _extreme_indices(len(uniq), [on for _, _, on in self._facets])
         for i, p in enumerate(uniq):
@@ -512,17 +509,17 @@ class Polytope:
         self.faces = self._compute_face_lattice()
 
     def _compute_facets(self) -> list[tuple[Point, int, frozenset[int]]]:
-        """Facets (a, b, vertex indices on it), a . coords(x) >= b on P.
+        """Facets (a, b, vertex indices on it) with <a, x> >= b on P.
 
-        The inequalities live in span coordinates. P's facets are the
-        facets of the cone over P, spanned by the rays (1, coords(v)): a
-        facet normal h of that cone reads h[1:] . coords(x) >= -h[0] on P,
-        and a is h[1:] made primitive. Sorted by (a, b).
+        P's facets are the facets of the cone over P, spanned by the rays
+        (1, v): a facet normal h of that cone reads <h[1:], x> >= -h[0] on
+        P, and a is h[1:] made primitive (for a flat P, a direction in its
+        span). Sorted by (a, b).
         """
         facets = []
-        for h, on in cone_facets([(1, *c) for c in self._coords]):
+        for h, on in cone_facets([(1, *v) for v in self.vertices]):
             a = primitive(h[1:])
-            facets.append((a, dot(a, self._coords[min(on)]), on))
+            facets.append((a, dot(a, self.vertices[min(on)]), on))
         return sorted(facets, key=lambda f: (f[0], f[1]))
 
     def _compute_face_lattice(self) -> list[Face]:
@@ -542,7 +539,7 @@ class Polytope:
             sets |= new
         faces = []
         for s in sets:
-            pts = [self._coords[i] for i in s]
+            pts = [self.vertices[i] for i in s]
             d = rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]])
             faces.append(Face(self, s, d))
         faces.sort(key=lambda f: (f.dim, sorted(f.indices)))
@@ -558,27 +555,14 @@ class Polytope:
         return [f for f in self.faces if f.dim == d]
 
     def facet_normals(self) -> list[tuple[Point, int, frozenset[int]]]:
-        """Ambient primitive inner normals (a, b, on) with <a, x> >= b on P.
+        """Primitive inner normals (a, b, on) with <a, x> >= b on P.
 
         Only available for full-dimensional polytopes, where facet normals
-        are unique up to positive scale. Computed once per polytope.
+        are unique up to positive scale.
         """
         if not self.is_full_dimensional:
             raise NotFullDimError("facet normals need a full-dimensional polytope")
-        return list(self._facet_normals)
-
-    @cached_property
-    def _facet_normals(self) -> tuple[tuple[Point, int, frozenset[int]], ...]:
-        # full-dimensional: the span basis is the identity, so the span
-        # coordinates are x - base and each primitive a is an ambient normal
-        out = []
-        for a, _, on in self._facets:
-            bb = dot(a, self.vertices[min(on)])
-            vals = [dot(a, v) for v in self.vertices]
-            assert min(vals) == bb
-            assert frozenset(i for i, v in enumerate(vals) if v == bb) == on
-            out.append((a, bb, on))
-        return tuple(out)
+        return list(self._facets)
 
     @cached_property
     def normal_cones(self) -> tuple[tuple[Face, Cone], ...]:
@@ -587,17 +571,12 @@ class Polytope:
         return tuple((f, normal_cone(self, f)) for f in self.faces)
 
     def contains_point(self, x: Sequence) -> bool:
-        """Whether the integer or rational point x lies in P: y = x - base
-        is in the span when d y = sum_i y[p_i] (d R)_i over the span rows
-        (always, for a full-dimensional P), and then the y[p_i] are its
-        span coordinates, which must satisfy every facet inequality."""
-        y = [a - b for a, b in zip(x, self._base, strict=True)]
-        c = [y[p] for p in self._pivots]
-        if self.dim < self.ambient and any(
-                self._d * yj != sum(ci * s[j] for ci, s in zip(c, self._span))
-                for j, yj in enumerate(y)):
-            return False
-        return all(dot(a, c) >= b for a, b, _ in self._facets)
+        """Whether the integer or rational point x lies in P: on the affine
+        span (every equation) and on the inner side of every facet."""
+        if len(x) != self.ambient:
+            raise ValueError(f"point of length {len(x)} in dimension {self.ambient}")
+        return (all(dot(z, x) == c for z, c in self._equations)
+                and all(dot(a, x) >= b for a, b, _ in self._facets))
 
     def lattice_points(self, cap: int = LATTICE_POINT_CAP) -> list[Point]:
         box = [range(min(c), max(c) + 1) for c in zip(*self.vertices)]

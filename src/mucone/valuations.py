@@ -140,10 +140,11 @@ def i_face_series(f: Face, y: Vector, q: int) -> LaurentSeries:
 # -- counting -----------------------------------------------------------------
 
 
-def count_breakdown(p: Polytope, cmap, order: int = 0):
+def count_breakdown(p: Polytope, cmap):
     """(total, rows): per-face (face, mu0, normalized volume) and their sum,
-    an int; NonIntegerResultError when the sum is not an integer."""
-    table = mu_table(p, cmap, order)
+    an int; NonIntegerResultError when the sum is not an integer. Only the
+    constant terms enter, so mu is taken at order 0."""
+    table = mu_table(p, cmap, 0)
     total = Fraction(0)
     rows = []
     for f, v in table.entries:
@@ -156,9 +157,9 @@ def count_breakdown(p: Polytope, cmap, order: int = 0):
     return int(total), rows
 
 
-def count_via_local_formula(p: Polytope, cmap, order: int = 0) -> int:
+def count_via_local_formula(p: Polytope, cmap) -> int:
     """Lattice-point count as sum over faces of mu0 times normalized volume."""
-    return count_breakdown(p, cmap, order)[0]
+    return count_breakdown(p, cmap)[0]
 
 
 # -- identity verification ----------------------------------------------------
@@ -224,14 +225,13 @@ def _corner_data_vectors(p: Polytope) -> list[tuple[int, ...]]:
     return list(dict.fromkeys(avoid))
 
 
-def _choose_direction(p: Polytope, y0, seed: int) -> tuple[Direction, list[dict]]:
+def _choose_direction(ambient: int, avoid, y0, seed: int) -> tuple[Direction, list[dict]]:
     """(direction, attempt log): a Direction as given, else y0 certified or
-    (y0 None) a seeded draw, both against the corner data of p."""
+    (y0 None) a seeded draw, both against the vectors in avoid."""
     if isinstance(y0, Direction):
         return y0, []
-    avoid = _corner_data_vectors(p)
     if y0 is None:
-        return sample_direction(p.ambient, avoid, seed)
+        return sample_direction(ambient, avoid, seed)
     return certify_direction(y0, avoid), []
 
 
@@ -251,7 +251,7 @@ def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
     q = order - p.dim
     if q < 0:
         raise ValueError(f"order {order} below polytope dimension {p.dim}")
-    direction, attempts = _choose_direction(p, y0, seed)
+    direction, attempts = _choose_direction(p.ambient, _corner_data_vectors(p), y0, seed)
     y = direction.y0
     if table is None:
         through = order if cross_validate else max(q, 1)
@@ -314,15 +314,17 @@ def brion_vertex_decomposition_check(p: Polytope, y0=None, q: int = 6,
     closed-form product of geometric series.  Vertex cones need a
     full-dimensional polytope, so any other polytope but a point raises
     NotFullDimError up front, whatever y0 is.  A point's vertex cone is the
-    zero cone: one cell, no rays, and the piece e^(-<y0,v> t).
+    zero cone: one cell, no rays, and the piece e^(-<y0,v> t). The
+    direction also avoids every cell ray: the pieces divide by its pairing.
     """
     if p.dim and not p.is_full_dimensional:
         raise NotFullDimError("the Brion check needs a full-dimensional polytope")
-    direction, _ = _choose_direction(p, y0, seed)
+    corners = [supporting_cone(p, vert) for vert in p.faces_of_dim(0)]
+    rays = [g for _, scone in corners for cell in scone.basic_cells for g in cell.generators]
+    direction, _ = _choose_direction(p.ambient, _corner_data_vectors(p) + rays, y0, seed)
     y = direction.y0
     total = None
-    for vert in p.faces_of_dim(0):
-        apex, scone = supporting_cone(p, vert)
+    for apex, scone in corners:
         cells = scone.basic_cells
         probe, duals = _interior_probe(scone, cells, seed)
         for cell, rows in zip(cells, duals):

@@ -145,6 +145,20 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["brion_check"] is True
 
+    @pytest.mark.parametrize("vertices, seed", [
+        ([[-6, -5], [-2, -6], [5, 0], [6, 2], [5, 6]], None),
+        ([[-3, -3], [6, -4], [-3, 3]], "0"),
+    ])
+    def test_brion_direction_avoids_cell_rays(self, capsys, tmp_path, vertices, seed):
+        # the drawn direction annihilated a ray of a vertex cone's basic cell,
+        # (-3, -2) and (-3, 2) here, and the check exited 2 on valid input
+        path = write_json(tmp_path / "p.json", {"vertices": vertices})
+        argv = ["verify", "--input", path, "--brion"] + (["--seed", seed] if seed else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["passed"] is True and data["brion_check"] is True
+
     def test_order_override(self, capsys, triangle2):
         code, out, _ = run_cli(capsys, "verify", "--input", triangle2,
                                "--order", "2")
@@ -361,6 +375,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "mu", "--input",
                                str(tmp_path / "nope.json"))
         assert code == 1 and "cannot read" in err
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "todd", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert not path.parent.exists()
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

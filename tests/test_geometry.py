@@ -10,6 +10,7 @@ Cone((1,0),(1,3))).
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -95,6 +96,10 @@ class TestCone:
         assert c.contains(V(1, 1)) and c.contains(V(5, 3))
         assert not c.contains(V(0, 1)) and not c.contains(V(-1, 0))
         assert c.contains(V(0, 0))
+        # dimension 1: no facets, the ray itself is the inequality
+        ray = Cone([V(1, 2, 0)])
+        assert ray.contains(V(2, 4, 0)) and ray.contains(V(0, 0, 0))
+        assert not ray.contains(V(-1, -2, 0)) and not ray.contains(V(1, 0, 0))
 
     def test_extreme_rays_prune(self):
         c = Cone([V(1, 0), V(1, 1), V(0, 1)])
@@ -272,17 +277,24 @@ class TestHullHelpers:
         assert in_convex_hull(V(0, 0), pts)
         assert not in_convex_hull(V(2, 1), pts)
 
-    @pytest.mark.parametrize("dim, trials", [(1, 40), (2, 40), (3, 16)])
+    @pytest.mark.parametrize("dim, trials", [(1, 40), (2, 40), (3, 16), (4, 0)])
     def test_polytope_agrees_with_hull_oracle(self, dim, trials):
         """Polytope finds vertices and facets through the cone over P;
-        in_convex_hull decides the same questions by brute force."""
+        in_convex_hull decides the same questions by brute force. In R^4
+        a triangle and a square: the rays (1, v) have five coordinates."""
         rng = random.Random(1000 + dim)
+        drawn = []
         for _ in range(trials):
             pts = [Vector([rng.randint(0, 6) for _ in range(dim)])
                    for _ in range(rng.randint(1, dim + 3))]
             if dim > 1 and rng.random() < 0.3:
                 # a flat set: the last coordinate copies the first
                 pts = [Vector(list(p)[:-1] + [p[0]]) for p in pts]
+            drawn.append(pts)
+        if dim == 4:
+            drawn += [[Vector(v) for v in [(1, 0, 2, 0), (3, 1, 2, 1), (1, 2, 0, 1)]],
+                      [Vector(v) for v in [(0, 0, 0, 1), (1, 0, 1, 1), (1, 1, 2, 2), (0, 1, 1, 2)]]]
+        for pts in drawn:
             uniq = list(dict.fromkeys(pts))
             inside = [p for i, p in enumerate(uniq)
                       if in_convex_hull(p, uniq[:i] + uniq[i + 1:])]
@@ -361,6 +373,47 @@ class TestPolytope:
         assert seg.contains_point(V(1, 1))
         assert not seg.contains_point(V(1, 0))
         assert not seg.contains_point(V(3, 3))
+
+    def test_contains_point_of_wrong_length(self):
+        for p in (triangle(2), Polytope([V(0, 0), V(2, 2)]), Polytope([V(3, 4)]),
+                  Polytope([()])):
+            for x in (V(1), V(1, 1, 0)):
+                with pytest.raises(ValueError):
+                    p.contains_point(x)
+
+    def test_facet_normals_pinned(self):
+        # (a, b, on) of every polytope of the acceptance corpus, all of them
+        # full-dimensional, in facet_normals() order
+        digest = hashlib.sha256()
+        for p in make_polytope_corpus():
+            assert p.is_full_dimensional
+            digest.update(json.dumps([p.name, [[list(a), b, sorted(on)]
+                                               for a, b, on in p.facet_normals()]]).encode())
+        assert digest.hexdigest() == (
+            "8f43c91ab291b8bbfd1de09a5c4ebad0446a628681bb0db7c22346d20400c4df")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_h_description(self, data):
+        """Flat or not: every facet (a, b, on) has a primitive int normal a
+        and an int b, and min <a, v> over the vertices is b, attained
+        exactly on `on`; every vertex satisfies every equation, and there
+        are ambient - dim of them."""
+        n = data.draw(st.integers(1, 4))
+        pts = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1,
+                                 max_size=n + 2, unique=True))
+        if n > 1 and data.draw(st.booleans()):
+            pts = list(dict.fromkeys(p[:-1] + (p[0],) for p in pts))
+        assume(not any(in_convex_hull(p, pts[:i] + pts[i + 1:]) for i, p in enumerate(pts)))
+        poly = Polytope(pts)
+        for a, b, on in poly._facets:
+            assert all(type(x) is int for x in a) and math.gcd(*a) == 1
+            assert type(b) is int
+            vals = [dot(a, v) for v in poly.vertices]
+            assert min(vals) == b
+            assert on == {i for i, x in enumerate(vals) if x == b}
+        assert len(poly._equations) == poly.ambient - poly.dim
+        assert all(dot(z, v) == c for z, c in poly._equations for v in poly.vertices)
 
     def test_lattice_points(self):
         assert len(Polytope([V(0, 0), V(1, 0), V(0, 1), V(1, 1)]).lattice_points()) == 4

@@ -468,6 +468,22 @@ class TestBrion:
             assert brion_vertex_decomposition_check(p, y0=y, q=4)
             assert brion_vertex_decomposition_check(p, y0=Direction(y), q=4)
 
+    def test_random_polygons(self):
+        # the direction must avoid the rays of the vertex cones' basic cells,
+        # which the corner data of P (edges, normal fan) need not hold
+        rng = random.Random(0)
+        polygons = 0
+        while polygons < 20:
+            pts = list(dict.fromkeys((rng.randint(-6, 6), rng.randint(-6, 6))
+                                     for _ in range(rng.randint(3, 6))))
+            pts = [x for i, x in enumerate(pts) if not in_convex_hull(x, pts[:i] + pts[i + 1:])]
+            p = Polytope(pts)
+            if not p.is_full_dimensional:
+                continue
+            polygons += 1
+            for seed in range(3):
+                assert brion_vertex_decomposition_check(p, q=2, seed=seed), (pts, seed)
+
     def test_lower_dimensional_raises_for_every_direction_form(self):
         # the segment (0,0)-(2,0) in R^2: given a Direction, the check used to
         # skip the normal fan and pass; every form of y0 now raises up front
