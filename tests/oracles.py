@@ -25,7 +25,9 @@ echelon form by Gauss-Jordan over fractions, the determinant by cofactor
 expansion, the column Hermite form H = A U with its unimodular U, dual
 rows by a scan of minors, a rational span and kernel basis, coordinates
 in a basis by a linear solve, the exponential sum over lattice points
-term by term, cone membership, a polytope's face by its vertex indices,
+term by term, cone membership, pointedness by a scan of minimal
+dependent ray subsets, the inverse of a Laurent series and a half-open
+Brion cell's series built on it, a polytope's face by its vertex indices,
 a matrix from its columns, rows and columns as Vectors, and small
 linear-algebra and genericity checks the library never calls.
 """
@@ -70,6 +72,9 @@ from mucone.linalg import (
     _require_ints,
     dot,
     eliminate_cleared,
+    kernel,
+    primitive,
+    rank,
     solve_linear,
 )
 from mucone.series import (
@@ -123,6 +128,29 @@ def exp_sum_series(points, y: Vector, q: int) -> LaurentSeries:
 def cone_contains(rays, x) -> bool:
     """Exact membership of x in the pointed cone spanned by the rays."""
     return Cone(rays, ambient=len(x)).contains(x)
+
+
+def is_pointed_by_scan(rays) -> bool:
+    """Whether the nonzero rays span a pointed cone, by a scan of subsets.
+
+    Pointed iff no nontrivial nonnegative dependency among the rays
+    (primitivized and deduplicated, as Cone keeps them); it suffices to
+    scan minimal dependent subsets (1-dim kernels), and independent rays
+    have no dependency at all.
+    """
+    rays = list(dict.fromkeys(map(primitive, rays)))
+    r = rank(rays)
+    if r == len(rays):
+        return True
+    for size in range(2, r + 2):
+        for subset in combinations(rays, size):
+            ker = kernel(list(zip(*subset)), size)
+            if len(ker) != 1:
+                continue
+            k = ker[0]
+            if all(c >= 0 for c in k) or all(c <= 0 for c in k):
+                return False
+    return True
 
 
 def from_columns(cols) -> Matrix:
@@ -449,6 +477,40 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def pole_order(s: LaurentSeries) -> int:
     return max(0, -s.valuation) if s.coeffs else 0
+
+
+def laurent_inverse(s: LaurentSeries) -> LaurentSeries:
+    """Multiplicative inverse; requires a known nonzero leading coefficient."""
+    if s.is_zero:
+        raise ZeroDivisionError("inverse of a (known-)zero Laurent series")
+    nu = s.valuation
+    unit = s.coeffs  # unit[0] != 0 after canonicalization
+    m = s.known_to - nu  # unit known through degree m
+    inv = [1 / unit[0]]
+    for r in range(1, m + 1):
+        acc = Fraction(0)
+        for j in range(1, r + 1):
+            uj = unit[j] if j < len(unit) else Fraction(0)
+            acc += uj * inv[r - j]
+        inv.append(-acc / unit[0])
+    return LaurentSeries(-nu, inv, s.known_to - 2 * nu)
+
+
+def half_open_cell_series_by_inverse(apex, cell: Cone, open_facets, y0: Vector,
+                                     q: int) -> LaurentSeries:
+    """A half-open basic cell's exponential sum, shifted to the apex: per ray
+    b, with c = <y0, b>, the geometric series 1/(1 - e^(-ct)) inverted by
+    laurent_inverse, times e^(-ct) when the facet opposite b is open."""
+    pad = q + 2 * len(cell.generators) + 2
+    total = LaurentSeries.exp_taylor(-y0.dot(apex), pad)
+    for i, b in enumerate(cell.generators):
+        c = y0.dot(b)
+        geom = laurent_inverse(LaurentSeries.from_taylor([1], pad)
+                               - LaurentSeries.exp_taylor(-c, pad))
+        if i in open_facets:
+            geom = geom * LaurentSeries.exp_taylor(-c, pad)
+        total = total * geom
+    return total
 
 
 def psi_contains(sub, v: Vector) -> bool:

