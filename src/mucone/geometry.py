@@ -64,12 +64,14 @@ PARALLELEPIPED_CAP = 100_000
 
 
 def cone_facets(rays: Sequence[Point]) -> list[tuple[Point, frozenset[int]]]:
-    """Facets of the pointed cone spanned by the integer rays.
+    """Facets of the cone spanned by the integer rays.
 
     Returns (inner normal, indices of rays on the facet) pairs. The normal
     is a primitive integer vector in the linear span of the cone:
     nonnegative on every ray, zero exactly on the facet. Cones of
-    dimension <= 1 have no facets in this sense.
+    dimension <= 1 have no facets in this sense. The cone need not be
+    pointed: its facets then all contain its lineality space, so their
+    normals span less than the dual of the span (none for a whole span).
     """
     red, _, pivots = eliminate(rays)
     k = len(pivots)
@@ -126,7 +128,9 @@ class Cone:
     """Pointed rational cone, stored by primitive ray generators (int tuples).
 
     Pointedness is an invariant: construction raises NotPointedError when
-    the generators admit a nontrivial nonnegative dependency. Generators
+    the generators admit a nontrivial nonnegative dependency. Simplicial
+    generators are pointed; otherwise the cone is pointed when its dimension
+    d is at least 2 and its facet normals have rank d. Generators
     are primitivized and deduplicated at construction but otherwise kept
     in the given order. Equality and hashing use the generator set, so two
     descriptions of the same cone by the same irredundant rays coincide.
@@ -178,22 +182,12 @@ class Cone:
 
     @cached_property
     def is_pointed(self) -> bool:
-        # pointed iff no nontrivial nonnegative dependency among the rays;
-        # it suffices to scan minimal dependent subsets (1-dim kernels),
-        # and independent rays have no dependency at all
-        rays = self.generators
-        r = self.dim
-        if r == len(rays):
+        # more rays than the dimension d: pointed iff d >= 2 and the facet
+        # normals span the dual of the span, as a lineality space lies in
+        # every facet; the facets are not kept
+        if self.is_simplicial:
             return True
-        for size in range(2, r + 2):
-            for subset in itertools.combinations(rays, size):
-                ker = kernel(list(zip(*subset)), size)
-                if len(ker) != 1:
-                    continue
-                k = ker[0]
-                if all(c >= 0 for c in k) or all(c <= 0 for c in k):
-                    return False
-        return True
+        return self.dim > 1 and rank([h for h, _ in cone_facets(self.generators)]) == self.dim
 
     @cached_property
     def facets(self) -> list[tuple[Point, frozenset[int]]]:
@@ -223,6 +217,8 @@ class Cone:
         """Exact membership of an integer or rational point: x is orthogonal
         to the annihilator (the vectors orthogonal to every ray) and on the
         inner side of every inequality."""
+        if len(x) != self.ambient:
+            raise ValueError(f"point of length {len(x)} in dimension {self.ambient}")
         return (not any(dot(z, x) for z in self._annihilator)
                 and all(dot(h, x) >= 0 for h in self.inequalities))
 
@@ -281,14 +277,12 @@ class Subdivision:
         for cell in children:
             if not cell.is_simplicial or cell.dim != d:
                 raise InternalInconsistencyError("cell not simplicial of full dimension")
-            for g in cell.generators:
-                if not parent.contains(g):
-                    raise InternalInconsistencyError(f"cell ray {Vector(g)} outside parent")
-        covered = set()
-        for cell in children:
-            covered |= set(cell.generators)
+        rays = dict.fromkeys(g for cell in children for g in cell.generators)
+        for g in rays:
+            if not parent.contains(g):
+                raise InternalInconsistencyError(f"cell ray {Vector(g)} outside parent")
         for r in parent.extreme_rays():
-            if r not in covered:
+            if r not in rays:
                 raise InternalInconsistencyError(f"parent ray {Vector(r)} not covered")
         counts: dict[tuple, int] = {}
         for cell in children:

@@ -102,10 +102,7 @@ class Vector:
 
     def dot(self, other: Sequence) -> Fraction:
         """Coordinate pairing <w, v> = sum_i w_i v_i, v a Vector or an int tuple."""
-        return sum(
-            (a * b for a, b in zip(self.entries, other, strict=True)),
-            start=Fraction(0),
-        )
+        return dot(self.entries, other)
 
     @property
     def is_zero(self) -> bool:

@@ -6,7 +6,9 @@ the usual accounting (a product is known only as far as its factors allow).
 LaurentSeries is a one-variable series with a finite pole, used for the
 specialization of everything onto a sampled direction.
 
-There is deliberately no general series division. Quotients appear either
+There is deliberately no general series division or inversion. The one
+inverse the library needs, 1/(1 - e^-z) = td(z)/z, is the Todd series
+(todd_univariate) shifted down once. Other quotients appear either
 as RationalFunctionTerm values (numerator plus a list of linear denominator
 forms) or through exact division by a single linear form, which fails
 loudly whenever the dividend is not a multiple.  Neither is on the path
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ZeroDenominatorFormError
-from .linalg import Vector, format_rational, parse_rational, primitive
+from .linalg import Vector, format_rational, primitive
 
 
 def _degree(expo: tuple[int, ...]) -> int:
@@ -214,14 +216,6 @@ class MultiSeries:
             for e, c in sorted(self.coeffs.items(), key=lambda kv: (_degree(kv[0]), kv[0]))
         ]
         return {"nvars": self.nvars, "order": self.order, "terms": terms}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MultiSeries":
-        coeffs = {
-            tuple(t["exponents"]): parse_rational(t["coefficient"])
-            for t in data["terms"]
-        }
-        return cls(int(data["nvars"]), int(data["order"]), coeffs)
 
 
 def compose_linear(coeffs: Sequence, form: Vector, order: int) -> MultiSeries:
@@ -443,22 +437,6 @@ class LaurentSeries:
                 if b != 0 and e <= known:
                     out[e - lo] += a * b
         return LaurentSeries(lo, out, known)
-
-    def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse; requires a known nonzero leading coefficient."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of a (known-)zero Laurent series")
-        nu = self.valuation
-        unit = self.coeffs  # unit[0] != 0 after canonicalization
-        m = self.known_to - nu  # unit known through degree m
-        inv = [1 / unit[0]]
-        for r in range(1, m + 1):
-            s = Fraction(0)
-            for j in range(1, r + 1):
-                uj = unit[j] if j < len(unit) else Fraction(0)
-                s += uj * inv[r - j]
-            inv.append(-s / unit[0])
-        return LaurentSeries(-nu, inv, self.known_to - 2 * nu)
 
     def agrees_with(self, other: "LaurentSeries", through: int | None = None) -> bool:
         r = min(self.known_to, other.known_to)

@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .interp import DEFAULT_ORDER, MuTable, mu_on_line, mu_table
 from .linalg import Vector, dot, dual_rows, format_rational
-from .series import LaurentSeries, restrict_to_direction
+from .series import LaurentSeries, restrict_to_direction, todd_univariate
 
 DEFAULT_SEED = 1729
 
@@ -273,16 +273,19 @@ def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
 
 def _half_open_cone_series(apex: tuple[int, ...], cell: Cone, open_facets, y0: Vector,
                            q: int) -> LaurentSeries:
-    pad = q + 2 * len(cell.generators) + 2
-    total = LaurentSeries.exp_taylor(-y0.dot(apex), pad)
-    for i, b in enumerate(cell.generators):
+    """Exponential sum over apex + the half-open basic cell, known through t^q:
+    the corner e^(-<y0, apex + the open rays> t) (n_i >= 1 where the facet
+    opposite ray b_i is open) times 1/(1 - e^(-ct)) = td(ct)/(ct) per ray,
+    c = <y0, b_i>, each factor known through t^(pad - 1) with pad = q + k."""
+    pad = q + len(cell.generators)
+    td = todd_univariate(pad)
+    corner = [sum(x) for x in zip(apex, *(cell.generators[i] for i in open_facets))]
+    total = LaurentSeries.exp_taylor(-y0.dot(corner), pad)
+    for b in cell.generators:
         c = y0.dot(b)
         if c == 0:
             raise DirectionDegenerateError(f"direction annihilates ray {b}")
-        geom = (LaurentSeries.from_taylor([1], pad) - LaurentSeries.exp_taylor(-c, pad)).inverse()
-        if i in open_facets:
-            geom = geom * LaurentSeries.exp_taylor(-c, pad)
-        total = total * geom
+        total = total * LaurentSeries(-1, [t * c ** (r - 1) for r, t in enumerate(td)], pad - 1)
     return total
 
 

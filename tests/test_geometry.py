@@ -133,6 +133,13 @@ class TestCone:
         assert ray.contains(V(2, 4, 0)) and ray.contains(V(0, 0, 0))
         assert not ray.contains(V(-1, -2, 0)) and not ray.contains(V(1, 0, 0))
 
+    def test_contains_point_of_wrong_length(self):
+        for cone, x in [(zero_cone(0), (1,)), (zero_cone(0), (0,)),
+                        (Cone([V(1, 0), V(1, 2)]), (1, 1, 0)), (Cone([V(1, 0)]), (1,))]:
+            with pytest.raises(ValueError, match=f"point of length {len(x)} in dimension"):
+                cone.contains(x)
+        assert zero_cone(0).contains(())
+
     def test_extreme_rays_prune(self):
         c = Cone([V(1, 0), V(1, 1), V(0, 1)])
         assert set(c.extreme_rays()) == {(1, 0), (0, 1)}
