@@ -183,8 +183,8 @@ class Cone:
     @cached_property
     def is_pointed(self) -> bool:
         # more rays than the dimension d: pointed iff d >= 2 and the facet
-        # normals span the dual of the span, as a lineality space lies in
-        # every facet; the facets are not kept
+        # normals span the dual of the span (a lineality space lies in every
+        # facet); cone_facets, not self.facets, so no cone keeps its facets
         if self.is_simplicial:
             return True
         return self.dim > 1 and rank([h for h, _ in cone_facets(self.generators)]) == self.dim
