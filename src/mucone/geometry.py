@@ -78,6 +78,7 @@ def cone_facets(rays: Sequence[Point]) -> list[tuple[Point, frozenset[int]]]:
     if k <= 1:
         return []
     span = red[:k]  # integer rows spanning the rays' span
+    pairing = [[dot(s, r) for s in span] for r in rays]
     found: dict[Point, frozenset[int]] = {}
     for subset in itertools.combinations(range(len(rays)), k - 1):
         # rays on a known facet span at most its hyperplane: nothing new
@@ -86,7 +87,7 @@ def cone_facets(rays: Sequence[Point]) -> list[tuple[Point, frozenset[int]]]:
         # normal h = sum_l z_l span_l with <h, r> = 0 for r in the subset;
         # the pairing with the span rows has the subset's rank, so a
         # one-dimensional kernel means k - 1 independent rays
-        ker = kernel([[dot(s, rays[i]) for s in span] for i in subset], k)
+        ker = kernel([pairing[i] for i in subset], k)
         if len(ker) != 1:
             continue
         h = primitive([dot(ker[0], col) for col in zip(*span)])
