@@ -509,7 +509,7 @@ class TestBrion:
         assert got.agrees_with(want, through=q)
 
     def test_coefficients_are_fractions(self):
-        # an int c would make c ** (m - 1) a float at m = 0
+        # an int c would make c ** (r - 1) a float at r = 0, whose Fraction is inexact
         for p in [triangle(2), UNIT_SQUARE, Polytope([V(0, 0), V(1, 0), V(1, 2)])]:
             y = V(2, 3)
             for vert in p.faces_of_dim(0):
