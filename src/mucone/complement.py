@@ -20,6 +20,11 @@ from .linalg import (Matrix, Vector, cleared, dot, dual_rows, eliminate, format_
                      parse_rational, primitive, unit_vector)
 
 
+def _pairs(entries: Sequence[Fraction]) -> tuple[tuple[int, int], ...]:
+    """Fraction entries as int (numerator, denominator) pairs, for map keys."""
+    return tuple((e.numerator, e.denominator) for e in entries)
+
+
 def _integral(row: Sequence) -> tuple[Sequence[int], int]:
     """(integer entries, scale) with row = entries / scale; an int row as it is."""
     return (row, 1) if all(type(x) is int for x in row) else cleared(row)
@@ -66,9 +71,11 @@ class PsiSubspace:
 
 
 class ComplementMap:
-    """Base class; subclasses provide raw_basis() for a set of rays."""
+    """Base class; subclasses provide raw_basis() for a set of rays and set
+    _key, built once from ints so that the mu cache hashes no Fraction."""
 
     ambient: int
+    _key: tuple
 
     def raw_basis(self, rays: Sequence[Sequence]) -> list[Sequence]:
         """Vectors (or int tuples) spanning the subspace assigned to the rays."""
@@ -93,7 +100,7 @@ class ComplementMap:
         return Vector([Fraction(x, sub.denominator) for x in sub.numerators[target]])
 
     def key(self) -> tuple:
-        raise NotImplementedError
+        return self._key
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -125,14 +132,12 @@ class InnerProductMap(ComplementMap):
                 raise ValueError("Gram matrix must be positive definite")
         self.gram = gram
         self.ambient = n
+        self._key = ("inner_product", tuple(map(_pairs, gram.rows)))
         self._psi_cache: dict = {}
 
     def raw_basis(self, rays: Sequence[Sequence]) -> list[tuple[int, ...]]:
         # the integer Gram images, each up to a positive scale that psi does not see
         return [tuple(dot(row, w) for row in self._gram_ints) for w, _ in map(_integral, rays)]
-
-    def key(self) -> tuple:
-        return ("inner_product", tuple(self.gram.rows))
 
     def describe(self) -> str:
         if self.gram == Matrix.identity(self.ambient):
@@ -164,13 +169,11 @@ class FlagMap(ComplementMap):
             raise ValueError("flag basis must be linearly independent")
         self.basis = tuple(basis)
         self.ambient = n
+        self._key = ("flag", tuple(_pairs(v.entries) for v in self.basis))
         self._psi_cache: dict = {}
 
     def raw_basis(self, rays: Sequence[Sequence]) -> list[Vector]:
         return list(self.basis[: len(rays)])
-
-    def key(self) -> tuple:
-        return ("flag", tuple(v.entries for v in self.basis))
 
     def describe(self) -> str:
         return "flag"
@@ -199,6 +202,8 @@ class RayTableMap(ComplementMap):
         self.ambient = ambient if ambient is not None else len(next(iter(table)))
         if any(len(ray) != self.ambient for ray in table):
             raise ValueError(f"table rays must all have dimension {self.ambient}")
+        self._key = ("ray_table",
+                     tuple(sorted((r, _pairs(u.entries)) for r, u in table.items())))
         self._psi_cache: dict = {}
 
     def raw_basis(self, rays: Sequence[Sequence]) -> list[Vector]:
@@ -208,10 +213,6 @@ class RayTableMap(ComplementMap):
                 raise UnknownRayError(f"no table entry for ray {Vector(r)}")
             out.append(self.table[r])
         return out
-
-    def key(self) -> tuple:
-        return ("ray_table",
-                tuple(sorted((r, u.entries) for r, u in self.table.items())))
 
     def describe(self) -> str:
         return "ray_table"

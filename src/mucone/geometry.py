@@ -131,10 +131,12 @@ class Cone:
     Pointedness is an invariant: construction raises NotPointedError when
     the generators admit a nontrivial nonnegative dependency. Simplicial
     generators are pointed; otherwise the cone is pointed when its dimension
-    d is at least 2 and its facet normals have rank d. Generators
-    are primitivized and deduplicated at construction but otherwise kept
-    in the given order. Equality and hashing use the generator set, so two
-    descriptions of the same cone by the same irredundant rays coincide.
+    d is at least 2 and its facet normals have rank d. Normal cones are
+    pointed by construction, and normal_cone builds them without the check
+    (_trusted). Generators are primitivized and deduplicated at
+    construction but otherwise kept in the given order. Equality and
+    hashing use the generator set, so two descriptions of the same cone by
+    the same irredundant rays coincide.
     """
 
     def __init__(self, generators: Iterable[Sequence], ambient: int | None = None):
@@ -152,6 +154,21 @@ class Cone:
         self.ambient = ambient
         if not self.is_pointed:
             raise NotPointedError(f"cone is not pointed: {list(map(Vector, gens))}")
+
+    @classmethod
+    def _trusted(cls, generators: tuple[Point, ...], ambient: int, dim: int) -> "Cone":
+        """Internal constructor for cones that are pointed by construction.
+
+        The caller guarantees what __init__ would check and compute: distinct
+        primitive int generators of length ambient <= MAX_AMBIENT_DIM, a
+        pointed cone, and dim their rank.
+        """
+        self = object.__new__(cls)
+        self.generators = generators
+        self.ambient = ambient
+        self.dim = dim
+        self.is_pointed = True
+        return self
 
     @cached_property
     def dim(self) -> int:
@@ -434,12 +451,13 @@ def in_convex_hull(p: Sequence, points: Sequence[Sequence]) -> bool:
 class Face:
     """A face of a polytope, identified by its vertex index set."""
 
-    __slots__ = ("polytope", "indices", "dim")
+    __slots__ = ("polytope", "indices", "dim", "_det_sum")
 
     def __init__(self, polytope: "Polytope", indices: frozenset[int], dim: int):
         self.polytope = polytope
         self.indices = indices
         self.dim = dim
+        self._det_sum: int | None = None  # set by normalized_volume
 
     @property
     def vertices(self) -> list[Point]:
@@ -600,14 +618,16 @@ def normal_cone(p: Polytope, f: Face) -> Cone:
     """Inner-normal cone of P along the face F (full-dimensional P only).
 
     P itself lies on no facet, so its normal cone is the zero cone, for a
-    polytope of any dimension.
+    polytope of any dimension. Otherwise the generators are the primitive,
+    distinct normals of the facets through F, in facet order, and the cone
+    is pointed of dimension n - dim F, so it is built unchecked.
     """
     if f.dim == p.dim:
         return zero_cone(p.ambient)
     if not p.is_full_dimensional:
         raise NotFullDimError("normal cones need a full-dimensional polytope")
-    gens = [a for a, b, on in p.facet_normals() if f.indices <= on]
-    return Cone(gens, ambient=p.ambient)
+    gens = tuple(a for a, b, on in p._facets if f.indices <= on)
+    return Cone._trusted(gens, p.ambient, p.ambient - f.dim)
 
 
 def supporting_cone(p: Polytope, f: Face) -> tuple[Point, Cone]:
@@ -670,6 +690,9 @@ def normalized_volume(f: Face) -> Fraction:
     """Lattice-normalized volume of a face within its affine span.
 
     The unit is the fundamental cell of the lattice induced on the span;
-    a point has volume 1, a primitive segment volume 1.
+    a point has volume 1, a primitive segment volume 1. The int sum of
+    |det| is kept on the face, so each face is triangulated once.
     """
-    return Fraction(sum(det for _, det in lattice_simplices(f)), math.factorial(f.dim))
+    if f._det_sum is None:
+        f._det_sum = sum(det for _, det in lattice_simplices(f))
+    return Fraction(f._det_sum, math.factorial(f.dim))

@@ -405,3 +405,48 @@ class TestJson:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             map_from_json({"type": "nope"})
+
+
+def _leaves(key):
+    for x in key:
+        if isinstance(x, tuple):
+            yield from _leaves(x)
+        else:
+            yield x
+
+
+class TestKeys:
+    """The mu cache hashes a map's key on every lookup: it is built once, at
+    construction, and holds ints and strings only."""
+
+    MAPS = {
+        "standard": lambda: standard_inner_product(3),
+        "gram": lambda: InnerProductMap(Matrix([[2, 1], [1, 3]])),
+        "rational-gram": lambda: InnerProductMap(Matrix([[Fraction(1, 2), Fraction(1, 3)],
+                                                         [Fraction(1, 3), Fraction(5, 2)]])),
+        "flag": lambda: FlagMap([V(1, 1), V(0, 1)]),
+        "rational-flag": lambda: FlagMap([V(Fraction(1, 2), 3, 0), V(0, Fraction(-2, 3), 1),
+                                          V(0, 0, 7)]),
+        "df2": lambda: diaconis_fulton_map(2),
+        "df3": lambda: diaconis_fulton_map(3),
+        "rational-table": lambda: RayTableMap([((2, 0), V(Fraction(1, 3), 0)),
+                                               ((0, 1), V(1, Fraction(-1, 2)))]),
+    }
+
+    @pytest.mark.parametrize("name", MAPS)
+    def test_equal_maps_have_equal_keys(self, name):
+        make = self.MAPS[name]
+        m = make()
+        assert m.key() is m.key()
+        assert all(type(x) in (int, str) for x in _leaves(m.key()))
+        for other in (make(), map_from_json(m.to_json())):
+            assert other.key() == m.key() and hash(other.key()) == hash(m.key())
+
+    def test_different_maps_have_different_keys(self):
+        grams = [[[2, 1], [1, 3]], [[2, 1], [1, 4]], [[1, 0], [0, 2]],
+                 [[Fraction(1, 2), 0], [0, 1]], [[1, 0], [0, 1]]]
+        keys = {InnerProductMap(Matrix(g)).key() for g in grams}
+        keys |= {FlagMap([V(1, 1), V(0, 1)]).key(), FlagMap([V(1, 0), V(0, 1)]).key()}
+        keys |= {RayTableMap([((1, 0), V(1, 0))]).key(),
+                 RayTableMap([((1, 0), V(2, 0))]).key()}
+        assert len(keys) == len(grams) + 4

@@ -41,7 +41,7 @@ from mucone.geometry import (
     triangulate_face,
     zero_cone,
 )
-from mucone.linalg import Matrix, Vector, cone_index, dot, dual_rows
+from mucone.linalg import Matrix, Vector, cone_index, dot, dual_rows, rank
 from oracles import (cofactor_det, cone_contains, dual_basis, face_for, is_pointed_by_scan,
                      matvec, saturation_basis, saturation_index, saturation_route_points,
                      star_subdivision_cells, whole_face)
@@ -199,6 +199,17 @@ class TestSubdivision:
         ]:
             with pytest.raises(InternalInconsistencyError, match=message):
                 Subdivision(quadrant, children)
+        # a gap: the square cone over (+-1, 0, 1), (0, +-1, 1), fanned around (0, 0, 1):
+        # every ray stays covered without one of the four cells, but the
+        # walls it shared with its neighbours are then seen once
+        square = [V(1, 0, 1), V(0, 1, 1), V(-1, 0, 1), V(0, -1, 1)]
+        parent = Cone(square)
+        cells = [Cone([square[i], square[(i + 1) % 4], V(0, 0, 1)]) for i in range(4)]
+        assert len(Subdivision(parent, cells)) == 4
+        for gap in range(4):
+            with pytest.raises(InternalInconsistencyError,
+                               match=r"appears 1 times, expected 2"):
+                Subdivision(parent, cells[:gap] + cells[gap + 1:])
 
     def test_random_cones_sampling(self):
         rng = random.Random(20260816)
@@ -494,6 +505,32 @@ class TestDerivedCones:
                    if f.indices == frozenset({1, 2}))
         assert normal_cone(p, hyp) == Cone([V(-1, -1)])
         assert normal_cone(p, whole_face(p)).is_zero
+
+    def test_normal_cones_match_checked_cones(self):
+        """normal_cone builds its cones unchecked; the checked constructor
+        gives the same generators, their rank is the stored dim and the
+        subset scan finds them pointed, on the acceptance corpus and on
+        random full-dimensional polytopes in R^2 to R^4."""
+        polytopes = [p for p in make_polytope_corpus() if p.is_full_dimensional]
+        rng = random.Random(20261020)
+        for n, wanted in [(2, 8), (3, 6), (4, 3)]:
+            drawn = 0
+            while drawn < wanted:
+                pts = [tuple(rng.randint(0, 3) for _ in range(n))
+                       for _ in range(rng.randint(n + 1, n + 3))]
+                try:
+                    p = Polytope(pts)
+                except NotExtremeError:
+                    continue
+                if p.is_full_dimensional:
+                    polytopes.append(p)
+                    drawn += 1
+        for p in polytopes:
+            for f, nc in p.normal_cones:
+                checked = Cone(nc.generators, ambient=p.ambient)
+                assert nc.generators == checked.generators, (p, f)
+                assert nc.dim == rank(nc.generators) == checked.dim == p.ambient - f.dim
+                assert is_pointed_by_scan(nc.generators), (p, f)
 
     def test_normal_cone_needs_full_dim(self):
         seg = Polytope([V(0, 0), V(2, 2)])

@@ -84,6 +84,13 @@ class TestDirections:
         assert log[0]["rejected"] is not None
         assert all(d.y0.dot(v) != 0 for v in avoid)
 
+    def test_zero_vectors_in_avoid_are_dropped(self):
+        # every direction annihilates a zero vector: it constrains nothing
+        d, log = sample_direction(2, [V(0, 0), V(1, 1), (0, 0)], seed=5)
+        plain, plain_log = sample_direction(2, [V(1, 1)], seed=5)
+        assert d.y0 == plain.y0 and log == plain_log
+        assert [v for v, _ in d.certificate] == [V(1, 1)]
+
     def test_exhaustion(self):
         # kill every sign pattern of magnitude pairs (2,3), (3,5), (5,7)
         avoid = [V(3, 2), V(3, -2), V(5, 3), V(5, -3), V(7, 5), V(7, -5)]
@@ -288,6 +295,13 @@ class TestVerifyInterpolator:
         assert not r.passed
         assert not r.residual.is_zero
 
+    def test_table_of_lower_order_fails(self):
+        # a table known through t^1 leaves the identity open from t^2 on
+        tri = triangle(1)
+        r = verify_interpolator(tri, IP2, order=6, table=mu_table(tri, IP2, 1))
+        assert r.q == 4 and r.achieved == 1
+        assert not r.passed
+
     def test_report_json(self):
         r = verify_interpolator(triangle(1), IP2, order=6, seed=11)
         data = r.to_json()
@@ -436,6 +450,33 @@ class TestCellsKeptOnPolytope:
         assert cones == Counter(p.faces)
         nonbasic = [nc for _, nc in p.normal_cones if not nc.is_basic]
         assert nonbasic and subdivided == Counter(nonbasic)
+
+    def test_count_does_geometry_once_per_face(self, monkeypatch):
+        # under both maps: one triangulation per face; facets are listed only
+        # for the normal cones that are subdivided, once for their extreme
+        # rays and, when not simplicial, once more by the pulling triangulation
+        p = Polytope(PYRAMID.vertices, name="pyramid")
+        triangulated, listed = Counter(), Counter()
+        simplices, facets = geometry.lattice_simplices, geometry.cone_facets
+
+        def counting_simplices(f):
+            triangulated[f] += 1
+            return simplices(f)
+
+        def counting_facets(rays):
+            listed[frozenset(rays)] += 1
+            return facets(rays)
+
+        monkeypatch.setattr(geometry, "lattice_simplices", counting_simplices)
+        monkeypatch.setattr(geometry, "cone_facets", counting_facets)
+        clear_mu_cache()
+        counts = {count_via_local_formula(p, cmap) for cmap in (IP3, GRAM3)}
+        assert counts == {len(p.lattice_points())}
+        assert triangulated == Counter(p.faces)
+        nonbasic = [nc for _, nc in p.normal_cones if not nc.is_basic]
+        assert any(not nc.is_simplicial for nc in nonbasic)
+        assert listed == Counter({frozenset(nc.generators): 1 + (not nc.is_simplicial)
+                                  for nc in nonbasic})
 
 
 class TestBrion:
