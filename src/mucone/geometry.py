@@ -16,10 +16,10 @@ and convert once; points passed to contains() and contains_point() may be
 rational. Error messages print lattice points as Vectors.
 
 One routine, cone_facets, finds facets: a polytope's facets are those of
-the cone over it. One rule, _extreme_indices, reads the extreme rays of a
-cone and the vertices of a polytope off their facets. A polytope has one
-H-description, in ambient coordinates (span equations, facet
-inequalities), and a cone one inequality list.
+the cone over it. One closure, _face_sets, gives a polytope's faces, and
+one rule, {i} is a face, its vertices and a cone's extreme rays. A
+polytope has one H-description, in ambient coordinates (span equations,
+facet inequalities), and a cone one inequality list.
 """
 
 from __future__ import annotations
@@ -103,26 +103,25 @@ def cone_facets(rays: Sequence[Point]) -> list[tuple[Point, frozenset[int]]]:
     return sorted(found.items())
 
 
-def _extreme_indices(count: int, facet_sets: Sequence[frozenset[int]]) -> list[int]:
-    """The indices i < count that are extreme, given the index sets of the facets.
+def _face_sets(count: int, facet_sets: Sequence[frozenset[int]]) -> set[frozenset[int]]:
+    """The faces as index sets: range(count) and every nonempty
+    intersection of the facets' index sets.
 
-    i is extreme exactly when the facets containing it meet in {i} alone.
-    With no facet containing i, the meet is the whole index set. This
-    presumes the indexed points are distinct (rays: distinct primitive
-    generators) and that every proper face is a meet of facets, which
-    holds for a pointed cone of any dimension and for any polytope: the
-    zero cone has no rays, and a pointed cone of dimension 1 has one
-    primitive ray and no facets, so its meet is {0}.
+    i is extreme exactly when {i} is a face. This presumes the indexed
+    points are distinct (rays: distinct primitive generators) and that
+    every proper face is an intersection of facets, which holds for a
+    pointed cone of any dimension and for any polytope. With no facets the
+    only face is the whole set, so the zero cone has no extreme ray, and a
+    one-ray cone and a point polytope keep index 0.
     """
-    out = []
-    for i in range(count):
-        meet = frozenset(range(count))
-        for on in facet_sets:
-            if i in on:
-                meet &= on
-        if meet == {i}:
-            out.append(i)
-    return out
+    sets = {frozenset(range(count))}
+    new = set(facet_sets)
+    while new:
+        sets |= new
+        # each intersection of facets extends one found in the round before
+        new = {a & b for a in new for b in facet_sets} - sets
+        new.discard(frozenset())
+    return sets
 
 
 class Cone:
@@ -202,10 +201,10 @@ class Cone:
     def is_pointed(self) -> bool:
         # more rays than the dimension d: pointed iff d >= 2 and the facet
         # normals span the dual of the span (a lineality space lies in every
-        # facet); cone_facets, not self.facets, so no cone keeps its facets
+        # facet)
         if self.is_simplicial:
             return True
-        return self.dim > 1 and rank([h for h, _ in cone_facets(self.generators)]) == self.dim
+        return self.dim > 1 and rank([h for h, _ in self.facets]) == self.dim
 
     @cached_property
     def facets(self) -> list[tuple[Point, frozenset[int]]]:
@@ -213,9 +212,9 @@ class Cone:
 
     @cached_property
     def extreme_ray_indices(self) -> tuple[int, ...]:
-        """Positions of the extreme rays, read off the facets."""
-        return tuple(_extreme_indices(len(self.generators),
-                                      [on for _, on in self.facets]))
+        """Positions i of the extreme rays: {i} is a face."""
+        faces = _face_sets(len(self.generators), [on for _, on in self.facets])
+        return tuple(i for i in range(len(self.generators)) if frozenset({i}) in faces)
 
     def extreme_rays(self) -> list[Point]:
         return [self.generators[i] for i in self.extreme_ray_indices]
@@ -463,14 +462,6 @@ class Face:
     def vertices(self) -> list[Point]:
         return [self.polytope.vertices[i] for i in sorted(self.indices)]
 
-    def __eq__(self, other):
-        return (isinstance(other, Face)
-                and self.polytope is other.polytope
-                and self.indices == other.indices)
-
-    def __hash__(self):
-        return hash((id(self.polytope), self.indices))
-
     def __repr__(self):
         return f"Face(dim={self.dim}, vertices={sorted(self.indices)})"
 
@@ -492,8 +483,8 @@ class Polytope:
     ambient coordinates, is computed at construction: equations (z, c)
     with <z, x> = c on the affine span and facets (a, b, on) with
     <a, x> >= b on P. The facets are those of the cone over P
-    (_compute_facets), and an input point is a vertex when the facets
-    through it meet in that point alone (_extreme_indices).
+    (_compute_facets), and the faces their intersections (_face_sets): an
+    input point is a vertex when it alone is a face.
     """
 
     def __init__(self, points: Iterable[Sequence], name: str | None = None):
@@ -515,11 +506,17 @@ class Polytope:
             [tuple(a - b for a, b in zip(v, v0)) for v in uniq[1:]], n)]
         self.dim = n - len(self._equations)
         self._facets = self._compute_facets()
-        extreme = _extreme_indices(len(uniq), [on for _, _, on in self._facets])
+        sets = _face_sets(len(uniq), [on for _, _, on in self._facets])
         for i, p in enumerate(uniq):
-            if i not in extreme:
+            if frozenset({i}) not in sets:
                 raise NotExtremeError(f"input point {Vector(p)} is not a vertex")
-        self.faces = self._compute_face_lattice()
+        faces = []
+        for s in sets:
+            pts = [uniq[i] for i in s]
+            d = rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]])
+            faces.append(Face(self, s, d))
+        faces.sort(key=lambda f: (f.dim, sorted(f.indices)))
+        self.faces = faces
 
     def _compute_facets(self) -> list[tuple[Point, int, frozenset[int]]]:
         """Facets (a, b, vertex indices on it) with <a, x> >= b on P.
@@ -534,29 +531,6 @@ class Polytope:
             a = primitive(h[1:])
             facets.append((a, dot(a, self.vertices[min(on)]), on))
         return sorted(facets, key=lambda f: (f[0], f[1]))
-
-    def _compute_face_lattice(self) -> list[Face]:
-        nv = len(self.vertices)
-        full = frozenset(range(nv))
-        frontier = [on for _, _, on in self._facets]
-        sets = {full, *frontier}
-        while True:
-            new = set()
-            for a in sets:
-                for b in frontier:
-                    c = a & b
-                    if c and c not in sets:
-                        new.add(c)
-            if not new:
-                break
-            sets |= new
-        faces = []
-        for s in sets:
-            pts = [self.vertices[i] for i in s]
-            d = rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]])
-            faces.append(Face(self, s, d))
-        faces.sort(key=lambda f: (f.dim, sorted(f.indices)))
-        return faces
 
     # -- queries ----------------------------------------------------------
 

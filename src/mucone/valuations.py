@@ -148,9 +148,9 @@ def count_breakdown(p: Polytope, cmap):
     total = Fraction(0)
     rows = []
     for f, v in table.entries:
-        vol = normalized_volume(f)
-        rows.append((f, v.mu0, vol))
-        total += v.mu0 * vol
+        vol, m0 = normalized_volume(f), v.mu0
+        rows.append((f, m0, vol))
+        total += m0 * vol
     if total.denominator != 1:
         raise NonIntegerResultError(
             f"local count {total} of {p.name} is not an integer")

@@ -444,6 +444,29 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "error:" in err and "unexpected" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify"], "verify requires --input or --corpus"),
+        (["verify", "--corpus", "{empty}"], "no *.json files under"),
+        (["verify", "--corpus", "{cones}"], "corpus entries must be polytopes"),
+        (["mu", "--input", "{tri}", "--map", "{missing}"], "cannot read map"),
+        (["mu", "--input", "{tri}", "--map", "{not_json}"], "is not valid JSON"),
+        (["mu", "--input", "{tri}", "--degree", "x"], "not an integer: 'x'"),
+    ], ids=["verify-without-input", "empty-corpus", "cone-in-corpus",
+            "unreadable-map", "map-not-json", "degree-not-an-integer"])
+    def test_usage_error_exits_1(self, capsys, tmp_path, triangle2, argv, message):
+        for name in ("empty", "cones"):
+            (tmp_path / name).mkdir()
+        write_json(tmp_path / "cones" / "quadrant.json",
+                   {"ambient": 2, "generators": [[1, 0], [0, 1]]})
+        (tmp_path / "not-json.json").write_text("{not json")
+        paths = {"empty": tmp_path / "empty", "cones": tmp_path / "cones",
+                 "tri": triangle2, "missing": tmp_path / "nope.json",
+                 "not_json": tmp_path / "not-json.json"}
+        code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert code == 1 and out == ""
+        assert message in err and "error:" in err
+        assert "Traceback" not in err and "unexpected" not in err
+
     def test_non_extreme_input_exits_1(self, capsys, tmp_path):
         path = write_json(tmp_path / "mid.json",
                           {"vertices": [[0, 0], [1, 0], [2, 0], [0, 2]]})

@@ -8,16 +8,22 @@ Cone((1,0),(1,3))).
 """
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mucone
+from mucone import geometry
 from mucone.errors import (
     DimensionTooLargeError,
     InternalInconsistencyError,
@@ -46,6 +52,9 @@ from oracles import (cofactor_det, cone_contains, dual_basis, face_for, is_point
                      matvec, saturation_basis, saturation_index, saturation_route_points,
                      star_subdivision_cells, whole_face)
 from test_acceptance import make_polytope_corpus
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def V(*xs):
@@ -152,6 +161,22 @@ class TestCone:
     def test_json_roundtrip(self):
         c = Cone([V(1, 0), V(1, 2)])
         assert Cone.from_json(c.to_json()) == c
+
+    def test_non_simplicial_cone_lists_its_facets_once(self, monkeypatch):
+        # the pointedness check, the extreme rays and the inequalities all
+        # read the one cached facet list
+        listed = []
+        facets = geometry.cone_facets
+
+        def counting_facets(rays):
+            listed.append(rays)
+            return facets(rays)
+
+        monkeypatch.setattr(geometry, "cone_facets", counting_facets)
+        square = Cone([V(1, 0, 1), V(-1, 0, 1), V(0, 1, 1), V(0, -1, 1)])
+        assert len(square.facets) == 4 and len(square.inequalities) == 4
+        assert square.extreme_rays() == list(square.generators)
+        assert len(listed) == 1
 
 
 class TestSubdivision:
@@ -293,17 +318,36 @@ class TestStarStep:
                 assert by_rows == cone_contains(ch.generators, x), (ch, x)
 
     def test_acceptance_corpus_cells_pinned(self):
-        # every normal cone's basic cells over the acceptance corpus, per face:
-        # face indices, then normal-cone generators, then cell generators
-        digest = hashlib.sha256()
-        for p in make_polytope_corpus():
-            for f, nc in p.normal_cones:
-                digest.update(json.dumps([
-                    sorted(f.indices), [[int(x) for x in g] for g in nc.generators],
-                    [[[int(x) for x in g] for g in c.generators] for c in nc.basic_cells],
-                ]).encode())
-        assert digest.hexdigest() == (
+        assert _cell_lists_digest(make_polytope_corpus()) == (
             "3e730cd2a55d6888ea10bba015c3be17397550099ecc1af4983ea2a14accb1ab")
+
+    def test_bench_corpus_cells_pinned(self, monkeypatch):
+        # the benchmark's polytope corpus at workload seeds 0, 1 and 2, in
+        # one digest; the workloads module is handed the package this suite
+        # imported (its dataclasses look their module up in sys.modules)
+        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        m = SimpleNamespace(pkg=mucone, **{name: getattr(mucone, name)
+                                           for name in workloads.MODULES})
+        corpus = [p for shift in (0, 1, 2)
+                  for p in workloads.polytope_corpus(m, workloads.Seeds(shift=shift))]
+        assert _cell_lists_digest(corpus) == (
+            "939b458056e6a749787e39d5f26e6d505a31ddb965c03749a11948ada5ffe0fe")
+
+
+def _cell_lists_digest(polytopes) -> str:
+    """SHA-256 over every normal cone's basic cells, per face: face indices,
+    then normal-cone generators, then cell generators."""
+    digest = hashlib.sha256()
+    for p in polytopes:
+        for f, nc in p.normal_cones:
+            digest.update(json.dumps([
+                sorted(f.indices), [[int(x) for x in g] for g in nc.generators],
+                [[[int(x) for x in g] for g in c.generators] for c in nc.basic_cells],
+            ]).encode())
+    return digest.hexdigest()
 
 
 @st.composite
