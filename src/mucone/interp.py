@@ -24,6 +24,8 @@ at degree <= order.  On a line t*y the coefficient is a scalar times t^r,
 so the reduction runs in one ring, ints on lines (SquarefreeReducer):
 mu_on_line reduces a cone's basic cells on one line, and mu_basic one cell
 on the lines of an interpolation lattice, whose values determine the series.
+Both line kernels give integer Taylor numerators over one positive
+denominator per line, which _interpolate takes as they are.
 """
 
 from __future__ import annotations
@@ -117,12 +119,12 @@ class SquarefreeReducer:
                     _bump(out, (t, r), [x * y for x, y in zip(w, c)])
         return out
 
-    def reduce(self) -> list[list[Fraction]]:
-        """Full-subset coefficient of the Todd element per pair: its Taylor
-        coefficients on the pair's line through t^order, one Fraction each.
-        The factor of i maps vec to the sum of tdn[m] M_i^m vec over its power
-        chain, tdn = d*td as in _todd_over_integers, and the last factor keeps
-        only the full subset: (full, r) stands for N / (d^k L^(k + r))."""
+    def reduce(self) -> list[tuple[list[int], int]]:
+        """Per pair, the full-subset coefficient of the Todd element on its line
+        through t^order, as ([N_r L^(order - r) for r <= order], d^k L^(k + order))
+        for the stored (full, r) = N_r / (d^k L^(k + r)).  The factor of i maps
+        vec to the sum of tdn[m] M_i^m vec over its power chain, tdn = d*td as
+        in _todd_over_integers, and the last factor keeps only the full subset."""
         k, order, full = self.k, self.order, frozenset(range(self.k))
         tdn, d = _todd_over_integers(k + order)
         vec = {(frozenset(), 0): [1] * len(self._scales)}
@@ -136,8 +138,9 @@ class SquarefreeReducer:
                 if m == k + order or not power:
                     break
                 power = self._apply(power, i)
-        return [[Fraction(vec[full, r][c] if (full, r) in vec else 0, d ** k * L ** (k + r))
-                 for r in range(order + 1)] for c, L in enumerate(self._scales)]
+        tops = [vec.get((full, r)) for r in range(order + 1)]
+        return [([top[c] * L ** (order - r) if top else 0 for r, top in enumerate(tops)],
+                 d ** k * L ** (k + order)) for c, L in enumerate(self._scales)]
 
 
 def _bump(out: dict, key, c: list):
@@ -194,13 +197,13 @@ def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER, pivot_order=None) -> 
         return MuValue(cone, cmap.key(), order, MultiSeries.constant(1, 0, order), "reduction")
     lattice = _lattice(cone.ambient - 1, order, 1)
     lines = [(1,) + x for x in lattice.coords]
-    values = SquarefreeReducer([cone], lines, cmap, order, pivot_order).reduce()
+    rows = SquarefreeReducer([cone], lines, cmap, order, pivot_order).reduce()
 
     def fail(r: int):
         raise InternalInconsistencyError(f"reduction: degree-{r} part of mu is not a polynomial "
                                          f"of degree {r}: cone={cone!r} map={cmap.describe()}")
 
-    return MuValue(cone, cmap.key(), order, _interpolate(lattice, values, order, fail),
+    return MuValue(cone, cmap.key(), order, _interpolate(lattice, rows, order, fail),
                    "reduction")
 
 
@@ -291,8 +294,9 @@ def _todd_over_integers(cap: int) -> tuple[tuple[int, ...], int]:
     return tuple(tdn), d
 
 
-def _chain_sum_on_line(own, steps, pq, k: int, order: int) -> list[Fraction]:
-    """t^k times the chain sum on the line t*y, through t^(k + order).
+def _chain_sum_on_line(own, steps, pq, k: int, order: int) -> tuple[list[int], int]:
+    """t^k times the chain sum on the line t*y, through t^(k + order), as
+    integer numerators over one positive denominator.
 
     pq[j] = (p, q), q > 0, with <form j, y> = p/q nonzero.  Splitting each
     chain from T to the full set S at its first step T < T' gives T's chain
@@ -306,11 +310,12 @@ def _chain_sum_on_line(own, steps, pq, k: int, order: int) -> list[Fraction]:
 
     g runs on integer pairs, one gcd per T.  The products run in integers:
     with <u,y> = p/q, d*q^cap * td(<u,y> t) has the integer coefficients
-    (d td_m) p^m q^(cap-m).
+    (d td_m) p^m q^(cap-m), of which only the nonzero ones are multiplied.
     """
     cap = k + order
     tdn, d = _todd_over_integers(cap)
-    total, total_den = [0] * (cap + 1), 1
+    todd = [(m, c) for m, c in enumerate(tdn) if c]  # td_m = 0 at odd m >= 3
+    total, terms = [0] * (cap + 1), []  # terms: (num_T, den_T) per T with g_T != 0
     last = len(own) - 1
     g = [None] * last + [(1, 1)]  # g_S
     for t in reversed(range(len(own))):
@@ -330,37 +335,36 @@ def _chain_sum_on_line(own, steps, pq, k: int, order: int) -> list[Fraction]:
         num, den = [a * prod(pq[j][1] for j in own[t])], b * prod(pq[j][0] for j in own[t])
         for j in own[t]:
             p, q = pq[j]
-            factor, pm, qm = [], 1, q ** cap
-            for m in range(cap + 1):
-                factor.append(tdn[m] * pm * qm)
-                pm *= p
-                qm //= q
+            factor = [(m, c * p ** m * q ** (cap - m)) for m, c in todd]
             out = [0] * (cap + 1)
             for i, x in enumerate(num):
-                for m in range(cap + 1 - i):
-                    if factor[m]:
-                        out[i + m] += x * factor[m]
+                for m, c in factor:
+                    if x and i + m <= cap:
+                        out[i + m] += x * c
             num = out
             den *= d * q ** cap
-        common = lcm(total_den, den)
-        total = [v * (common // total_den) for v in total]
+        terms.append((num, den))
+    common = lcm(*(den for _, den in terms))
+    for num, den in terms:
+        scale = common // den
         for i, x in enumerate(num):
-            total[i] += x * (common // den)
-        total_den = common
-    return [Fraction(x, total_den) for x in total]
+            total[i] += x * scale
+    return total, common
 
 
 def _nodes(forms, m: int, levels: int):
     """The lattice with the least shift = 1, 2, ... on which no form
-    (numerators, q) vanishes, and the forms' values at each of its points
-    y = (1, x) as integer pairs (p, q) for p/q.  Terminates: a form that
-    vanishes at a node for infinitely many shifts is zero."""
+    (numerators, q) vanishes, each shift left at its first node where one does,
+    and the forms' values at its points y = (1, x) as integer pairs (p, q).
+    Terminates: a form that vanishes at a node for infinitely many shifts is zero."""
     shift = 1
     while True:
-        lattice = _lattice(m, levels, shift)
-        rows = [[(u[0] + sum(a * b for a, b in zip(u[1:], x)), q) for u, q in forms]
-                for x in lattice.coords]
-        if all(p for row in rows for p, _ in row):
+        lattice, rows = _lattice(m, levels, shift), []
+        for x in lattice.coords:
+            rows.append([(dot(u, (1,) + x), q) for u, q in forms])
+            if not all(p for p, _ in rows[-1]):
+                break
+        else:
             return lattice, rows
         shift += 1
 
@@ -389,30 +393,34 @@ def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
             f"{what}: cone={cone!r} map={cmap.describe()}")
 
     def taylor(row):
-        line = _chain_sum_on_line(own, steps, row, k, order)
+        line, den = _chain_sum_on_line(own, steps, row, k, order)
         if any(line[:k]):
             fail("chain sum has a pole on a line")
-        return line[k:]
+        return line[k:], den
 
     lattice, rows = _nodes(forms, n - 1, order + 1)
     values = [taylor(row) for row in rows]
-    if n == 1:
-        second = taylor([(2 * p, q) for p, q in rows[0]])
-        if any(b != a * 2 ** r for r, (a, b) in enumerate(zip(values[0], second))):
+    if n == 1:  # b_r / B == 2^r a_r / A, cross-multiplied
+        (first, A), (second, B) = values[0], taylor([(2 * p, q) for p, q in rows[0]])
+        if any(b * A != a * 2 ** r * B for r, (a, b) in enumerate(zip(first, second))):
             fail("chain sum is not homogeneous on the line")
     series = _interpolate(lattice, values, order, lambda r: fail(
         f"degree-{r} part of the chain sum is not a polynomial of degree {r}"))
     return MuValue(cone, cmap.key(), order, series, "explicit")
 
 
-def _interpolate(lattice: _Lattice, values, order: int, fail) -> MultiSeries:
-    """The series whose homogeneous degree-r part p_r has p_r(1, x) = values[p][r]
-    at the p-th lattice point x: differences axis by axis give p_r's Newton
-    coefficients in the chart y_1 = 1, which expand to monomials and
-    homogenize.  A nonzero Newton coefficient of p_r above degree r calls fail(r)."""
+def _interpolate(lattice: _Lattice, rows, order: int, fail) -> MultiSeries:
+    """The series whose homogeneous degree-r part p_r has p_r(1, x) = N_r / q
+    at the p-th lattice point x, rows[p] = ([N_0, ..., N_order], q), q > 0:
+    differences axis by axis give p_r's Newton coefficients in the chart
+    y_1 = 1, which expand to monomials and homogenize.  A nonzero Newton
+    coefficient of p_r above degree r calls fail(r), which raises, so the
+    series is built unchecked: every exponent is (r - |beta|,) + beta with
+    |beta| <= |alpha| <= r <= order, beta a monomial of alpha's Newton basis
+    polynomial, and zero sums are dropped."""
     # forward differences, in integers over the common denominator
-    den = lcm(*(v.denominator for vals in values for v in vals))
-    diffs = [[v.numerator * (den // v.denominator) for v in vals] for vals in values]
+    den = lcm(*(q for _, q in rows))
+    diffs = [[x * (den // q) for x in nums] for nums, q in rows]
     for lines in lattice.lines:
         for line in lines:
             for j in range(1, len(line)):
@@ -430,7 +438,7 @@ def _interpolate(lattice: _Lattice, values, order: int, fail) -> MultiSeries:
                 coeffs[expo] = coeffs.get(expo, 0) + c * e
     den *= lattice.denominator
     n = len(lattice.points[0]) + 1
-    return MultiSeries(n, order, {e: Fraction(c, den) for e, c in coeffs.items()})
+    return MultiSeries._trusted(n, order, {e: Fraction(c, den) for e, c in coeffs.items() if c})
 
 
 # -- the full mu, any pointed generic cone ------------------------------------
@@ -491,7 +499,8 @@ def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
         raise ValueError("direction dimension mismatch")
     cells = cone.basic_cells
     total = [Fraction(0)] * (order + 1)
-    for cell, val in zip(cells, SquarefreeReducer(cells, [line], cmap, order).reduce()):
+    for cell, (nums, den) in zip(cells, SquarefreeReducer(cells, [line], cmap, order).reduce()):
+        val = [Fraction(x, den) for x in nums]
         if cross_validate:
             full = mu(cell, cmap, order, cross_validate=True).series
             if restrict_to_direction(full, line) != LaurentSeries.from_taylor(val, order):

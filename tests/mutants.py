@@ -116,6 +116,26 @@ MUTANTS = [
      "if sum(alpha) > r:",
      "if sum(alpha) > r + 1:",
      "a degree-r part with Newton coefficients of degree r + 1 is accepted"),
+    ("reduce-no-rescale", "interp.py",
+     "top[c] * L ** (order - r) if top else 0",
+     "top[c] * L ** order if top else 0",
+     "the reducer puts every t-degree over the denominator of degree order"),
+    ("todd-top-coefficient-dropped", "interp.py",
+     "todd = [(m, c) for m, c in enumerate(tdn) if c]",
+     "todd = [(m, c) for m, c in enumerate(tdn[:-1]) if c]",
+     "the chain sum's Todd factors lose their top coefficient td_(k + order)"),
+    ("nodes-exit-when-all-vanish", "interp.py",
+     "if not all(p for p, _ in rows[-1]):",
+     "if not any(p for p, _ in rows[-1]):",
+     "a shift is kept although some form vanishes at one of its nodes"),
+    ("homogeneity-numerators-only", "interp.py",
+     "if any(b * A != a * 2 ** r * B for",
+     "if any(b != a * 2 ** r for",
+     "the n = 1 homogeneity check compares numerators over different denominators"),
+    ("interpolate-keeps-zero-sums", "interp.py",
+     "for e, c in coeffs.items() if c})",
+     "for e, c in coeffs.items()})",
+     "the interpolated series stores monomials whose coefficient sums to zero"),
     ("mu-cache-key-cross-validate", "interp.py",
      "key = (cone.canonical_key(), cmap.key(), order, bool(cross_validate))",
      "key = (cone.canonical_key(), cmap.key(), order)",

@@ -28,7 +28,8 @@ in a basis by a linear solve, the exponential sum over lattice points
 term by term, cone membership, pointedness by a scan of minimal
 dependent ray subsets, the inverse of a Laurent series and a half-open
 Brion cell's series built on it, a polytope's face by its vertex indices,
-a matrix from its columns, rows and columns as Vectors, and small
+a matrix from its columns, rows and columns as Vectors, the chain-sum
+interpolation nodes by a full scan of every shift tried, and small
 linear-algebra and genericity checks the library never calls.
 """
 
@@ -703,6 +704,20 @@ def lattice_lines(n: int, order: int) -> list[tuple[int, ...]]:
     lattice on which homogeneous polynomials of degree <= order are
     determined by their values."""
     return [(1,) + x for x in _lattice(n - 1, order, 1).coords]
+
+
+def nodes_by_full_scan(forms, m: int, levels: int) -> tuple[int, list]:
+    """The least shift = 1, 2, ... such that no form (numerators, q)
+    vanishes at any point y = (1, x) of _lattice(m, levels, shift), and the
+    forms' values (p, q) for p/q at each of its points: every form is
+    evaluated at every node of each shift tried, then the shift is judged."""
+    shift = 1
+    while True:
+        rows = [[(sum(a * b for a, b in zip(u, (1,) + x)), q) for u, q in forms]
+                for x in _lattice(m, levels, shift).coords]
+        if all(p for row in rows for p, _ in row):
+            return shift, rows
+        shift += 1
 
 
 def line_reducer(cone: Cone, cmap, order: int, pivot_order=None,

@@ -8,21 +8,16 @@ Cone((1,0),(1,3))).
 """
 
 import hashlib
-import importlib.util
 import itertools
 import json
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import mucone
 from mucone import geometry
 from mucone.errors import (
     DimensionTooLargeError,
@@ -52,9 +47,6 @@ from oracles import (cofactor_det, cone_contains, dual_basis, face_for, is_point
                      matvec, saturation_basis, saturation_index, saturation_route_points,
                      star_subdivision_cells, whole_face)
 from test_acceptance import make_polytope_corpus
-
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def V(*xs):
@@ -321,16 +313,10 @@ class TestStarStep:
         assert _cell_lists_digest(make_polytope_corpus()) == (
             "3e730cd2a55d6888ea10bba015c3be17397550099ecc1af4983ea2a14accb1ab")
 
-    def test_bench_corpus_cells_pinned(self, monkeypatch):
+    def test_bench_corpus_cells_pinned(self, bench_workloads):
         # the benchmark's polytope corpus at workload seeds 0, 1 and 2, in
-        # one digest; the workloads module is handed the package this suite
-        # imported (its dataclasses look their module up in sys.modules)
-        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        m = SimpleNamespace(pkg=mucone, **{name: getattr(mucone, name)
-                                           for name in workloads.MODULES})
+        # one digest
+        workloads, m = bench_workloads
         corpus = [p for shift in (0, 1, 2)
                   for p in workloads.polytope_corpus(m, workloads.Seeds(shift=shift))]
         assert _cell_lists_digest(corpus) == (

@@ -63,6 +63,7 @@ from oracles import (
     matvec,
     mu_explicit_combined,
     mu_on_line_cell_by_cell,
+    nodes_by_full_scan,
     normal_form,
     pivot_vector,
     psi_failures,
@@ -511,13 +512,16 @@ class TestBatchedCells:
 
     def test_full_ring_batch_is_per_cell(self):
         # every cell on every lattice line in one batch: each (cell, line) pair
-        # gives the Taylor coefficients of the cell's own mu on that line
+        # gives the Taylor coefficients of the cell's own mu on that line, as
+        # integer numerators over one positive denominator
         cells = subdivide_to_basic(self.CONE).children
         lines = lattice_lines(3, 4)
         got = SquarefreeReducer(cells, lines, IP3, 4).reduce()
+        assert all(len(nums) == 5 and type(den) is int and den > 0 for nums, den in got)
         want = [restrict_to_direction(FullRingReducer(cell, IP3, 4).reduce(), y)
                 for cell in cells for y in lines]
-        assert [LaurentSeries.from_taylor(v, 4) for v in got] == want
+        assert [LaurentSeries.from_taylor([Fraction(x, den) for x in nums], 4)
+                for nums, den in got] == want
         assert want == [restrict_to_direction(mu_basic(cell, IP3, 4).series, y)
                         for cell in cells for y in lines]
 
@@ -607,6 +611,19 @@ class TestMuBasic:
             digest.update(json.dumps(route(c, m, 5).series.to_json(), sort_keys=True).encode())
         assert digest.hexdigest() == (
             "a724fc991f801186551af05a28a98806d65827b13e48f2c37dad50502f88a5ab")
+
+    @pytest.mark.parametrize("route", [mu_basic, mu_explicit], ids=lambda f: f.__name__)
+    def test_mu_crossval_digest(self, route, bench_workloads):
+        # both routes' series over the benchmark's mu-crossval operations at
+        # workload seeds 0 and 1, in set-up order, pinned byte for byte
+        workloads, m = bench_workloads
+        digest = hashlib.sha256()
+        for shift in (0, 1):
+            for c, cmap, _ in workloads.MuCrossval.setup(m, workloads.Seeds(shift=shift)):
+                series = route(c, cmap, workloads.MU_ORDER).series
+                digest.update(json.dumps(series.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "18ab2e177c575350ef279eb09ea73db7337a59e7b4054e007e32f0bf67786271")
 
 
 def _rank2(a, b):
@@ -791,17 +808,17 @@ class TestExplicitChecks:
 
     @staticmethod
     def _perturb(monkeypatch, node, entry):
-        """Move one entry of the node-th line evaluation, after the pole
-        check; returns the list of calls made."""
+        """Move one integer numerator of the node-th line evaluation by 1,
+        after the pole check; returns the list of calls made."""
         real = interp._chain_sum_on_line
         calls = []
 
         def perturbed(*args):
-            out = real(*args)
+            nums, den = real(*args)
             if len(calls) == node:
-                out[entry] += Fraction(1, 7)
+                nums[entry] += 1
             calls.append(args)
-            return out
+            return nums, den
 
         monkeypatch.setattr(interp, "_chain_sum_on_line", perturbed)
         return calls
@@ -838,6 +855,20 @@ def _criterion_4_pairs():
     for n in (2, 3):
         pairs.extend((c, diaconis_fulton_map(n)) for c in projective_fan_cones(n))
     return pairs
+
+
+class TestNodes:
+    def test_first_shift_matches_full_scan(self):
+        # the chain sum's nodes over the criterion-4 pairs at order 5: the
+        # shift and rows of a scan that evaluates every form at every node of
+        # each shift; some pairs reject shift 1, which _nodes leaves early
+        rejected = 0
+        for c, m in _criterion_4_pairs():
+            args = (interp._explicit_terms(c, m)[0], c.ambient - 1, 5 + 1)
+            shift, rows = nodes_by_full_scan(*args)
+            assert interp._nodes(*args) == (interp._lattice(*args[1:], shift), rows), (c, m)
+            rejected += shift > 1
+        assert rejected
 
 
 class TestExplicitRoutes:

@@ -15,6 +15,7 @@ whose basis moves by A^-T.
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,7 +38,15 @@ from mucone.valuations import count_via_local_formula, verify_interpolator
 from oracles import inverse, matmul, matvec
 from test_acceptance import _gram_maps, make_polytope_corpus
 
-CORPUS = make_polytope_corpus()
+
+@cache
+def _corpus():
+    """The verify corpus, built on first use: a slip in polytope geometry
+    then fails the tests that read it, not the collection of this module."""
+    return make_polytope_corpus()
+
+
+CORPUS_POLYTOPES = st.deferred(lambda: st.sampled_from(_corpus()))
 
 
 def _is_point(v) -> bool:
@@ -52,7 +61,7 @@ def _cone_is_int(c: Cone) -> bool:
 
 class TestTypeBoundary:
     def test_corpus_polytopes_cones_and_cells(self):
-        for p in CORPUS:
+        for p in _corpus():
             assert all(map(_is_point, p.vertices)), p
             assert all(_is_point(a) and type(b) is int for a, b, _ in p._facets), p
             assert all(_is_point(a) and type(b) is int for a, b, _ in p.facet_normals()), p
@@ -114,7 +123,7 @@ def _moved(p: Polytope, a, b) -> Polytope:
 
 @st.composite
 def moved_polytopes(draw):
-    p = draw(st.sampled_from(CORPUS))
+    p = draw(CORPUS_POLYTOPES)
     a, b = draw(lattice_maps(p.ambient))
     return p, _moved(p, a, b)
 
