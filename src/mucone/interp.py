@@ -21,11 +21,12 @@ homogeneous polynomial of degree r = |e| - |S|, and every coefficient of
 the Todd element is a constant.  No M_i lowers r or shrinks S, so the
 reducer drops every entry with r > order: it cannot reach the full subset
 at degree <= order.  On a line t*y the coefficient is a scalar times t^r,
-so the reduction runs in one ring, ints on lines (SquarefreeReducer):
-mu_on_line reduces a cone's basic cells on one line, and mu_basic one cell
-on the lines of an interpolation lattice, whose values determine the series.
-Both line kernels give integer Taylor numerators over one positive
-denominator per line, which _interpolate takes as they are.
+so the reduction runs in one ring, ints on lines (SquarefreeReducer).  mu
+is additive over basic cells, so the reducer sums a cone's cells on each
+line: mu_on_line reduces on one line, and mu_basic on the lines of an
+interpolation lattice, whose values determine the series.  Both line
+kernels give integer Taylor numerators over one positive denominator per
+line, which _interpolate takes as they are.
 """
 
 from __future__ import annotations
@@ -120,11 +121,13 @@ class SquarefreeReducer:
         return out
 
     def reduce(self) -> list[tuple[list[int], int]]:
-        """Per pair, the full-subset coefficient of the Todd element on its line
-        through t^order, as ([N_r L^(order - r) for r <= order], d^k L^(k + order))
-        for the stored (full, r) = N_r / (d^k L^(k + r)).  The factor of i maps
+        """Per line, the full-subset coefficient of the Todd element through
+        t^order summed over the cells, as ([sum of N_r (Q/L)^(k + r) Q^(order - r)
+        for r <= order], d^k Q^(k + order)) for each cell's stored (full, r) =
+        N_r / (d^k L^(k + r)), Q the lcm of the line's L.  The factor of i maps
         vec to the sum of tdn[m] M_i^m vec over its power chain, tdn = d*td as
-        in _todd_over_integers, and the last factor keeps only the full subset."""
+        in _todd_over_integers, and the last factor keeps only the full subset.
+        Rescaling only here keeps each cell's walk on its own, smaller L."""
         k, order, full = self.k, self.order, frozenset(range(self.k))
         tdn, d = _todd_over_integers(k + order)
         vec = {(frozenset(), 0): [1] * len(self._scales)}
@@ -139,8 +142,14 @@ class SquarefreeReducer:
                     break
                 power = self._apply(power, i)
         tops = [vec.get((full, r)) for r in range(order + 1)]
-        return [([top[c] * L ** (order - r) if top else 0 for r, top in enumerate(tops)],
-                 d ** k * L ** (k + order)) for c, L in enumerate(self._scales)]
+        n, rows = len(self._lines), []
+        for y in range(n):
+            scales = self._scales[y::n]  # the line's L, cell by cell
+            Q = lcm(*scales)
+            rows.append(([sum(top[c * n + y] * (Q // L) ** (k + r) for c, L in enumerate(scales))
+                          * Q ** (order - r) if top else 0 for r, top in enumerate(tops)],
+                         d ** k * Q ** (k + order)))
+        return rows
 
 
 def _bump(out: dict, key, c: list):
@@ -189,22 +198,24 @@ class MuValue:
 
 
 def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER, pivot_order=None) -> MuValue:
-    """mu of a generic basic cone: full-subset coefficient of the Todd element.
-    Its degree-r part is homogeneous of degree r, so one reduction walk on the lines
-    t*(1, x), x over the lattice nodes for degrees <= order, determines it
-    (_interpolate); a Newton coefficient above degree r is an internal inconsistency."""
+    """mu of a pointed generic cone: the full-subset coefficient of the Todd element,
+    summed over the cone's basic cells.  Its degree-r part is homogeneous of degree
+    r, so one reduction walk of all the cells on the lines t*(1, x), x over the
+    lattice nodes for degrees <= order, determines it (_interpolate); a Newton
+    coefficient above degree r is an internal inconsistency.  Provenance
+    "reduction" when the cone is basic, else "subdivision-sum"."""
+    kind = "reduction" if cone.is_basic else "subdivision-sum"
     if not cone.ambient:  # R^0 has no lines; its one cone is zero
-        return MuValue(cone, cmap.key(), order, MultiSeries.constant(1, 0, order), "reduction")
+        return MuValue(cone, cmap.key(), order, MultiSeries.constant(1, 0, order), kind)
     lattice = _lattice(cone.ambient - 1, order, 1)
     lines = [(1,) + x for x in lattice.coords]
-    rows = SquarefreeReducer([cone], lines, cmap, order, pivot_order).reduce()
+    rows = SquarefreeReducer(cone.basic_cells, lines, cmap, order, pivot_order).reduce()
 
     def fail(r: int):
         raise InternalInconsistencyError(f"reduction: degree-{r} part of mu is not a polynomial "
                                          f"of degree {r}: cone={cone!r} map={cmap.describe()}")
 
-    return MuValue(cone, cmap.key(), order, _interpolate(lattice, rows, order, fail),
-                   "reduction")
+    return MuValue(cone, cmap.key(), order, _interpolate(lattice, rows, order, fail), kind)
 
 
 # -- explicit chain-sum route ------------------------------------------------
@@ -453,32 +464,28 @@ def clear_mu_cache():
 
 def mu(cone: Cone, cmap, order: int = DEFAULT_ORDER,
        cross_validate: bool = False) -> MuValue:
-    """mu of a pointed generic cone: by reduction when basic (the zero cone
-    among them, with mu 1), else summed over a basic subdivision.
-    cross_validate reruns basic cones through the explicit formula and
-    aborts on any mismatch.  That formula reads psi on the full subset at
-    every order, so at order 0 it may raise NotGenericError on a cone whose
-    reduction never reads that psi.
+    """mu of a pointed generic cone (the zero cone among them, with mu 1):
+    one mu_basic reduction of all its basic cells, cached.  cross_validate
+    first reruns each basic cell, in order, through the reduction and the
+    explicit formula and aborts on any mismatch.  That formula reads psi on
+    the full subset at every order, so at order 0 it may raise
+    NotGenericError on a cone whose reduction never reads that psi.
     """
     key = (cone.canonical_key(), cmap.key(), order, bool(cross_validate))
     got = _MU_CACHE.get(key)
     if got is not None:
         # the key ignores generator order; report the caller's cone
         return MuValue(cone, got.map_key, order, got.series, got.provenance)
-    if cone.is_basic:
-        val = mu_basic(cone, cmap, order)
-        if cross_validate:
-            other = mu_explicit(cone, cmap, order)
+    if cross_validate:
+        for cell in cone.basic_cells:
+            val, other = mu_basic(cell, cmap, order), mu_explicit(cell, cmap, order)
             if val.series != other.series:
                 raise InternalInconsistencyError(
                     "reduction and explicit formula disagree: "
-                    f"cone={cone!r} map={cmap.describe()} "
+                    f"cone={cell!r} map={cmap.describe()} "
                     f"reduction={val.series!r} explicit={other.series!r}")
-    else:
-        total = MultiSeries.zero(cone.ambient, order)
-        for child in cone.basic_cells:
-            total = total + mu(child, cmap, order, cross_validate).series
-        val = MuValue(cone, cmap.key(), order, total, "subdivision-sum")
+    if not (cross_validate and cone.is_basic):  # else val reduced its one cell, itself
+        val = mu_basic(cone, cmap, order)
     _MU_CACHE[key] = val
     return val
 
@@ -488,27 +495,20 @@ def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
     """mu of a pointed generic cone restricted to the line t*line.
 
     Equals restrict_to_direction(mu(cone, cmap, order).series, line)
-    exactly.  All basic cells are reduced in one batch with scalars on the
-    line; a psi failure surfaces at its set-up, in the first failing cell,
-    as a cell-by-cell run would raise it.  Values depend on the line, so
-    nothing is cached.  cross_validate also computes each basic cell's full
-    mu by both pipelines (see mu) and aborts unless its restriction matches
-    the line value.
+    exactly: one reduction of all the basic cells on the line, with psi
+    failures raised at its set-up in the first failing cell, as a
+    cell-by-cell run would raise them.  Values depend on the line, so
+    nothing is cached.  cross_validate then computes the cone's full mu
+    with the cross-check (see mu) and aborts unless its restriction matches.
     """
     if len(line) != cone.ambient:
         raise ValueError("direction dimension mismatch")
-    cells = cone.basic_cells
-    total = [Fraction(0)] * (order + 1)
-    for cell, (nums, den) in zip(cells, SquarefreeReducer(cells, [line], cmap, order).reduce()):
-        val = [Fraction(x, den) for x in nums]
-        if cross_validate:
-            full = mu(cell, cmap, order, cross_validate=True).series
-            if restrict_to_direction(full, line) != LaurentSeries.from_taylor(val, order):
-                raise InternalInconsistencyError(
-                    "line and full reduction disagree: "
-                    f"cone={cell!r} map={cmap.describe()} line={line}")
-        total = [a + b for a, b in zip(total, val)]
-    return LaurentSeries.from_taylor(total, order)
+    [(nums, den)] = SquarefreeReducer(cone.basic_cells, [line], cmap, order).reduce()
+    got = LaurentSeries.from_taylor([Fraction(x, den) for x in nums], order)
+    if cross_validate and restrict_to_direction(mu(cone, cmap, order, True).series, line) != got:
+        raise InternalInconsistencyError("line and full reduction disagree: "
+                                         f"cone={cone!r} map={cmap.describe()} line={line}")
+    return got
 
 
 class MuTable:

@@ -117,9 +117,29 @@ MUTANTS = [
      "if sum(alpha) > r + 1:",
      "a degree-r part with Newton coefficients of degree r + 1 is accepted"),
     ("reduce-no-rescale", "interp.py",
-     "top[c] * L ** (order - r) if top else 0",
-     "top[c] * L ** order if top else 0",
+     "* Q ** (order - r) if top else 0",
+     "* Q ** order if top else 0",
      "the reducer puts every t-degree over the denominator of degree order"),
+    ("reduce-cell-rescale-exponent", "interp.py",
+     "(Q // L) ** (k + r)",
+     "(Q // L) ** k",
+     "a cell whose scale is below the line's lcm is summed at the wrong power of the ratio"),
+    ("reduce-first-cell-only", "interp.py",
+     "for c, L in enumerate(scales))",
+     "for c, L in enumerate(scales[:1]))",
+     "a line's row holds only the first basic cell"),
+    ("mu-basic-provenance", "interp.py",
+     'kind = "reduction" if cone.is_basic else "subdivision-sum"',
+     'kind = "reduction"',
+     "mu of a non-basic cone is labelled a reduction"),
+    ("cross-check-first-cell", "interp.py",
+     "for cell in cone.basic_cells:\n            val, other",
+     "for cell in cone.basic_cells[:1]:\n            val, other",
+     "mu's cross-check compares only the first basic cell"),
+    ("line-cross-check-dropped", "interp.py",
+     "if cross_validate and restrict_to_direction(",
+     "if False and restrict_to_direction(",
+     "mu_on_line's cross-check never compares with the full mu"),
     ("todd-top-coefficient-dropped", "interp.py",
      "todd = [(m, c) for m, c in enumerate(tdn) if c]",
      "todd = [(m, c) for m, c in enumerate(tdn[:-1]) if c]",

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -23,6 +24,7 @@ from mucone.complement import (
 )
 from mucone.errors import (
     InconsistentExplicitFormulaError,
+    InternalInconsistencyError,
     MuconeError,
     NotGenericError,
     UnknownRayError,
@@ -511,19 +513,22 @@ class TestBatchedCells:
     CONE = Cone([V(1, 0, 0), V(0, 1, 0), V(1, 1, 3)])  # index 3
 
     def test_full_ring_batch_is_per_cell(self):
-        # every cell on every lattice line in one batch: each (cell, line) pair
-        # gives the Taylor coefficients of the cell's own mu on that line, as
+        # every cell on every lattice line in one batch: each line's row is
+        # the sum over the cells of each cell's own mu on that line, as
         # integer numerators over one positive denominator
         cells = subdivide_to_basic(self.CONE).children
+        assert len(cells) == 5
         lines = lattice_lines(3, 4)
         got = SquarefreeReducer(cells, lines, IP3, 4).reduce()
+        assert len(got) == len(lines)
         assert all(len(nums) == 5 and type(den) is int and den > 0 for nums, den in got)
-        want = [restrict_to_direction(FullRingReducer(cell, IP3, 4).reduce(), y)
-                for cell in cells for y in lines]
+        per_cell = [[restrict_to_direction(FullRingReducer(cell, IP3, 4).reduce(), y)
+                     for y in lines] for cell in cells]
+        want = [sum(col, LaurentSeries.zero(4)) for col in zip(*per_cell)]
         assert [LaurentSeries.from_taylor([Fraction(x, den) for x in nums], 4)
                 for nums, den in got] == want
-        assert want == [restrict_to_direction(mu_basic(cell, IP3, 4).series, y)
-                        for cell in cells for y in lines]
+        assert per_cell == [[restrict_to_direction(mu_basic(cell, IP3, 4).series, y)
+                             for y in lines] for cell in cells]
 
 
 class TestMuBasic:
@@ -937,6 +942,64 @@ class TestMu:
         child1 = mu(Cone([V(1, 0), V(1, 1)]), IP2, order=3).series
         child2 = mu(Cone([V(1, 1), V(1, 2)]), IP2, order=3).series
         assert v.series == child1 + child2
+        assert mu_basic(Cone([V(1, 0), V(1, 2)]), IP2, 3).provenance == "subdivision-sum"
+
+    def test_non_basic_cone_builds_one_reducer(self, monkeypatch):
+        # all basic cells in one reduction; the cross-check adds one per cell
+        built = []
+
+        class Counting(SquarefreeReducer):
+            def __init__(self, cells, *args):
+                built.append(len(cells))
+                super().__init__(cells, *args)
+
+        monkeypatch.setattr(interp, "SquarefreeReducer", Counting)
+        cone = TestBatchedCells.CONE
+        cells = len(cone.basic_cells)
+        clear_mu_cache()
+        assert mu(cone, IP3, 3).provenance == "subdivision-sum"
+        assert built == [cells]
+        built.clear()
+        mu(cone, IP3, 3, cross_validate=True)
+        assert built == [1] * cells + [cells]
+        clear_mu_cache()
+
+    def test_cross_check_names_the_disagreeing_cell(self, monkeypatch):
+        # negative control: an explicit value moved on any one cell of a
+        # non-basic cone raises, and the message names that cell
+        cone = TestBatchedCells.CONE
+        explicit = interp.mu_explicit
+        for bad in cone.basic_cells:
+            def perturbed(cell, cmap, order, bad=bad):
+                val = explicit(cell, cmap, order)
+                if cell is bad:
+                    val.series = val.series + MultiSeries.constant(Fraction(1, 7), 3, order)
+                return val
+
+            monkeypatch.setattr(interp, "mu_explicit", perturbed)
+            clear_mu_cache()
+            with pytest.raises(InternalInconsistencyError,
+                               match=re.escape(f"explicit formula disagree: cone={bad!r} ")):
+                mu(cone, IP3, 2, cross_validate=True)
+        clear_mu_cache()
+
+    def test_line_cross_check_catches_a_wrong_full_mu(self, monkeypatch):
+        # negative control: with the full mu of a non-basic cone moved, the
+        # line route's cross-check raises
+        cone, line = TestBatchedCells.CONE, V(2, -3, 5)
+        assert mu_on_line(cone, IP3, line, 3, cross_validate=True) == (
+            restrict_to_direction(mu(cone, IP3, 3).series, line))
+        full = interp.mu
+
+        def perturbed(c, cmap, order, cross_validate=False):
+            val = full(c, cmap, order, cross_validate)
+            return MuValue(c, val.map_key, order,
+                           val.series + MultiSeries.constant(Fraction(1, 7), 3, order),
+                           val.provenance)
+
+        monkeypatch.setattr(interp, "mu", perturbed)
+        with pytest.raises(InternalInconsistencyError, match="line and full reduction disagree"):
+            mu_on_line(cone, IP3, line, 3, cross_validate=True)
 
     def test_df_projective_constants_2d(self):
         # consecutive pairs 1/3; the lone non-consecutive pair in the

@@ -1,8 +1,11 @@
 """Exponential sums/integrals, local counting, and the identity harness."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
@@ -62,9 +65,26 @@ def segment(m):
     return Polytope([V(0), V(m)], name=f"segment-{m}")
 
 
-UNIT_SQUARE = Polytope([V(0, 0), V(1, 0), V(0, 1), V(1, 1)], name="unit-square")
-CUBE = Polytope([V(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
-                name="unit-cube")
+VERTICES = {
+    "unit-square": [(0, 0), (1, 0), (0, 1), (1, 1)],
+    "unit-cube": [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+    "triangle-1": [(0, 0), (1, 0), (0, 1)],
+    "tri-skew": [(0, 0), (3, 1), (1, 4)],
+    "diamond": [(1, 0), (0, 1), (-1, 0), (0, -1)],
+    "octahedron": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    "pyramid": [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)],
+}
+
+
+def fresh_polytope(name: str) -> Polytope:
+    return Polytope([V(*v) for v in VERTICES[name]], name=name)
+
+
+@cache
+def polytope(name: str) -> Polytope:
+    """The named polytope, built on first use: a slip in polytope geometry
+    then fails the tests that read it, not the collection of this module."""
+    return fresh_polytope(name)
 
 
 class TestDirections:
@@ -127,7 +147,7 @@ class TestSSeries:
         assert s.coefficient(2) == Fraction(5, 2)
 
     def test_t0_is_count(self):
-        for p in [triangle(2), UNIT_SQUARE, CUBE, segment(5)]:
+        for p in [triangle(2), polytope("unit-square"), polytope("unit-cube"), segment(5)]:
             y0 = V(*range(2, 2 + p.ambient))
             assert s_series(p, y0, 0).coefficient(0) == len(p.lattice_points())
 
@@ -172,7 +192,7 @@ class TestIFaceSeries:
 
     def test_t0_is_normalized_volume(self):
         from mucone.geometry import normalized_volume
-        for p in [triangle(3), CUBE, UNIT_SQUARE]:
+        for p in [triangle(3), polytope("unit-cube"), polytope("unit-square")]:
             y0 = V(*range(2, 2 + p.ambient))
             for f in p.faces:
                 s = i_face_series(f, y0, 1)
@@ -181,9 +201,10 @@ class TestIFaceSeries:
     def test_box_product_rule(self):
         y0 = V(2, 3)
         q = 5
-        bottom = i_face_series(face_for(UNIT_SQUARE, {0, 1}), y0, q)
-        left = i_face_series(face_for(UNIT_SQUARE, {0, 2}), y0, q)
-        whole = i_face_series(whole_face(UNIT_SQUARE), y0, q)
+        square = polytope("unit-square")
+        bottom = i_face_series(face_for(square, {0, 1}), y0, q)
+        left = i_face_series(face_for(square, {0, 2}), y0, q)
+        whole = i_face_series(whole_face(square), y0, q)
         assert (bottom * left).agrees_with(whole, through=q)
 
     def test_hypotenuse_scaling(self):
@@ -206,8 +227,8 @@ class TestCounting:
             assert count_via_local_formula(segment(m), IP1) == m + 1
 
     def test_cube_and_square(self):
-        assert count_via_local_formula(CUBE, IP3) == 8
-        assert count_via_local_formula(UNIT_SQUARE, IP2) == 4
+        assert count_via_local_formula(polytope("unit-cube"), IP3) == 8
+        assert count_via_local_formula(polytope("unit-square"), IP2) == 4
         big = Polytope([V(x, y) for x in (0, 3) for y in (0, 2)])
         assert count_via_local_formula(big, IP2) == 12
 
@@ -249,7 +270,7 @@ class TestVerifyInterpolator:
 
     def test_square_flag_map(self):
         m = FlagMap([V(1, 2), V(1, 0)])
-        r = verify_interpolator(UNIT_SQUARE, m, order=6)
+        r = verify_interpolator(polytope("unit-square"), m, order=6)
         assert r.passed
 
     def test_q0_still_reads_the_full_subsets_psi(self):
@@ -258,10 +279,11 @@ class TestVerifyInterpolator:
         # refused, as when the lines were reduced through order
         cmap = RayTableMap([(V(1, 0), V(1, 1)), (V(0, 1), V(1, 1)),
                             (V(-1, 0), V(-1, 0)), (V(0, -1), V(0, -1))], ambient=2)
-        corner = dict(UNIT_SQUARE.normal_cones)[UNIT_SQUARE.faces_of_dim(0)[0]]
+        square = polytope("unit-square")
+        corner = dict(square.normal_cones)[square.faces_of_dim(0)[0]]
         assert mu_on_line(corner, cmap, V(3, 5), 0).coefficient(0) == Fraction(1, 12)
         with pytest.raises(NotGenericError, match="does not pair invertibly"):
-            verify_interpolator(UNIT_SQUARE, cmap, order=2)
+            verify_interpolator(square, cmap, order=2)
 
     def test_triangle_df_map(self):
         r = verify_interpolator(triangle(1), diaconis_fulton_map(2), order=6)
@@ -278,7 +300,7 @@ class TestVerifyInterpolator:
         assert r.passed
 
     def test_cube(self):
-        r = verify_interpolator(CUBE, IP3, order=5)
+        r = verify_interpolator(polytope("unit-cube"), IP3, order=5)
         assert r.passed and r.q == 2
 
     def test_corrupted_table_fails(self):
@@ -312,7 +334,7 @@ class TestVerifyInterpolator:
 
     def test_degenerate_direction_rejected(self):
         with pytest.raises(DirectionDegenerateError):
-            verify_interpolator(UNIT_SQUARE, IP2, y0=V(1, 0), order=6)
+            verify_interpolator(polytope("unit-square"), IP2, y0=V(1, 0), order=6)
 
     def test_translation_invariance(self):
         p = triangle(2)
@@ -334,26 +356,19 @@ def flag_map(n):
                     for p in (2, 3, 5, 7)[:n]])
 
 
-TRI_SKEW = Polytope([V(0, 0), V(3, 1), V(1, 4)], name="tri-skew")
-DIAMOND = Polytope([V(1, 0), V(0, 1), V(-1, 0), V(0, -1)], name="diamond")
-OCTAHEDRON = Polytope([V(1, 0, 0), V(-1, 0, 0), V(0, 1, 0), V(0, -1, 0),
-                       V(0, 0, 1), V(0, 0, -1)], name="octahedron")
-PYRAMID = Polytope([V(0, 0, 0), V(2, 0, 0), V(0, 2, 0), V(2, 2, 0),
-                    V(1, 1, 2)], name="pyramid")
-
-
 class TestMuOnLine:
     """mu computed in the line ring equals the restricted full mu."""
 
-    @pytest.mark.parametrize("p, cmap", [
-        (TRI_SKEW, IP2), (TRI_SKEW, GRAM2),
-        (DIAMOND, IP2), (DIAMOND, GRAM2), (DIAMOND, flag_map(2)),
-        (CUBE, IP3), (CUBE, GRAM3), (CUBE, flag_map(3)),
-        (OCTAHEDRON, IP3), (OCTAHEDRON, GRAM3),
-        (PYRAMID, IP3), (PYRAMID, GRAM3),
-        (triangle(1), diaconis_fulton_map(2)),
-    ], ids=lambda x: getattr(x, "name", None) or x.describe())
-    def test_agrees_with_restricted_full_mu(self, p, cmap):
+    @pytest.mark.parametrize("name, cmap", [
+        ("tri-skew", IP2), ("tri-skew", GRAM2),
+        ("diamond", IP2), ("diamond", GRAM2), ("diamond", flag_map(2)),
+        ("unit-cube", IP3), ("unit-cube", GRAM3), ("unit-cube", flag_map(3)),
+        ("octahedron", IP3), ("octahedron", GRAM3),
+        ("pyramid", IP3), ("pyramid", GRAM3),
+        ("triangle-1", diaconis_fulton_map(2)),
+    ], ids=lambda x: x if isinstance(x, str) else x.describe())
+    def test_agrees_with_restricted_full_mu(self, name, cmap):
+        p = polytope(name)
         rep = verify_interpolator(p, cmap, order=6)
         assert rep.passed
         y0 = rep.direction.y0
@@ -364,9 +379,9 @@ class TestMuOnLine:
             for r in range(7):
                 assert line.coefficient(r) == full.coefficient(r), (f, r)
 
-    @pytest.mark.parametrize("p", [TRI_SKEW, OCTAHEDRON, PYRAMID],
-                             ids=lambda p: p.name)
-    def test_refuses_where_full_mu_refuses(self, p):
+    @pytest.mark.parametrize("name", ["tri-skew", "octahedron", "pyramid"])
+    def test_refuses_where_full_mu_refuses(self, name):
+        p = polytope(name)
         # the flag map is not generic on some normal cones of these
         cmap = flag_map(p.ambient)
         y0 = V(*(2, -3, 5)[:p.ambient])
@@ -413,7 +428,7 @@ class TestCellsKeptOnPolytope:
             return subdivide(cone)
 
         monkeypatch.setattr(geometry, "subdivide_to_basic", counting)
-        p = Polytope(PYRAMID.vertices, name="pyramid")
+        p = fresh_polytope("pyramid")
         reports = [verify_interpolator(p, cmap, order=6) for cmap in (IP3, GRAM3)]
         assert brion_vertex_decomposition_check(p, q=4)
         nonbasic = [nc for _, nc in p.normal_cones if not nc.is_basic]
@@ -424,7 +439,7 @@ class TestCellsKeptOnPolytope:
         # nothing that depends on the map is kept with the cells
         for cmap, rep in zip((IP3, GRAM3), reports):
             assert rep.passed
-            fresh = Polytope(PYRAMID.vertices, name="pyramid")
+            fresh = fresh_polytope("pyramid")
             assert verify_interpolator(fresh, cmap, order=6).to_json() == rep.to_json()
 
     def test_count_reads_the_normal_fan(self, monkeypatch):
@@ -444,7 +459,7 @@ class TestCellsKeptOnPolytope:
         monkeypatch.setattr(geometry, "normal_cone", counting_normal)
         monkeypatch.setattr(geometry, "subdivide_to_basic", counting_subdivide)
         clear_mu_cache()
-        p = Polytope(PYRAMID.vertices, name="pyramid")
+        p = fresh_polytope("pyramid")
         counts = {count_via_local_formula(p, cmap) for cmap in (IP3, GRAM3)}
         assert counts == {len(p.lattice_points())}
         assert cones == Counter(p.faces)
@@ -455,7 +470,7 @@ class TestCellsKeptOnPolytope:
         # under both maps: one triangulation per face; facets are listed only
         # for the normal cones that are subdivided, once for their extreme
         # rays and, when not simplicial, once more by the pulling triangulation
-        p = Polytope(PYRAMID.vertices, name="pyramid")
+        p = fresh_polytope("pyramid")
         triangulated, listed = Counter(), Counter()
         simplices, facets = geometry.lattice_simplices, geometry.cone_facets
 
@@ -491,14 +506,14 @@ class TestBrion:
         assert brion_vertex_decomposition_check(triangle(3), q=4)
 
     def test_unit_square(self):
-        assert brion_vertex_decomposition_check(UNIT_SQUARE, q=5)
+        assert brion_vertex_decomposition_check(polytope("unit-square"), q=5)
 
     def test_nonbasic_vertex_cone(self):
         p = Polytope([V(0, 0), V(1, 0), V(1, 2)])
         assert brion_vertex_decomposition_check(p, q=5)
 
     def test_cube(self):
-        assert brion_vertex_decomposition_check(CUBE, q=4)
+        assert brion_vertex_decomposition_check(polytope("unit-cube"), q=4)
 
     def test_point(self):
         assert brion_vertex_decomposition_check(Polytope([V(2, 2)]), q=3)
@@ -551,7 +566,7 @@ class TestBrion:
 
     def test_coefficients_are_fractions(self):
         # an int c would make c ** (r - 1) a float at r = 0, whose Fraction is inexact
-        for p in [triangle(2), UNIT_SQUARE, Polytope([V(0, 0), V(1, 0), V(1, 2)])]:
+        for p in [triangle(2), polytope("unit-square"), Polytope([V(0, 0), V(1, 0), V(1, 2)])]:
             y = V(2, 3)
             for vert in p.faces_of_dim(0):
                 apex, scone = supporting_cone(p, vert)
@@ -636,3 +651,38 @@ class TestRandomPolytopes:
         p, cmap = case
         report = verify_interpolator(p, cmap, order=p.dim + 2)
         assert report.passed and report.achieved == report.q == 2
+
+
+def _verify_corpus_reports(bench_workloads, shifts):
+    """(op, report) for each operation of the benchmark's verify-corpus
+    set-up at the given workload seeds, in set-up order."""
+    workloads, m = bench_workloads
+    for shift in shifts:
+        for op in workloads.VerifyCorpus.setup(m, workloads.Seeds(shift=shift)):
+            yield op, workloads.VerifyCorpus.call(m, op)
+
+
+class TestVerifyCorpusDigests:
+    """The benchmark's verify-corpus results, pinned byte for byte; a change
+    meant to move one updates its constant here."""
+
+    def test_sides_and_line_mu(self, bench_workloads):
+        # both sides of each report, and mu of every normal cone on the
+        # report's direction, at workload seeds 0 and 1
+        workloads, _ = bench_workloads
+        digest = hashlib.sha256()
+        for (p, cmap, _), rep in _verify_corpus_reports(bench_workloads, (0, 1)):
+            line_mu = [mu_on_line(nc, cmap, rep.direction.y0, workloads.VERIFY_ORDER).to_json()
+                       for _, nc in p.normal_cones]
+            digest.update(json.dumps({"left": rep.left.to_json(), "right": rep.right.to_json(),
+                                      "mu": line_mu}, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "5c396b07e0bd9c9c4fbd3ee6c9eb8e7abb86d5cda560d94d41db1e7dad863cb4")
+
+    def test_identity_reports(self, bench_workloads):
+        # each whole report at workload seeds 0, 1 and 2
+        digest = hashlib.sha256()
+        for _, rep in _verify_corpus_reports(bench_workloads, (0, 1, 2)):
+            digest.update(json.dumps(rep.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "0783951ee15042dc908e912f8762cd3eb2daa567a6c851a53ba47b3042651cca")
