@@ -14,10 +14,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DependentGeneratorsError, NotGenericError, ParseError, UnknownRayError
+from .errors import NotGenericError, ParseError, UnknownRayError
 from .geometry import Cone
-from .linalg import (Matrix, Vector, cleared, dot, dual_rows, eliminate, format_rational,
-                     parse_rational, primitive, unit_vector)
+from .linalg import (Matrix, Vector, cleared, dot, eliminate, format_rational, parse_rational,
+                     primitive, unit_vector)
 
 
 def _pairs(entries: Sequence[Fraction]) -> tuple[tuple[int, int], ...]:
@@ -35,13 +35,14 @@ class PsiSubspace:
 
     `rays` are int tuples (cone generators) or rational tuples, and `basis`
     spans the assigned subspace (int tuples for an InnerProductMap, else
-    Vectors).  Clearing the denominators of rays and basis changes
-    neither the subspace nor, mapped back to each ray's scale, the pivot
-    vectors, so one fraction-free elimination of the integer pairing[i][j]
-    = <rays[i], basis[j]> (linalg.dual_rows) decides genericity, which is a
-    square invertible pairing, and solves for every pivot vector: u_j, the
-    unique u in the subspace with <rays[i], u> = 1 if i = j, else 0, is
-    numerators[j] / denominator (one positive denominator for all j).
+    Vectors).  With each basis vector cleared to ints B_j (the subspace is
+    the same) and each ray w_i = W_i / a_i, u_j, the unique u in the subspace
+    with <rays[i], u> = 1 if i = j, else 0, is a_j times row j of P^-T B,
+    P[i][j] = <W_i, B_j>.  So one fraction-free elimination of the integer
+    k x (k + n) matrix [P^T | B], ending at [d I | d P^-T B], decides
+    genericity (pivots exactly 0..k-1: P is square and invertible) and solves
+    for every pivot vector: u_j is numerators[j] / denominator, one positive
+    denominator for all j.
     `ComplementMap.solve_u` reads one as a Vector.
     """
 
@@ -51,21 +52,17 @@ class PsiSubspace:
         self.rays = tuple(rays)
         self.basis = tuple(basis)
         scaled = [_integral(w) for w in self.rays]  # w = ints / scale
-        cols = [_integral(b)[0] for b in self.basis]
-        pairing = [[dot(w, b) for b in cols] for w, _ in scaled]
-        try:
-            duals = dual_rows(pairing) if len(cols) == len(scaled) else None
-        except DependentGeneratorsError:
-            duals = None
-        if duals is None:
+        k = len(scaled)
+        rows = [[dot(w, b) for w, _ in scaled] + list(b)
+                for b in (_integral(v)[0] for v in self.basis)]
+        red, d, pivots = eliminate(rows)
+        if len(rows) != k or pivots != list(range(k)):
             raise NotGenericError(
                 f"complement subspace for {list(map(Vector, self.rays))} does not pair "
                 "invertibly with the rays")
-        # h_j is column j of d * pairing^-1, d > 0: u_j = scale_j * sum_i h_j[i] basis_i / d
-        d = dot(duals[0], pairing[0]) if duals else 1
-        nums = [[a * dot(h, coord) for coord in zip(*cols)]
-                for h, (_, a) in zip(duals, scaled)]
-        g = gcd(d, *itertools.chain.from_iterable(nums))
+        nums = [[a * x for x in row[k:]] for row, (_, a) in zip(red, scaled)]
+        # g takes d's sign, so the denominator d // g is positive
+        g = gcd(d, *itertools.chain.from_iterable(nums)) * (1 if d > 0 else -1)
         self.numerators = tuple(tuple(x // g for x in u) for u in nums)
         self.denominator = d // g
 
@@ -134,10 +131,19 @@ class InnerProductMap(ComplementMap):
         self.ambient = n
         self._key = ("inner_product", tuple(map(_pairs, gram.rows)))
         self._psi_cache: dict = {}
+        self._images: dict = {}
 
     def raw_basis(self, rays: Sequence[Sequence]) -> list[tuple[int, ...]]:
-        # the integer Gram images, each up to a positive scale that psi does not see
-        return [tuple(dot(row, w) for row in self._gram_ints) for w, _ in map(_integral, rays)]
+        # the integer Gram images, each up to a positive scale that psi does not
+        # see, built once per ray: the subsets of a fan share their rays
+        for w in rays:
+            if w not in self._images:
+                self._images[w] = self._image(w)
+        return [self._images[w] for w in rays]
+
+    def _image(self, w: Sequence) -> tuple[int, ...]:
+        ints = _integral(w)[0]
+        return tuple(dot(row, ints) for row in self._gram_ints)
 
     def describe(self) -> str:
         if self.gram == Matrix.identity(self.ambient):

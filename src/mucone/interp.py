@@ -72,11 +72,12 @@ class SquarefreeReducer:
             raise ValueError("pivot_order must permute the generator positions")
         self._rewrites = {}
         self._cells = []  # (rays, psi per subset, m)
+        self._sorted = {s: tuple(sorted(s)) for s in _subsets(k)}
         for cell in cells:
             rays, subs = cell.generators, {}
-            for s in _subsets(k):
+            for s, idx in self._sorted.items():
                 try:
-                    subs[s] = cmap.psi(tuple(rays[j] for j in sorted(s)))
+                    subs[s] = cmap.psi(tuple(rays[j] for j in idx))
                 except (NotGenericError, UnknownRayError):
                     if len(s) < k or order:
                         raise
@@ -88,7 +89,7 @@ class SquarefreeReducer:
         """L<u,y> and [-L<w_j,u> for j in rest] per line, in one cell."""
         rays, subs, m = cell
         sub = subs[s]
-        u, per = sub.numerators[sorted(s).index(i)], m // sub.denominator
+        u, per = sub.numerators[self._sorted[s].index(i)], m // sub.denominator
         spill = [-per * dot(rays[j], u) for j in rest]
         return [(per * dot(u, y), [q * w for w in spill]) for y, q in self._lines]
 
@@ -146,7 +147,9 @@ class SquarefreeReducer:
         for y in range(n):
             scales = self._scales[y::n]  # the line's L, cell by cell
             Q = lcm(*scales)
-            rows.append(([sum(top[c * n + y] * (Q // L) ** (k + r) for c, L in enumerate(scales))
+            one = len(scales) == 1  # Q = L: no rescale, no walk over the cells
+            rows.append(([(top[y] if one else sum(top[c * n + y] * (Q // L) ** (k + r)
+                                                  for c, L in enumerate(scales)))
                           * Q ** (order - r) if top else 0 for r, top in enumerate(tops)],
                          d ** k * Q ** (k + order)))
         return rows

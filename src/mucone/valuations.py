@@ -27,7 +27,7 @@ from .geometry import (
     supporting_cone,
 )
 from .interp import DEFAULT_ORDER, MuTable, mu_on_line, mu_table
-from .linalg import Vector, dot, dual_rows, format_rational
+from .linalg import Vector, cleared, dot, dual_rows, format_rational
 from .series import LaurentSeries, restrict_to_direction, todd_univariate
 
 DEFAULT_SEED = 1729
@@ -99,16 +99,17 @@ def sample_direction(ambient: int, avoid, seed: int = DEFAULT_SEED,
 
 def s_series(p: Polytope, y: Vector, q: int) -> LaurentSeries:
     """Taylor series in t of the lattice-point exponential sum along t*y:
-    the power sum of -<y,x> over the lattice points x, over r!, at t^r."""
-    values = [-y.dot(x) for x in p.lattice_points()]
+    the power sum of -<y,x> over the lattice points x, over r!, at t^r.  With
+    y = Y/s, it is N_r / (r! s^r), N_r the power sum of the ints -<Y,x>."""
+    Y, s = cleared(y)
+    values = [-dot(Y, x) for x in p.lattice_points()]
     return LaurentSeries.from_taylor(
-        [sum((c ** r for c in values), Fraction(0)) / factorial(r) for r in range(q + 1)], q)
+        [Fraction(sum(c ** r for c in values), factorial(r) * s ** r) for r in range(q + 1)], q)
 
 
-def _homogeneous_sums(values, q: int) -> list[Fraction]:
-    """Complete homogeneous symmetric sums h_0..h_q of the given values."""
-    h = [Fraction(0)] * (q + 1)
-    h[0] = Fraction(1)
+def _homogeneous_sums(values, q: int) -> list[int]:
+    """Complete homogeneous symmetric sums h_0..h_q of the given ints."""
+    h = [1] + [0] * q
     for c in values:
         for r in range(1, q + 1):
             h[r] += c * h[r - 1]
@@ -123,18 +124,18 @@ def i_face_series(f: Face, y: Vector, q: int) -> LaurentSeries:
     (-1)^r |det| h_r(c_0..c_m) / (m+r)!  at t^r, where the c_j pair y
     with the simplex vertices and |det| is taken in a basis of the induced
     lattice.  A vertex v is its own simplex with |det| 1, so it gives
-    (-<y,v>)^r / r!, the series of e^(-<y,v> t).
+    (-<y,v>)^r / r!, the series of e^(-<y,v> t).  With y = Y/s, h_r(c) =
+    h_r(C) / s^r for the ints C_j = <Y, v_j>, so t^r gets N_r / ((m+r)! s^r)
+    with N_r the int sum of (-1)^r |det| h_r(C) over the simplices.
     """
-    p = f.polytope
-    m = f.dim
-    coeffs = [Fraction(0)] * (q + 1)
+    p, m = f.polytope, f.dim
+    Y, s = cleared(y)
+    nums = [0] * (q + 1)
     for simplex, det in lattice_simplices(f):
-        h = _homogeneous_sums([y.dot(p.vertices[i]) for i in simplex], q)
-        denom = factorial(m)
-        for r in range(q + 1):
-            coeffs[r] += (-1) ** r * det * h[r] / denom
-            denom *= m + r + 1
-    return LaurentSeries.from_taylor(coeffs, q)
+        h = _homogeneous_sums([dot(Y, p.vertices[i]) for i in simplex], q)
+        nums = [n + det * x for n, x in zip(nums, h)]
+    return LaurentSeries.from_taylor(
+        [Fraction((-1) ** r * n, factorial(m + r) * s ** r) for r, n in enumerate(nums)], q)
 
 
 # -- counting -----------------------------------------------------------------

@@ -78,6 +78,25 @@ MUTANTS = [
      "Fraction(f._det_sum, math.factorial(f.dim))",
      "Fraction(f._det_sum, math.factorial(f.dim + 1))",
      "normalized volumes are divided by (dim + 1)! instead of dim!"),
+    # -- complement: psi's one elimination, the Gram images
+    ("psi-denominator-sign", "complement.py",
+     " * (1 if d > 0 else -1)",
+     "",
+     "psi keeps the elimination's sign: a pairing of negative determinant gives a "
+     "negative denominator"),
+    ("psi-generic-any-k-pivots", "complement.py",
+     "if len(rows) != k or pivots != list(range(k)):",
+     "if len(pivots) < k:",
+     "psi accepts k pivots anywhere as generic, also pivots in the basis block of a "
+     "singular pairing"),
+    ("psi-ray-scale-dropped", "complement.py",
+     "nums = [[a * x for x in row[k:]]",
+     "nums = [[x for x in row[k:]]",
+     "psi's pivot vectors for rational rays miss each ray's cleared denominator"),
+    ("gram-image-first-for-all", "complement.py",
+     "return [self._images[w] for w in rays]",
+     "return [next(iter(self._images.values())) for w in rays]",
+     "a Gram map returns the first ray's cached image for every ray"),
     # -- series: the Todd coefficients
     ("todd-coefficient-sign", "series.py",
      "g = [Fraction((-1) ** k, math.factorial(k + 1))",
@@ -124,6 +143,10 @@ MUTANTS = [
      "(Q // L) ** (k + r)",
      "(Q // L) ** k",
      "a cell whose scale is below the line's lcm is summed at the wrong power of the ratio"),
+    ("reduce-one-cell-rule-every-line", "interp.py",
+     "one = len(scales) == 1",
+     "one = len(scales) >= 1",
+     "every line takes its first cell's row as it is, also when the cone has more cells"),
     ("reduce-first-cell-only", "interp.py",
      "for c, L in enumerate(scales))",
      "for c, L in enumerate(scales[:1]))",
@@ -162,17 +185,27 @@ MUTANTS = [
      "a cross-validated mu is read from a cache filled without the check"),
     # -- valuations: power sums, face integrals, half-open cells, directions, reports
     ("power-sum-factorial", "valuations.py",
-     "/ factorial(r) for r in range(q + 1)]",
-     "/ factorial(r + 1) for r in range(q + 1)]",
+     "factorial(r) * s ** r) for r in range(q + 1)]",
+     "factorial(r + 1) * s ** r) for r in range(q + 1)]",
      "the lattice-point sum's t^r coefficient is divided by (r + 1)!"),
     ("homogeneous-sums", "valuations.py",
      "h[r] += c * h[r - 1]",
      "h[r] += c * h[r]",
      "the complete homogeneous sums of the simplex pairings are wrong"),
     ("face-integral-denominator", "valuations.py",
-     "denom *= m + r + 1",
-     "denom *= m + r",
-     "the face integral's (m + r)! denominator steps one short"),
+     "factorial(m + r) * s ** r",
+     "factorial(m) * factorial(r) * s ** r",
+     "the face integral's t^r coefficient is divided by m! r! instead of (m + r)!"),
+    ("power-sum-scale-once", "valuations.py",
+     "factorial(r) * s ** r)",
+     "factorial(r) * s)",
+     "the lattice-point sum divides its t^r coefficient by the direction's denominator s, "
+     "not by s^r"),
+    ("face-integral-scale-once", "valuations.py",
+     "factorial(m + r) * s ** r)",
+     "factorial(m + r) * s)",
+     "the face integral divides its t^r coefficient by the direction's denominator s, "
+     "not by s^r"),
     ("half-open-selection", "valuations.py",
      "if dot(h, probe) < 0}",
      "if dot(h, probe) > 0}",

@@ -29,8 +29,12 @@ term by term, cone membership, pointedness by a scan of minimal
 dependent ray subsets, the inverse of a Laurent series and a half-open
 Brion cell's series built on it, a polytope's face by its vertex indices,
 a matrix from its columns, rows and columns as Vectors, the chain-sum
-interpolation nodes by a full scan of every shift tried, and small
-linear-algebra and genericity checks the library never calls.
+interpolation nodes by a full scan of every shift tried, psi's pivot
+vectors by the dual rows of the cleared pairing (the route the library's
+one elimination of [P^T | B] replaced), the lattice-point sum and the
+face integral series in Fractions (the routes the library's integer
+numerators replaced), and small linear-algebra and genericity checks the
+library never calls.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import gcd
+from math import factorial, gcd
 from types import MappingProxyType
 
 from mucone.complement import RayTableMap
@@ -58,6 +62,7 @@ from mucone.geometry import (
     Polytope,
     _half_open_parallelepiped_points,
     _pulling_triangulation,
+    lattice_simplices,
     subdivide_to_basic,
 )
 from mucone.interp import (
@@ -71,7 +76,9 @@ from mucone.linalg import (
     Matrix,
     Vector,
     _require_ints,
+    cleared,
     dot,
+    dual_rows,
     eliminate_cleared,
     kernel,
     primitive,
@@ -540,6 +547,57 @@ def span_route_duals(cmap, rays) -> list[Vector]:
     return [sum((b * inv.rows[i][j] for i, b in enumerate(basis)),
                 Vector([0] * len(rays[0])))
             for j in range(k)]
+
+
+def psi_by_dual_rows(rays, basis) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """psi's (numerators, denominator) by the dual rows of the pairing.
+
+    With rays w_i = W_i / a_i and basis vectors cleared to ints B_j, h_j is
+    column j of d P^-1 for the square integer pairing P[i][j] = <W_i, B_j>
+    (linalg.dual_rows, d > 0), and u_j = a_j sum_i h_j[i] B_i / d, reduced
+    to one positive denominator.  Raises NotGenericError with psi's message
+    when P is not square or is singular."""
+    def integral(v):
+        return (tuple(v), 1) if all(type(x) is int for x in v) else cleared(v)
+
+    scaled = [integral(w) for w in rays]
+    cols = [integral(b)[0] for b in basis]
+    pairing = [[dot(w, b) for b in cols] for w, _ in scaled]
+    try:
+        duals = dual_rows(pairing) if len(cols) == len(scaled) else None
+    except DependentGeneratorsError:
+        duals = None
+    if duals is None:
+        raise NotGenericError(
+            f"complement subspace for {list(map(Vector, rays))} does not pair "
+            "invertibly with the rays")
+    d = dot(duals[0], pairing[0]) if duals else 1
+    nums = [[a * dot(h, coord) for coord in zip(*cols)] for h, (_, a) in zip(duals, scaled)]
+    g = gcd(d, *(x for u in nums for x in u))
+    return tuple(tuple(x // g for x in u) for u in nums), d // g
+
+
+def s_series_in_fractions(p: Polytope, y: Vector, q: int) -> LaurentSeries:
+    """The lattice-point sum's series along t*y as Fraction power sums of
+    -<y,x>, each over r!."""
+    values = [-y.dot(x) for x in p.lattice_points()]
+    return LaurentSeries.from_taylor(
+        [sum((c ** r for c in values), Fraction(0)) / factorial(r) for r in range(q + 1)], q)
+
+
+def i_face_series_in_fractions(f: Face, y: Vector, q: int) -> LaurentSeries:
+    """The face integral's series along t*y, summed in Fractions: per simplex
+    of the lattice triangulation, (-1)^r |det| h_r(c_0..c_m) / (m+r)! at
+    t^r, with the c_j = <y, v_j> and h_r their complete homogeneous sums."""
+    m, coeffs = f.dim, [Fraction(0)] * (q + 1)
+    for simplex, det in lattice_simplices(f):
+        h = [Fraction(1)] + [Fraction(0)] * q
+        for c in (y.dot(f.polytope.vertices[i]) for i in simplex):
+            for r in range(1, q + 1):
+                h[r] += c * h[r - 1]
+        for r in range(q + 1):
+            coeffs[r] += (-1) ** r * det * h[r] / factorial(m + r)
+    return LaurentSeries.from_taylor(coeffs, q)
 
 
 def pivot_vector(cone: Cone, cmap, subset, i: int) -> Vector:

@@ -1,13 +1,14 @@
 """Complement-map families: subspaces, genericity, u-vector solves."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucone import linalg
+from mucone import complement, geometry, linalg
 from mucone.complement import (
     ComplementMap,
     FlagMap,
@@ -21,12 +22,14 @@ from mucone.complement import (
     standard_inner_product,
 )
 from mucone.errors import NotGenericError, UnknownRayError
-from mucone.geometry import Cone
-from mucone.linalg import Matrix, Vector
+from mucone.geometry import Cone, Polytope
+from mucone.interp import mu_basic
+from mucone.linalg import Matrix, Vector, dot
 from oracles import (
     cofactor_det,
     is_generic,
     matvec,
+    psi_by_dual_rows,
     psi_contains,
     rational_kernel,
     span_route_duals,
@@ -104,13 +107,15 @@ class TestInnerProduct:
     def test_solve_u_one_elimination_per_subset(self, monkeypatch):
         m = InnerProductMap(Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]))
         rays = (V(1, 0, 0), V(1, 1, 0), V(1, 1, 1))
-        # every elimination in the library goes through linalg.eliminate, so
-        # one count covers both claims: one per ray subset, and no other
-        # (no rank, span or solve) on the psi path
+        # every elimination in the library is linalg.eliminate, called inside
+        # linalg or through the names geometry and complement import, so one
+        # count over the three names covers both claims: one per ray subset,
+        # and no other (no rank, span or solve) on the psi path
         eliminations = []
         real_eliminate = linalg.eliminate
-        monkeypatch.setattr(linalg, "eliminate",
-                            lambda rows: eliminations.append(1) or real_eliminate(rows))
+        for module in (linalg, geometry, complement):
+            monkeypatch.setattr(module, "eliminate",
+                                lambda rows: eliminations.append(1) or real_eliminate(rows))
         m.psi(rays)
         us = [m.solve_u(rays, i) for i in (2, 0, 1)]
         assert len(eliminations) == 1
@@ -388,6 +393,73 @@ class TestSpanRoute:
         if isinstance(cmap, InnerProductMap):
             # raw_basis works on a scaled integer Gram matrix; the span is G's
             assert all(psi_contains(sub, matvec(cmap.gram, w)) for w in rays)
+
+
+class TestDualRowsRoute:
+    """psi's one elimination of [P^T | B] against the dual-rows route it
+    replaced: the same (numerators, denominator), or the same
+    NotGenericError.  A Gram map's basis is given to the oracle as the
+    Fraction images G w, not through the map's cache of integer images."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.one_of(maps_and_rays(), rational_maps_and_rays()))
+    def test_matches_dual_rows_route(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("cmap", [
+        InnerProductMap(Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])),
+        FlagMap([V(1, 0, 0), V(1, 1, 0), V(0, 1, 1)]),
+        RayTableMap([(V(1, 1, 0), V(1, 0, 0)), (V(2, 0, 1), V(0, 0, 1)),
+                     (V(3, 1, 1), V(0, 1, 0))])])
+    def test_dependent_rays(self, cmap):
+        # k <= n rays with (3, 1, 1) = (1, 1, 0) + (2, 0, 1): never generic
+        for rays in [(V(1, 1, 0), V(2, 0, 1), V(3, 1, 1)),
+                     (V(3, 1, 1), V(1, 1, 0), V(2, 0, 1))]:
+            with pytest.raises(NotGenericError):
+                psi_by_dual_rows(tuple(map(tuple, rays)), cmap.raw_basis(rays))
+            self.check(cmap, list(rays))
+
+    @staticmethod
+    def check(cmap, rays):
+        rays = tuple(tuple(w) for w in rays)
+        basis = ([matvec(cmap.gram, Vector(w)) for w in rays]
+                 if isinstance(cmap, InnerProductMap) else cmap.raw_basis(rays))
+        try:
+            want = psi_by_dual_rows(rays, basis)
+        except NotGenericError as exc:
+            with pytest.raises(NotGenericError) as got:
+                cmap.psi(rays)
+            assert str(got.value) == str(exc)
+            return
+        sub = cmap.psi(rays)
+        assert (sub.numerators, sub.denominator) == want
+
+
+class TestGramImages:
+    def test_each_ray_imaged_once_per_map(self, monkeypatch):
+        # the octahedron's normal cones share their rays among their cells
+        # and subsets; each ray's Gram image is built once per map
+        built = Counter()
+        real = InnerProductMap._image
+        monkeypatch.setattr(InnerProductMap, "_image",
+                            lambda self, w: built.update([(id(self), w)]) or real(self, w))
+        octahedron = Polytope([V(1, 0, 0), V(-1, 0, 0), V(0, 1, 0), V(0, -1, 0),
+                               V(0, 0, 1), V(0, 0, -1)])
+        maps = [standard_inner_product(3),
+                InnerProductMap(Matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]))]
+        for m in maps:
+            for _, nc in octahedron.normal_cones:
+                mu_basic(nc, m, 2)
+        rays = {g for _, nc in octahedron.normal_cones for cell in nc.basic_cells
+                for g in cell.generators}
+        assert built == Counter({(id(m), w): 1 for m in maps for w in rays})
+        assert all(len(m._psi_cache) > len(rays) for m in maps)
+        # a cached image is the ray's own: G w up to a positive scale
+        for m in maps:
+            for w in rays:
+                (img,) = m.raw_basis((w,))
+                want = matvec(m.gram, Vector(w))
+                assert Matrix([img, want]).rank() == 1 and dot(img, want) > 0
 
 
 class TestJson:

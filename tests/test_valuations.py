@@ -44,7 +44,14 @@ from mucone.valuations import (
     sample_direction,
     verify_interpolator,
 )
-from oracles import exp_sum_series, face_for, half_open_cell_series_by_inverse, whole_face
+from oracles import (
+    exp_sum_series,
+    face_for,
+    half_open_cell_series_by_inverse,
+    i_face_series_in_fractions,
+    s_series_in_fractions,
+    whole_face,
+)
 from test_acceptance import make_polytope_corpus
 
 
@@ -212,6 +219,38 @@ class TestIFaceSeries:
         hyp = face_for(p, {1, 2})
         s = i_face_series(hyp, V(2, 3), 0)
         assert s.coefficient(0) == 4
+
+
+@cache
+def _corpus():
+    return make_polytope_corpus()
+
+
+@st.composite
+def corpus_and_direction(draw):
+    """A polytope of the acceptance corpus and a direction with rational,
+    non-integral entries (denominator s > 1 once cleared) and a negative one."""
+    p = draw(st.sampled_from(_corpus()))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    non_integral = st.builds(Fraction, st.integers(1, 9), st.integers(2, 7)).filter(
+        lambda c: c.denominator > 1)
+    y = draw(st.lists(entry, min_size=p.ambient, max_size=p.ambient))
+    y[draw(st.integers(0, p.ambient - 1))] = -draw(non_integral)
+    return p, Vector(y)
+
+
+class TestValuationsInIntegers:
+    """s_series and i_face_series, whose numerators are ints over one
+    denominator per series, against the Fraction sums they replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(corpus_and_direction(), st.integers(0, 6))
+    def test_match_fraction_sums(self, case, q):
+        p, y = case
+        assert any(c < 0 for c in y) and any(c.denominator > 1 for c in y)
+        assert s_series(p, y, q) == s_series_in_fractions(p, y, q)
+        for f in p.faces:
+            assert i_face_series(f, y, q) == i_face_series_in_fractions(f, y, q)
 
 
 class TestCounting:
@@ -686,3 +725,19 @@ class TestVerifyCorpusDigests:
             digest.update(json.dumps(rep.to_json(), sort_keys=True).encode())
         assert digest.hexdigest() == (
             "0783951ee15042dc908e912f8762cd3eb2daa567a6c851a53ba47b3042651cca")
+
+
+class TestCountDilatesDigest:
+    """The benchmark's count-dilates breakdowns, pinned byte for byte."""
+
+    def test_count_breakdowns(self, bench_workloads):
+        # count_breakdown of every count-dilates operation at workload seed 0
+        workloads, m = bench_workloads
+        digest = hashlib.sha256()
+        for p, cmap, _ in workloads.CountDilates.setup(m, workloads.Seeds(0)):
+            total, rows = count_breakdown(p, cmap)
+            digest.update(json.dumps(
+                [total, [[sorted(f.indices), str(mu0), str(vol)] for f, mu0, vol in rows]],
+                sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "06d440be3d46369f56421de4aaee3f1417e55ce995cf05db0e317ffda4ca2008")
