@@ -80,9 +80,9 @@ class ComplementMap:
 
     def psi(self, rays: Sequence[Sequence]) -> PsiSubspace:
         """The complement subspace and pivot vectors for the rays (int tuples
-        such as cone generators, or Vectors); raises NotGeneric.  A Vector
-        is keyed by its entries, which equal and hash like the ints."""
-        rays = tuple(r if type(r) is tuple else tuple(Vector(r)) for r in rays)
+        such as cone generators, or Vectors); raises NotGeneric.  Keyed by
+        the rays as given: a Vector subset has its own entry."""
+        rays = tuple(rays)
         cached = self._psi_cache.get(rays)
         if cached is None:
             cached = PsiSubspace(rays, self.raw_basis(rays))

@@ -565,11 +565,11 @@ class Polytope:
         return (all(dot(z, x) == c for z, c in self._equations)
                 and all(dot(a, x) >= b for a, b, _ in self._facets))
 
-    def lattice_points(self, cap: int = LATTICE_POINT_CAP) -> list[Point]:
+    def lattice_points(self) -> list[Point]:
         box = [range(min(c), max(c) + 1) for c in zip(*self.vertices)]
         count = math.prod(map(len, box))
-        if count > cap:
-            raise TooLargeError(f"bounding box holds {count} points, cap {cap}")
+        if count > LATTICE_POINT_CAP:
+            raise TooLargeError(f"bounding box holds {count} points, cap {LATTICE_POINT_CAP}")
         return [x for x in itertools.product(*box) if self.contains_point(x)]
 
     def to_json(self) -> dict:

@@ -53,7 +53,7 @@ class SquarefreeReducer:
     D_i D_S = D_(S+i) for i outside S, else the rewrite of the module
     docstring, whose right side is squarefree.  The normal form is unique,
     so the M_i commute and the Todd element's form is Td(M_1)...Td(M_k) 1,
-    one factor per position of pivot_order.  A vector maps (S, r) to one int
+    one factor per generator, in generator order.  A vector maps (S, r) to one int
     N per pair of a basic cell (k generators each) and a line t*y,
     cell-major, for N / L^(|S| + r) times t^r.  L is the line's denominator
     times the lcm m of the cell's pivot denominators (PsiSubspace.denominator,
@@ -62,14 +62,11 @@ class SquarefreeReducer:
     subset, except on the full subset at order 0, which is never rewritten.
     """
 
-    def __init__(self, cells, lines, cmap, order: int = DEFAULT_ORDER, pivot_order=None):
+    def __init__(self, cells, lines, cmap, order: int = DEFAULT_ORDER):
         self.order = order
         self.k = k = len(cells[0].generators)
         if not all(c.is_basic and len(c.generators) == k for c in cells):
             raise ValueError("reduction is defined over basic cones with equally many generators")
-        self.pivot_order = tuple(range(k) if pivot_order is None else map(int, pivot_order))
-        if sorted(self.pivot_order) != list(range(k)):
-            raise ValueError("pivot_order must permute the generator positions")
         self._rewrites = {}
         self._cells = []  # (rays, psi per subset, m)
         self._sorted = {s: tuple(sorted(s)) for s in _subsets(k)}
@@ -132,12 +129,12 @@ class SquarefreeReducer:
         k, order, full = self.k, self.order, frozenset(range(self.k))
         tdn, d = _todd_over_integers(k + order)
         vec = {(frozenset(), 0): [1] * len(self._scales)}
-        for n, i in enumerate(self.pivot_order, 1):
+        for i in range(k):
             power, vec = vec, {}
             for m, a in enumerate(tdn):
                 if a:
                     for (s, r), c in power.items():
-                        if n < k or s == full:
+                        if i < k - 1 or s == full:
                             _bump(vec, (s, r), [a * x for x in c])
                 if m == k + order or not power:
                     break
@@ -200,7 +197,7 @@ class MuValue:
                 f"cone={self.cone!r})")
 
 
-def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER, pivot_order=None) -> MuValue:
+def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
     """mu of a pointed generic cone: the full-subset coefficient of the Todd element,
     summed over the cone's basic cells.  Its degree-r part is homogeneous of degree
     r, so one reduction walk of all the cells on the lines t*(1, x), x over the
@@ -212,7 +209,7 @@ def mu_basic(cone: Cone, cmap, order: int = DEFAULT_ORDER, pivot_order=None) -> 
         return MuValue(cone, cmap.key(), order, MultiSeries.constant(1, 0, order), kind)
     lattice = _lattice(cone.ambient - 1, order, 1)
     lines = [(1,) + x for x in lattice.coords]
-    rows = SquarefreeReducer(cone.basic_cells, lines, cmap, order, pivot_order).reduce()
+    rows = SquarefreeReducer(cone.basic_cells, lines, cmap, order).reduce()
 
     def fail(r: int):
         raise InternalInconsistencyError(f"reduction: degree-{r} part of mu is not a polynomial "

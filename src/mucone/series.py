@@ -416,12 +416,6 @@ class LaurentSeries:
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
-    def scale(self, c) -> "LaurentSeries":
-        c = Fraction(c)
-        if c == 0:
-            return LaurentSeries.zero(self.known_to)
-        return LaurentSeries(self.shift, [c * x for x in self.coeffs], self.known_to)
-
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         known = min(self.known_to + other.valuation, other.known_to + self.valuation)
         lo = self.valuation + other.valuation

@@ -68,18 +68,18 @@ def certify_direction(y0: Vector, avoid) -> Direction:
     return Direction(y0, cert)
 
 
-def sample_direction(ambient: int, avoid, seed: int = DEFAULT_SEED,
-                     retries: int = 32) -> tuple[Direction, list[dict]]:
+def sample_direction(ambient: int, avoid,
+                     seed: int = DEFAULT_SEED) -> tuple[Direction, list[dict]]:
     """Draw a generic direction: fixed prime magnitudes, seeded signs.
 
     Returns (direction, attempt log).  Every attempt is logged with the
     vector tried and the constraint it violated, so reports can replay the
-    search; runs out after `retries` draws.
+    search; runs out after 32 draws.
     """
     avoid = [v for v in avoid if any(v)]
     rng = random.Random(seed)
     log: list[dict] = []
-    for attempt in range(retries):
+    for attempt in range(32):
         mags = [_PRIMES[(attempt + i) % len(_PRIMES)] for i in range(ambient)]
         y0 = Vector([m * rng.choice((1, -1)) for m in mags])
         try:
@@ -91,7 +91,7 @@ def sample_direction(ambient: int, avoid, seed: int = DEFAULT_SEED,
         log.append({"attempt": attempt, "y0": y0.to_json(), "rejected": None})
         return direction, log
     raise DirectionDegenerateError(
-        f"no generic direction found in {retries} attempts (seed {seed})")
+        f"no generic direction found in 32 attempts (seed {seed})")
 
 
 # -- the two sides of the identity -------------------------------------------
@@ -227,10 +227,10 @@ def _corner_data_vectors(p: Polytope) -> list[tuple[int, ...]]:
 
 
 def _choose_direction(ambient: int, avoid, y0, seed: int) -> tuple[Direction, list[dict]]:
-    """(direction, attempt log): a Direction as given, else y0 certified or
+    """(direction, attempt log): y0 (a Direction read as its y0) certified or
     (y0 None) a seeded draw, both against the vectors in avoid."""
     if isinstance(y0, Direction):
-        return y0, []
+        y0 = y0.y0
     if y0 is None:
         return sample_direction(ambient, avoid, seed)
     return certify_direction(y0, avoid), []

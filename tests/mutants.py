@@ -113,8 +113,8 @@ MUTANTS = [
      "at the top t-degree a rewrite drops its spill to larger subsets"),
     ("td-factor-one-pivot", "interp.py",
      "power = self._apply(power, i)",
-     "power = self._apply(power, self.pivot_order[0])",
-     "every Td factor multiplies by the first pivot's operator"),
+     "power = self._apply(power, 0)",
+     "every Td factor multiplies by the first generator's operator"),
     ("psi-order-0-tolerance", "interp.py",
      "if len(s) < k or order:",
      "if len(s) < k:",
@@ -210,6 +210,10 @@ MUTANTS = [
      "if dot(h, probe) < 0}",
      "if dot(h, probe) > 0}",
      "Brion's half-open cells open the facets facing the probe"),
+    ("given-direction-uncertified", "valuations.py",
+     "y0 = y0.y0",
+     "return y0, []",
+     "a direction given as a Direction is used without checking it against the corner data"),
     ("direction-zero-vectors-kept", "valuations.py",
      "avoid = [v for v in avoid if any(v)]",
      "avoid = list(avoid)",

@@ -778,22 +778,21 @@ def nodes_by_full_scan(forms, m: int, levels: int) -> tuple[int, list]:
         shift += 1
 
 
-def line_reducer(cone: Cone, cmap, order: int, pivot_order=None,
-                 lines=None) -> tuple[SquarefreeReducer, list]:
+def line_reducer(cone: Cone, cmap, order: int, lines=None) -> tuple[SquarefreeReducer, list]:
     """The library's reducer with the cone once on each line (by default
     lattice_lines), and the lines."""
     lines = lattice_lines(cone.ambient, order) if lines is None else list(lines)
-    return SquarefreeReducer([cone], lines, cmap, order, pivot_order), lines
+    return SquarefreeReducer([cone], lines, cmap, order), lines
 
 
 def reduce_monomial(red: SquarefreeReducer, expo) -> dict[frozenset[int], list[int]]:
     """The library reducer's form of D^expo, one int N per pair for
     N / L^|expo| times t^(|expo| - |S|): its M_i (red._apply) applied
-    e_i - 1 times to D_supp(e), i in reversed pivot_order, the path of
-    peeling the first i with e_i >= 2."""
+    e_i - 1 times to D_supp(e), i from the last generator to the first, the
+    path of peeling the first i with e_i >= 2."""
     supp = frozenset(i for i, e in enumerate(expo) if e)
     vec = {(supp, 0): [L ** len(supp) for L in red._scales]}
-    for i in reversed(red.pivot_order):
+    for i in reversed(range(red.k)):
         for _ in range(expo[i] - 1):
             vec = red._apply(vec, i)
     return {s: c for (s, _), c in vec.items()}
@@ -818,9 +817,9 @@ def value_at(series: MultiSeries, y) -> Fraction:
 
 
 def check_walk(reference: FullRingReducer, red: SquarefreeReducer, lines, expo) -> None:
-    """The library's form of D^expo (reduce_monomial on its reducer, which
-    takes the reference's path) has the reference's subsets in its order, and each
-    coefficient's value on each line is the reference's there."""
+    """The library's form of D^expo (reduce_monomial on its reducer, whose one
+    path is the reference's in generator order) has the reference's subsets in
+    its order, and each coefficient's value on each line is the reference's there."""
     want, got = reference.reduce_monomial(expo), walk_values(red, expo)
     assert list(got) == list(want), (expo, list(got), list(want))
     for s, vals in got.items():
@@ -830,11 +829,12 @@ def check_walk(reference: FullRingReducer, red: SquarefreeReducer, lines, expo) 
 def normal_form(terms: dict, cone: Cone, cmap, order: int,
                 pivot_order=None) -> dict[frozenset[int], MultiSeries]:
     """sum of coeff * reduce_monomial(e) over constant-coefficient terms by
-    the full-ring reference, each coefficient as a series through `order`,
-    after check_walk on the library's reducer at lattice_lines: equal values
-    at those nodes mean equal polynomials of degree <= order."""
+    the full-ring reference in pivot_order, each coefficient as a series
+    through `order`, after check_walk of the library's reducer (its one walk)
+    against that reference at lattice_lines: equal values at those nodes mean
+    equal polynomials of degree <= order."""
     reference = FullRingReducer(cone, cmap, order, pivot_order)
-    red, lines = line_reducer(cone, cmap, order, pivot_order)
+    red, lines = line_reducer(cone, cmap, order)
     zero = MultiSeries.zero(cone.ambient, order)
     out: dict[frozenset[int], MultiSeries] = {}
     for expo, a in terms.items():

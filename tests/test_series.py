@@ -263,7 +263,6 @@ def test_laurent_scale_sub_zero():
     q = 5
     f = LaurentSeries.from_taylor([1, 2, 3], q)
     assert (f - f).is_zero
-    assert f.scale(2).coefficient(2) == 6
     z = LaurentSeries.zero(q)
     assert (f * z).is_zero
 

@@ -33,6 +33,7 @@ from mucone.interp import (
 from mucone.linalg import Matrix, Vector, dot
 from mucone.series import LaurentSeries, restrict_to_direction
 from mucone.valuations import (
+    _PRIMES,
     Direction,
     _half_open_cone_series,
     brion_vertex_decomposition_check,
@@ -119,10 +120,28 @@ class TestDirections:
         assert [v for v, _ in d.certificate] == [V(1, 1)]
 
     def test_exhaustion(self):
-        # kill every sign pattern of magnitude pairs (2,3), (3,5), (5,7)
-        avoid = [V(3, 2), V(3, -2), V(5, 3), V(5, -3), V(7, 5), V(7, -5)]
-        with pytest.raises(DirectionDegenerateError):
-            sample_direction(2, avoid, retries=3)
+        # kill both sign patterns of all 16 magnitude pairs (2,3), (3,5), ...,
+        # (53,2): each of the 32 draws is rejected
+        pairs = zip(_PRIMES, _PRIMES[1:] + _PRIMES[:1])
+        avoid = [V(b, s * a) for a, b in pairs for s in (1, -1)]
+        with pytest.raises(DirectionDegenerateError, match="in 32 attempts"):
+            sample_direction(2, avoid)
+
+    def test_given_direction_is_certified(self):
+        # V(1, 1) annihilates the unit triangle's edge (-1, 1).  Given as a
+        # Direction it is certified as a Vector is, and refused with the same
+        # error; a generic Direction gives the Vector's report, certificate too
+        p = triangle(1)
+        checks = [lambda y0: verify_interpolator(p, IP2, y0=y0, order=4),
+                  lambda y0: brion_vertex_decomposition_check(p, y0=y0, q=4)]
+        for check in checks:
+            for y0 in (V(1, 1), Direction(V(1, 1))):
+                with pytest.raises(DirectionDegenerateError) as exc:
+                    check(y0)
+                assert str(exc.value) == "direction Vector(1, 1) annihilates Vector(-1, 1)"
+        got = verify_interpolator(p, IP2, y0=Direction(V(2, 3)), order=4)
+        assert got.direction.certificate
+        assert got.to_json() == verify_interpolator(p, IP2, y0=V(2, 3), order=4).to_json()
 
 
 @st.composite
