@@ -130,9 +130,9 @@ class Cone:
     Pointedness is an invariant: construction raises NotPointedError when
     the generators admit a nontrivial nonnegative dependency. Simplicial
     generators are pointed; otherwise the cone is pointed when its dimension
-    d is at least 2 and its facet normals have rank d. Normal cones are
-    pointed by construction, and normal_cone builds them without the check
-    (_trusted). Generators are primitivized and deduplicated at
+    d is at least 2 and its facet normals have rank d. Normal cones and
+    subdivision cells are pointed by construction and built without the
+    check (_trusted). Generators are primitivized and deduplicated at
     construction but otherwise kept in the given order. Equality and
     hashing use the generator set, so two descriptions of the same cone by
     the same irredundant rays coincide.
@@ -386,7 +386,9 @@ def subdivide_to_basic(cone: Cone) -> Subdivision:
     the relative interior of the victim's face spanned by the rays tau
     with a positive coefficient, so in a face-to-face fan the cells that
     contain w are those whose rays include tau, and tau are exactly their
-    positively weighted rays.
+    positively weighted rays. Cells are built once, trusted: cone_index
+    raised on dependent rays (dim = ray count), extreme rays are primitive,
+    and so is w, or w/c (c >= 2) would have a smaller coefficient sum.
     """
     if cone.is_basic:
         return Subdivision(cone, [cone])
@@ -419,7 +421,9 @@ def subdivide_to_basic(cone: Cone) -> Subdivision:
                     new_cells.append((child, cone_index(child)))
         cells = new_cells
 
-    children = [Cone(gens, cone.ambient) for gens, _ in cells]
+    children = [Cone._trusted(tuple(gens), cone.ambient, len(gens)) for gens, _ in cells]
+    for child, (_, index) in zip(children, cells):
+        child.index = index
     return Subdivision(cone, children)
 
 

@@ -490,25 +490,34 @@ def mu(cone: Cone, cmap, order: int = DEFAULT_ORDER,
     return val
 
 
+def _line_row(cone: Cone, cmap, line: Vector, order: int,
+              cross_validate: bool) -> tuple[list[int], int]:
+    """mu_on_line's Taylor numerators through t^order over one positive
+    denominator, as the reduction yields them; verify_interpolator reads it."""
+    if len(line) != cone.ambient:
+        raise ValueError("direction dimension mismatch")
+    [(nums, den)] = SquarefreeReducer(cone.basic_cells, [line], cmap, order).reduce()
+    if cross_validate:
+        full = restrict_to_direction(mu(cone, cmap, order, True).series, line)
+        if any(full.coefficient(r) * den != x for r, x in enumerate(nums)):
+            raise InternalInconsistencyError("line and full reduction disagree: "
+                                             f"cone={cone!r} map={cmap.describe()} line={line}")
+    return nums, den
+
+
 def mu_on_line(cone: Cone, cmap, line: Vector, order: int = DEFAULT_ORDER,
                cross_validate: bool = False) -> LaurentSeries:
     """mu of a pointed generic cone restricted to the line t*line.
 
     Equals restrict_to_direction(mu(cone, cmap, order).series, line)
-    exactly: one reduction of all the basic cells on the line, with psi
-    failures raised at its set-up in the first failing cell, as a
+    exactly: one reduction of all the basic cells on the line (_line_row),
+    with psi failures raised at its set-up in the first failing cell, as a
     cell-by-cell run would raise them.  Values depend on the line, so
     nothing is cached.  cross_validate then computes the cone's full mu
     with the cross-check (see mu) and aborts unless its restriction matches.
     """
-    if len(line) != cone.ambient:
-        raise ValueError("direction dimension mismatch")
-    [(nums, den)] = SquarefreeReducer(cone.basic_cells, [line], cmap, order).reduce()
-    got = LaurentSeries.from_taylor([Fraction(x, den) for x in nums], order)
-    if cross_validate and restrict_to_direction(mu(cone, cmap, order, True).series, line) != got:
-        raise InternalInconsistencyError("line and full reduction disagree: "
-                                         f"cone={cone!r} map={cmap.describe()} line={line}")
-    return got
+    nums, den = _line_row(cone, cmap, line, order, cross_validate)
+    return LaurentSeries.from_taylor([Fraction(x, den) for x in nums], order)
 
 
 class MuTable:

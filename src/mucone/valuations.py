@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import (
     DirectionDegenerateError,
@@ -26,7 +26,7 @@ from .geometry import (
     normalized_volume,
     supporting_cone,
 )
-from .interp import DEFAULT_ORDER, MuTable, mu_on_line, mu_table
+from .interp import DEFAULT_ORDER, MuTable, _line_row, mu_table
 from .linalg import Vector, cleared, dot, dual_rows, format_rational
 from .series import LaurentSeries, restrict_to_direction, todd_univariate
 
@@ -58,13 +58,14 @@ class Direction:
 
 
 def certify_direction(y0: Vector, avoid) -> Direction:
-    """Check <y0, v> != 0 for every v (int tuple) in avoid; raise naming the offender."""
+    """Check <y0, v> = <Y, v>/s != 0 for every v (int tuple) in avoid; raise naming it."""
+    Y, s = cleared(y0)
     cert = []
     for v in avoid:
-        a = y0.dot(v)
+        a = dot(Y, v)
         if a == 0:
             raise DirectionDegenerateError(f"direction {y0} annihilates {Vector(v)}")
-        cert.append((v, a))
+        cert.append((v, Fraction(a, s)))
     return Direction(y0, cert)
 
 
@@ -116,6 +117,19 @@ def _homogeneous_sums(values, q: int) -> list[int]:
     return h
 
 
+def _face_row(f: Face, Y, s: int, q: int) -> tuple[list[int], int]:
+    """i_face_series(f, Y/s, q)'s Taylor numerators over the one denominator
+    s^q (m+q)!: N_r s^(q-r) (m+q)!/(m+r)! at t^r, N_r as in i_face_series."""
+    p, m = f.polytope, f.dim
+    nums = [0] * (q + 1)
+    for simplex, det in lattice_simplices(f):
+        h = _homogeneous_sums([dot(Y, p.vertices[i]) for i in simplex], q)
+        nums = [n + det * x for n, x in zip(nums, h)]
+    top = factorial(m + q)
+    return ([(-1) ** r * n * s ** (q - r) * (top // factorial(m + r)) for r, n in enumerate(nums)],
+            s ** q * top)
+
+
 def i_face_series(f: Face, y: Vector, q: int) -> LaurentSeries:
     """Taylor series of the exponential integral over a face along t*y.
 
@@ -126,16 +140,11 @@ def i_face_series(f: Face, y: Vector, q: int) -> LaurentSeries:
     lattice.  A vertex v is its own simplex with |det| 1, so it gives
     (-<y,v>)^r / r!, the series of e^(-<y,v> t).  With y = Y/s, h_r(c) =
     h_r(C) / s^r for the ints C_j = <Y, v_j>, so t^r gets N_r / ((m+r)! s^r)
-    with N_r the int sum of (-1)^r |det| h_r(C) over the simplices.
+    with N_r the int sum of (-1)^r |det| h_r(C) over the simplices (_face_row).
     """
-    p, m = f.polytope, f.dim
     Y, s = cleared(y)
-    nums = [0] * (q + 1)
-    for simplex, det in lattice_simplices(f):
-        h = _homogeneous_sums([dot(Y, p.vertices[i]) for i in simplex], q)
-        nums = [n + det * x for n, x in zip(nums, h)]
-    return LaurentSeries.from_taylor(
-        [Fraction((-1) ** r * n, factorial(m + r) * s ** r) for r, n in enumerate(nums)], q)
+    nums, den = _face_row(f, Y, s, q)
+    return LaurentSeries.from_taylor([Fraction(n, den) for n in nums], q)
 
 
 # -- counting -----------------------------------------------------------------
@@ -227,13 +236,13 @@ def _corner_data_vectors(p: Polytope) -> list[tuple[int, ...]]:
 
 
 def _choose_direction(ambient: int, avoid, y0, seed: int) -> tuple[Direction, list[dict]]:
-    """(direction, attempt log): y0 (a Direction read as its y0) certified or
-    (y0 None) a seeded draw, both against the vectors in avoid."""
+    """(direction, attempt log): y0 (a Direction as its y0, a sequence as a Vector)
+    certified or (y0 None) a seeded draw, both against the vectors in avoid."""
     if isinstance(y0, Direction):
         y0 = y0.y0
     if y0 is None:
         return sample_direction(ambient, avoid, seed)
-    return certify_direction(y0, avoid), []
+    return certify_direction(Vector(y0), avoid), []
 
 
 def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
@@ -243,11 +252,14 @@ def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
 
     The left side is the enumerated exponential sum; the right side pairs
     each face's integral series with mu of its normal cone restricted to
-    the chosen direction, computed directly on that line (mu_on_line)
-    through t^max(q, 1): no M_i lowers the t-degree, and at order 0 the
-    reduction would skip the full subset's psi.  cross_validate reduces
-    through order.  A precomputed (possibly corrupted) MuTable can be
+    the chosen direction, computed directly on that line (mu_on_line's
+    integer row) through t^max(q, 1): no M_i lowers the t-degree, and at
+    order 0 the reduction would skip the full subset's psi.  cross_validate
+    reduces through order.  A precomputed (possibly corrupted) MuTable can be
     injected for negative controls; its full series are restricted instead.
+    Either way the products of integer mu and face-integral rows are summed
+    over one lcm, known through q or the least order of a mu row (each
+    integral's t^0 coefficient, a volume, is nonzero).
     """
     q = order - p.dim
     if q < 0:
@@ -256,15 +268,19 @@ def verify_interpolator(p: Polytope, cmap, y0=None, order: int = DEFAULT_ORDER,
     y = direction.y0
     if table is None:
         through = order if cross_validate else max(q, 1)
-        mu_lines = [(f, mu_on_line(nc, cmap, y, through, cross_validate))
-                    for f, nc in p.normal_cones]
+        mu_rows = [(f, *_line_row(nc, cmap, y, through, cross_validate), through)
+                   for f, nc in p.normal_cones]
     else:
-        mu_lines = [(f, restrict_to_direction(v.series, y))
-                    for f, v in table.entries]
+        lines = [(f, restrict_to_direction(v.series, y)) for f, v in table.entries]
+        mu_rows = [(f, *cleared(map(line.coefficient, range(line.known_to + 1))), line.known_to)
+                   for f, line in lines]
     left = s_series(p, y, q)
-    right = LaurentSeries.zero(q)
-    for f, mu_line in mu_lines:
-        right = right + mu_line * i_face_series(f, y, q)
+    (Y, s), known = cleared(y), min([q] + [k for *_, k in mu_rows])
+    rows = [(a, da, *_face_row(f, Y, s, q)) for f, a, da, _ in mu_rows]
+    common = lcm(*(da * db for _, da, _, db in rows))
+    right = LaurentSeries.from_taylor(
+        [Fraction(sum(common // (da * db) * sum(a[i] * b[r - i] for i in range(r + 1))
+                      for a, da, b, db in rows), common) for r in range(known + 1)], known)
     return IdentityReport(p, cmap.describe(), direction, seed, order, q,
                           left, right, attempts)
 

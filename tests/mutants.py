@@ -70,6 +70,14 @@ MUTANTS = [
      "if cnt != want:",
      "if cnt > want:",
      "a subdivision with a gap (an interior wall seen once) passes the certificate"),
+    ("trusted-cell-dim-minus-one", "geometry.py",
+     "Cone._trusted(tuple(gens), cone.ambient, len(gens))",
+     "Cone._trusted(tuple(gens), cone.ambient, len(gens) - 1)",
+     "a subdivision cell is built with one dimension less than its ray count"),
+    ("trusted-cell-index-off", "geometry.py",
+     "child.index = index",
+     "child.index = index + 1",
+     "a subdivision cell keeps an index one above the one its star step computed"),
     ("star-step-max-point", "geometry.py",
      "w, num = min(points, key=lambda pc: (sum(pc[1]), pc[1]))",
      "w, num = max(points, key=lambda pc: (sum(pc[1]), pc[1]))",
@@ -160,8 +168,8 @@ MUTANTS = [
      "for cell in cone.basic_cells[:1]:\n            val, other",
      "mu's cross-check compares only the first basic cell"),
     ("line-cross-check-dropped", "interp.py",
-     "if cross_validate and restrict_to_direction(",
-     "if False and restrict_to_direction(",
+     "if any(full.coefficient(r) * den != x for r, x in enumerate(nums)):",
+     "if False:",
      "mu_on_line's cross-check never compares with the full mu"),
     ("todd-top-coefficient-dropped", "interp.py",
      "todd = [(m, c) for m, c in enumerate(tdn) if c]",
@@ -193,8 +201,8 @@ MUTANTS = [
      "h[r] += c * h[r]",
      "the complete homogeneous sums of the simplex pairings are wrong"),
     ("face-integral-denominator", "valuations.py",
-     "factorial(m + r) * s ** r",
-     "factorial(m) * factorial(r) * s ** r",
+     "(top // factorial(m + r))",
+     "(top // (factorial(m) * factorial(r)))",
      "the face integral's t^r coefficient is divided by m! r! instead of (m + r)!"),
     ("power-sum-scale-once", "valuations.py",
      "factorial(r) * s ** r)",
@@ -202,10 +210,34 @@ MUTANTS = [
      "the lattice-point sum divides its t^r coefficient by the direction's denominator s, "
      "not by s^r"),
     ("face-integral-scale-once", "valuations.py",
-     "factorial(m + r) * s ** r)",
-     "factorial(m + r) * s)",
+     "n * s ** (q - r) * (top",
+     "n * s ** (q - 1) * (top",
      "the face integral divides its t^r coefficient by the direction's denominator s, "
      "not by s^r"),
+    ("face-row-no-s-power", "valuations.py",
+     "n * s ** (q - r) * (top",
+     "n * (top",
+     "the face integral's numerators miss s^(q - r): every t^r coefficient is over s^q"),
+    ("right-side-no-rescale", "valuations.py",
+     "common // (da * db) * sum(",
+     "sum(",
+     "the faces' products are summed without rescaling each to the common denominator"),
+    ("right-side-convolution-short", "valuations.py",
+     "b[r - i] for i in range(r + 1)",
+     "b[r - i] for i in range(r)",
+     "the product of a mu row and a face row drops the term of mu's t^r coefficient"),
+    ("table-known-to-q", "valuations.py",
+     "known = cleared(y), min([q] + [k for *_, k in mu_rows])",
+     "known = cleared(y), q",
+     "a table of mu known below t^q is read as if known through t^q"),
+    ("certificate-not-over-s", "valuations.py",
+     "cert.append((v, Fraction(a, s)))",
+     "cert.append((v, Fraction(a)))",
+     "the direction certificate stores <Y, v> without dividing by the denominator s"),
+    ("direction-sequence-unread", "valuations.py",
+     "certify_direction(Vector(y0), avoid)",
+     "certify_direction(y0, avoid)",
+     "a direction given as a tuple or a list is used without reading it as a Vector"),
     ("half-open-selection", "valuations.py",
      "if dot(h, probe) < 0}",
      "if dot(h, probe) > 0}",

@@ -33,8 +33,9 @@ interpolation nodes by a full scan of every shift tried, psi's pivot
 vectors by the dual rows of the cleared pairing (the route the library's
 one elimination of [P^T | B] replaced), the lattice-point sum and the
 face integral series in Fractions (the routes the library's integer
-numerators replaced), and small linear-algebra and genericity checks the
-library never calls.
+numerators replaced), the identity's right side as a sum of LaurentSeries
+products (the route verify_interpolator's one integer sum replaced), and
+small linear-algebra and genericity checks the library never calls.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ from mucone.series import (
     compose_linear,
     denominator_union,
     divide_by_linear_form,
+    restrict_to_direction,
     todd_univariate,
 )
 
@@ -598,6 +600,25 @@ def i_face_series_in_fractions(f: Face, y: Vector, q: int) -> LaurentSeries:
         for r in range(q + 1):
             coeffs[r] += (-1) ** r * det * h[r] / factorial(m + r)
     return LaurentSeries.from_taylor(coeffs, q)
+
+
+def right_side_by_series(p: Polytope, cmap, y: Vector, order: int, table=None,
+                         cross_validate: bool = False) -> LaurentSeries:
+    """The identity's right side through t^(order - dim) as verify_interpolator
+    summed it in Fractions: per face, mu_on_line through t^max(q, 1) (through
+    order with cross_validate), or the table's series restricted to the line,
+    times the face integral's series, added as LaurentSeries."""
+    q = order - p.dim
+    if table is None:
+        through = order if cross_validate else max(q, 1)
+        lines = [(f, mu_on_line(nc, cmap, y, through, cross_validate))
+                 for f, nc in p.normal_cones]
+    else:
+        lines = [(f, restrict_to_direction(v.series, y)) for f, v in table.entries]
+    right = LaurentSeries.zero(q)
+    for f, line in lines:
+        right = right + line * i_face_series_in_fractions(f, y, q)
+    return right
 
 
 def pivot_vector(cone: Cone, cmap, subset, i: int) -> Vector:

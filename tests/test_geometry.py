@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from mucone import geometry
 from mucone.errors import (
+    DependentGeneratorsError,
     DimensionTooLargeError,
     InternalInconsistencyError,
     NotExtremeError,
@@ -227,6 +228,33 @@ class TestSubdivision:
             with pytest.raises(InternalInconsistencyError,
                                match=r"appears 1 times, expected 2"):
                 Subdivision(parent, cells[:gap] + cells[gap + 1:])
+
+    def test_trusted_cells_equal_checked_cones(self, bench_workloads):
+        # subdivide_to_basic builds each cell once, trusted, with the index
+        # its star step computed: the cone Cone() builds and checks from the
+        # same rays, over the acceptance corpus and the benchmark's polytopes
+        workloads, m = bench_workloads
+        corpus = make_polytope_corpus() + [
+            p for shift in (0, 1, 2)
+            for p in workloads.polytope_corpus(m, workloads.Seeds(shift=shift))]
+        cells = [cell for p in corpus for _, nc in p.normal_cones if not nc.is_basic
+                 for cell in nc.basic_cells]
+        assert len(cells) > 1000
+        for cell in cells:
+            ref = Cone(cell.generators, cell.ambient)
+            assert ((cell.generators, cell.dim, cell.index, cell.is_basic, cell.is_pointed)
+                    == (ref.generators, ref.dim, ref.index, ref.is_basic, ref.is_pointed))
+
+    def test_dependent_cell_never_reaches_the_trusted_build(self, monkeypatch):
+        # a triangulation cell with dependent rays: cone_index raises on it,
+        # so no cell is built with the rank its ray count would claim
+        square = Cone([V(1, 0, 1), V(0, 1, 1), V(-1, 0, 1), V(0, -1, 1)])
+        built = []
+        monkeypatch.setattr(geometry, "_pulling_triangulation", lambda rays: [(0, 1, 1)])
+        monkeypatch.setattr(Cone, "_trusted", classmethod(lambda cls, *args: built.append(args)))
+        with pytest.raises(DependentGeneratorsError, match="linearly dependent"):
+            subdivide_to_basic(square)
+        assert built == []
 
     def test_random_cones_sampling(self):
         rng = random.Random(20260816)

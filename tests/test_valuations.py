@@ -20,7 +20,12 @@ from mucone.complement import (
     diaconis_fulton_map,
     standard_inner_product,
 )
-from mucone.errors import DirectionDegenerateError, NotFullDimError, NotGenericError
+from mucone.errors import (
+    DirectionDegenerateError,
+    MuconeError,
+    NotFullDimError,
+    NotGenericError,
+)
 from mucone.geometry import Polytope, in_convex_hull, normal_cone, supporting_cone
 from mucone.interp import (
     MuTable,
@@ -35,6 +40,7 @@ from mucone.series import LaurentSeries, restrict_to_direction
 from mucone.valuations import (
     _PRIMES,
     Direction,
+    _corner_data_vectors,
     _half_open_cone_series,
     brion_vertex_decomposition_check,
     certify_direction,
@@ -50,6 +56,7 @@ from oracles import (
     face_for,
     half_open_cell_series_by_inverse,
     i_face_series_in_fractions,
+    right_side_by_series,
     s_series_in_fractions,
     whole_face,
 )
@@ -142,6 +149,29 @@ class TestDirections:
         got = verify_interpolator(p, IP2, y0=Direction(V(2, 3)), order=4)
         assert got.direction.certificate
         assert got.to_json() == verify_interpolator(p, IP2, y0=V(2, 3), order=4).to_json()
+
+    def test_given_direction_as_a_sequence(self):
+        # a tuple or a list is read as the Vector of its entries
+        p = triangle(1)
+        want = json.dumps(verify_interpolator(p, IP2, y0=V(2, 3), order=6).to_json())
+        assert brion_vertex_decomposition_check(p, y0=V(2, 3))
+        for y0 in [(2, 3), [2, 3]]:
+            assert json.dumps(verify_interpolator(p, IP2, y0=y0, order=6).to_json()) == want
+            assert brion_vertex_decomposition_check(p, y0=y0)
+        for check in (lambda y0: verify_interpolator(p, IP2, y0=y0, order=4),
+                      lambda y0: brion_vertex_decomposition_check(p, y0=y0, q=4)):
+            for y0 in [(1, 1), [1, 1]]:
+                with pytest.raises(DirectionDegenerateError,
+                                   match=r"Vector\(1, 1\) annihilates Vector\(-1, 1\)"):
+                    check(y0)
+
+    def test_certificate_values_are_the_rational_pairings(self):
+        y0 = V(Fraction(1, 2), Fraction(-2, 3))
+        avoid = [(1, 0), (0, 3), (2, 1), (-4, 6)]
+        cert = certify_direction(y0, avoid).certificate
+        assert cert == (((1, 0), Fraction(1, 2)), ((0, 3), -2), ((2, 1), Fraction(1, 3)),
+                        ((-4, 6), -6))
+        assert all(type(a) is Fraction and a == y0.dot(v) for v, a in cert)
 
 
 @st.composite
@@ -270,6 +300,57 @@ class TestValuationsInIntegers:
         assert s_series(p, y, q) == s_series_in_fractions(p, y, q)
         for f in p.faces:
             assert i_face_series(f, y, q) == i_face_series_in_fractions(f, y, q)
+
+
+class TestRightSideInIntegers:
+    """verify_interpolator's right side, one integer sum over the faces,
+    against the sum of LaurentSeries products it replaced."""
+
+    @pytest.mark.parametrize("kind", ["gram", "flag", "ray-table"])
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(corpus_and_direction(), st.integers(0, 3), st.data())
+    def test_matches_series_route(self, kind, case, q, data):
+        p, y = case
+        try:
+            certify_direction(y, _corner_data_vectors(p))
+        except DirectionDegenerateError:
+            assume(False)
+        n, order = p.ambient, p.dim + q
+        if kind == "gram":
+            cmap = GRAM[n]
+        elif kind == "flag":
+            cmap = flag_map(n)  # not generic on some normal cones
+        else:
+            # a ray table that may lack some cell rays
+            vec = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(Vector)
+            table = []
+            for w in sorted({w for _, nc in p.normal_cones
+                             for cell in nc.basic_cells for w in cell.generators}):
+                u = data.draw(vec)
+                if data.draw(st.integers(0, 5)):
+                    table.append((w, u if u.dot(w) else Vector(w)))
+            cmap = RayTableMap(table, ambient=n)
+        cross_validate = order <= 3 and data.draw(st.booleans())
+        got = _outcome(lambda: verify_interpolator(
+            p, cmap, y0=y, order=order, cross_validate=cross_validate).right)
+        assert got == _outcome(lambda: right_side_by_series(p, cmap, y, order,
+                                                            cross_validate=cross_validate))
+        if isinstance(got, LaurentSeries):
+            assert got.known_to == q
+            # a table through t^lower, below q when q > 0
+            lower = data.draw(st.integers(0, min(q, 2)))
+            table = mu_table(p, cmap, lower)
+            got = verify_interpolator(p, cmap, y0=y, order=order, table=table).right
+            assert got == right_side_by_series(p, cmap, y, order, table=table)
+            assert got.known_to == lower
+
+
+def _outcome(compute):
+    """What compute returns, or the (type, message) of the MuconeError it raises."""
+    try:
+        return compute()
+    except MuconeError as exc:
+        return type(exc), str(exc)
 
 
 class TestCounting:
