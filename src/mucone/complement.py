@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NotGenericError, ParseError, UnknownRayError
@@ -52,8 +53,8 @@ class PsiSubspace:
         self.rays = tuple(rays)
         self.basis = tuple(basis)
         scaled = [_integral(w) for w in self.rays]  # w = ints / scale
-        k = len(scaled)
-        rows = [[dot(w, b) for w, _ in scaled] + list(b)
+        k = len(scaled)  # psi checked each ray against the map: all pairings are of one length
+        rows = [[sum(map(mul, w, b)) for w, _ in scaled] + list(b)
                 for b in (_integral(v)[0] for v in self.basis)]
         red, d, pivots = eliminate(rows)
         if len(rows) != k or pivots != list(range(k)):
@@ -80,11 +81,15 @@ class ComplementMap:
 
     def psi(self, rays: Sequence[Sequence]) -> PsiSubspace:
         """The complement subspace and pivot vectors for the rays (int tuples
-        such as cone generators, or Vectors); raises NotGeneric.  Keyed by
-        the rays as given: a Vector subset has its own entry."""
+        such as cone generators, or Vectors); raises NotGeneric, and ValueError
+        for a ray of another dimension than the map's.  Keyed by the rays as
+        given: a Vector subset has its own entry."""
         rays = tuple(rays)
         cached = self._psi_cache.get(rays)
         if cached is None:
+            for w in rays:
+                if len(w) != self.ambient:
+                    raise ValueError(f"ray of dimension {len(w)} for a map on R^{self.ambient}")
             cached = PsiSubspace(rays, self.raw_basis(rays))
             self._psi_cache[rays] = cached
         return cached

@@ -11,9 +11,9 @@ D_i is a linear map M_i on the squarefree monomials.  The normal form is
 unique, so the M_i commute, and the Todd element's form is
 Td(M_1)...Td(M_k) applied to 1.  mu is the coefficient of the full product
 D_1...D_k in it, and is computed a second, independent way from an
-explicit alternating sum over chains of subsets, run as a recursion over
-subsets.  Both routes read psi in one order, _subsets, and raise its first
-failure in it.
+explicit alternating sum over chains of subsets, a recursion over subsets
+run on all interpolation nodes at once.  Both routes read psi in one
+order, _subsets, and raise its first failure in it.
 
 Grading: with each D_i and each coordinate v_i of degree 1 the relation
 is homogeneous, so the coefficient of D_S in the normal form of D^e is a
@@ -35,11 +35,12 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import factorial, gcd, lcm, prod
+from operator import mul
 
 from .errors import (InconsistentExplicitFormulaError, InternalInconsistencyError,
                      NotGenericError, UnknownRayError)
 from .geometry import Cone, Polytope
-from .linalg import Vector, cleared, dot, format_rational
+from .linalg import Vector, cleared, format_rational
 from .series import LaurentSeries, MultiSeries, restrict_to_direction, todd_univariate
 
 DEFAULT_ORDER = 6
@@ -67,6 +68,8 @@ class SquarefreeReducer:
         self.k = k = len(cells[0].generators)
         if not all(c.is_basic and len(c.generators) == k for c in cells):
             raise ValueError("reduction is defined over basic cones with equally many generators")
+        if any(len(line) != cells[0].ambient for line in lines):
+            raise ValueError("direction dimension mismatch")
         self._rewrites = {}
         self._cells = []  # (rays, psi per subset, m)
         self._sorted = {s: tuple(sorted(s)) for s in _subsets(k)}
@@ -83,12 +86,13 @@ class SquarefreeReducer:
         self._scales = [m * q for _, _, m in self._cells for _, q in self._lines]
 
     def _pivot(self, cell, s: frozenset[int], i: int, rest: list[int]):
-        """L<u,y> and [-L<w_j,u> for j in rest] per line, in one cell."""
+        """L<u,y> and [-L<w_j,u> for j in rest] per line, in one cell (all of the
+        ambient length: psi checks the rays, __init__ the lines)."""
         rays, subs, m = cell
         sub = subs[s]
         u, per = sub.numerators[self._sorted[s].index(i)], m // sub.denominator
-        spill = [-per * dot(rays[j], u) for j in rest]
-        return [(per * dot(u, y), [q * w for w in spill]) for y, q in self._lines]
+        spill = [-per * sum(map(mul, rays[j], u)) for j in rest]
+        return [(per * sum(map(mul, u, y)), [q * w for w in spill]) for y, q in self._lines]
 
     def _rewrite(self, s: frozenset[int], i: int):
         """D_i D_S = u D_S - sum_{j not in S} <w_j,u> D_j D_S, as the pair (u per
@@ -305,13 +309,13 @@ def _todd_over_integers(cap: int) -> tuple[tuple[int, ...], int]:
     return tuple(tdn), d
 
 
-def _chain_sum_on_line(own, steps, pq, k: int, order: int) -> tuple[list[int], int]:
-    """t^k times the chain sum on the line t*y, through t^(k + order), as
-    integer numerators over one positive denominator.
+def _chain_sums(own, steps, cols, qs, k: int, order: int) -> list[tuple[list[int], int]]:
+    """Per node y, t^k times the chain sum on the line t*y, through
+    t^(k + order), as integer numerators over one positive denominator.
 
-    pq[j] = (p, q), q > 0, with <form j, y> = p/q nonzero.  Splitting each
-    chain from T to the full set S at its first step T < T' gives T's chain
-    sum without T's own forms as g_S = 1 and
+    cols[j][v] / qs[j] = <form j, y> at node v, nonzero, qs[j] > 0.  Splitting
+    each chain from T to the full set S at its first step T < T' gives T's
+    chain sum without T's own forms as g_S = 1 and
     g_T = -sum over T' of g_T' / prod_(c in T' - T) <u_(T',c), y>,
     so the chain sum over T is c_T = g_T / prod_(t in T) <u_(T,t), y>.  On
     the line the whole sum is t^-k sum_T c_T num_T(t), num_T(t) the product
@@ -319,102 +323,110 @@ def _chain_sum_on_line(own, steps, pq, k: int, order: int) -> tuple[list[int], i
     coefficients of t^0..t^(k-1) cancel and the t^(k+r) coefficient is
     p_r(y), the degree-r part of mu at y.
 
-    g runs on integer pairs, one gcd per T.  The products run in integers:
-    with <u,y> = p/q, d*q^cap * td(<u,y> t) has the integer coefficients
-    (d td_m) p^m q^(cap-m), of which only the nonzero ones are multiplied.
+    Each value is a list over the nodes, g a pair of integer lists with one
+    gcd per T and node.  With <u,y> = p/q, d*q^cap * td(<u,y> t) has the
+    integer coefficients (d td_m) p^m q^(cap-m).  T is left out only where g_T
+    is 0 at every node; the terms are summed over each node's lcm of their
+    denominators, and the products formed one output coefficient at a time.
     """
     cap = k + order
     tdn, d = _todd_over_integers(cap)
     todd = [(m, c) for m, c in enumerate(tdn) if c]  # td_m = 0 at odd m >= 3
-    total, terms = [0] * (cap + 1), []  # terms: (num_T, den_T) per T with g_T != 0
+    ones, terms = [1] * len(cols[0]), []  # terms: (num_T, den_T), None a zero coefficient
     last = len(own) - 1
-    g = [None] * last + [(1, 1)]  # g_S
+    g = [None] * last + [(ones, ones)]  # g_S
     for t in reversed(range(len(own))):
         if t < last:  # g_T = -a / b
-            a, b = 0, 1
+            a, b = [0] * len(ones), ones
             for j, forms in steps[t]:
                 ga, gb = g[j]
-                if ga:
-                    p = gb * prod(pq[f][0] for f in forms)
-                    a = a * p + ga * prod(pq[f][1] for f in forms) * b
-                    b *= p
-            r = gcd(a, b)
-            g[t] = (-a // r, b // r)
+                p = [prod(v) for v in zip(gb, *(cols[f] for f in forms))]
+                q = prod(qs[f] for f in forms)
+                a = [x * y + z * q * w for x, y, z, w in zip(a, p, ga, b)]
+                b = [x * y for x, y in zip(b, p)]
+            r = list(map(gcd, a, b))
+            g[t] = [-x // y for x, y in zip(a, r)], [x // y for x, y in zip(b, r)]
         a, b = g[t]
-        if not a:
+        if not any(a):
             continue
-        num, den = [a * prod(pq[j][1] for j in own[t])], b * prod(pq[j][0] for j in own[t])
+        q = prod(qs[j] for j in own[t])
+        num = [[x * q for x in a]] + [None] * cap
+        q = prod(d * qs[j] ** cap for j in own[t])  # d*q^cap: one per form
+        den = [prod(v) * q for v in zip(b, *(cols[j] for j in own[t]))]
         for j in own[t]:
-            p, q = pq[j]
-            factor = [(m, c * p ** m * q ** (cap - m)) for m, c in todd]
-            out = [0] * (cap + 1)
-            for i, x in enumerate(num):
-                for m, c in factor:
-                    if x and i + m <= cap:
-                        out[i + m] += x * c
+            factor = [(m, c * qs[j] ** (cap - m)) for m, c in todd]  # q^(cap-m): one per form
+            factor = [(m, [c * x ** m for x in cols[j]]) for m, c in factor]
+            out = []
+            for i in range(cap + 1):
+                acc = None
+                for m, f in factor:
+                    xs = num[i - m] if m <= i else None
+                    if xs is not None:
+                        acc = ([x * y for x, y in zip(xs, f)] if acc is None
+                               else [z + x * y for z, x, y in zip(acc, xs, f)])
+                out.append(acc)
             num = out
-            den *= d * q ** cap
         terms.append((num, den))
-    common = lcm(*(den for _, den in terms))
+    common = [lcm(*ds) for ds in zip(*(den for _, den in terms))]
+    total = [[0] * len(ones) for _ in range(cap + 1)]
     for num, den in terms:
-        scale = common // den
-        for i, x in enumerate(num):
-            total[i] += x * scale
-    return total, common
+        ratio = [c // x for c, x in zip(common, den)]
+        total = [z if xs is None else [a + x * s for a, x, s in zip(z, xs, ratio)]
+                 for z, xs in zip(total, num)]
+    return [(list(row), c) for row, c in zip(zip(*total), common)]
 
 
 def _nodes(forms, m: int, levels: int):
     """The lattice with the least shift = 1, 2, ... on which no form
     (numerators, q) vanishes, each shift left at its first node where one does,
-    and the forms' values at its points y = (1, x) as integer pairs (p, q).
+    and per form the tuple of its integer values <u, y> at its points y = (1, x).
     Terminates: a form that vanishes at a node for infinitely many shifts is zero."""
     shift = 1
     while True:
         lattice, rows = _lattice(m, levels, shift), []
         for x in lattice.coords:
-            rows.append([(dot(u, (1,) + x), q) for u, q in forms])
-            if not all(p for p, _ in rows[-1]):
+            rows.append([sum(map(mul, u, (1,) + x)) for u, _ in forms])
+            if not all(rows[-1]):
                 break
         else:
-            return lattice, rows
+            return lattice, list(zip(*rows))
         shift += 1
 
 
 def mu_explicit(cone: Cone, cmap, order: int = DEFAULT_ORDER) -> MuValue:
     """mu assembled from the closed chain-sum formula: sum over subsets T of
     td(pivots of T) times the alternating chain sum from T to the full set,
-    the chains summed by splitting each at its first step (_chain_sum_on_line).
+    the chains summed by splitting each at its first step (_chain_sums).
 
     The degree-r part p_r of mu is a homogeneous polynomial.  The chain sum
     is evaluated on lines t*y with y = (1, x) at the points x of a
-    principal lattice one level deeper than any degree needs, and
-    _interpolate rebuilds the series.  A pole on any line,
-    a nonzero Newton coefficient of p_r above degree r, or (for n = 1) a
-    mismatch at the second point y = 2 aborts the run as an internal
-    inconsistency.
+    principal lattice one level deeper than any degree needs, all nodes in
+    one batch (for n = 1 with the second point y = 2 as one more node), and
+    _interpolate rebuilds the series.  A pole on any line, a nonzero Newton
+    coefficient of p_r above degree r, or (for n = 1) a mismatch at y = 2
+    aborts the run as an internal inconsistency.
     """
-    if not cone.ambient:  # R^0 has no lines; its one cone is zero
-        return MuValue(cone, cmap.key(), order, MultiSeries.constant(1, 0, order), "explicit")
-    k = len(cone.generators)
-    n = cone.ambient
+    k, n = len(cone.generators), cone.ambient
+    if not k:  # the zero cone, the only cone of R^0: the empty Todd product, 1
+        return MuValue(cone, cmap.key(), order, MultiSeries.constant(1, n, order), "explicit")
     forms, own, steps = _explicit_terms(cone, cmap)
 
     def fail(what: str):
         raise InconsistentExplicitFormulaError(
             f"{what}: cone={cone!r} map={cmap.describe()}")
 
-    def taylor(row):
-        line, den = _chain_sum_on_line(own, steps, row, k, order)
-        if any(line[:k]):
-            fail("chain sum has a pole on a line")
-        return line[k:], den
-
-    lattice, rows = _nodes(forms, n - 1, order + 1)
-    values = [taylor(row) for row in rows]
+    lattice, cols = _nodes(forms, n - 1, order + 1)
+    if n == 1:  # y = 2: every value doubled
+        cols = [col + (2 * col[0],) for col in cols]
+    rows = _chain_sums(own, steps, cols, [q for _, q in forms], k, order)
+    if any(any(line[:k]) for line, _ in rows):
+        fail("chain sum has a pole on a line")
+    values = [(line[k:], den) for line, den in rows]
     if n == 1:  # b_r / B == 2^r a_r / A, cross-multiplied
-        (first, A), (second, B) = values[0], taylor([(2 * p, q) for p, q in rows[0]])
+        (first, A), (second, B) = values
         if any(b * A != a * 2 ** r * B for r, (a, b) in enumerate(zip(first, second))):
             fail("chain sum is not homogeneous on the line")
+        values = values[:1]
     series = _interpolate(lattice, values, order, lambda r: fail(
         f"degree-{r} part of the chain sum is not a polynomial of degree {r}"))
     return MuValue(cone, cmap.key(), order, series, "explicit")
@@ -494,8 +506,6 @@ def _line_row(cone: Cone, cmap, line: Vector, order: int,
               cross_validate: bool) -> tuple[list[int], int]:
     """mu_on_line's Taylor numerators through t^order over one positive
     denominator, as the reduction yields them; verify_interpolator reads it."""
-    if len(line) != cone.ambient:
-        raise ValueError("direction dimension mismatch")
     [(nums, den)] = SquarefreeReducer(cone.basic_cells, [line], cmap, order).reduce()
     if cross_validate:
         full = restrict_to_direction(mu(cone, cmap, order, True).series, line)

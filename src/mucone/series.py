@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ZeroDenominatorFormError
-from .linalg import Vector, format_rational, primitive
+from .linalg import Vector, cleared, format_rational, primitive
 
 
 def _degree(expo: tuple[int, ...]) -> int:
@@ -189,12 +189,12 @@ class MultiSeries:
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_compatible(other)
-        # the product is known through min(K_f + val_g, K_g + val_f)
+        # known through min(K_f + val_g, K_g + val_f); run on each side's cleared ints
         order = min(self.order + other.valuation, other.order + self.valuation)
-        right = sorted(((_degree(e), e, c) for e, c in other.coeffs.items()),
-                       key=lambda t: t[0])
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.coeffs.items():
+        (left, a), (nums, b) = cleared(self.coeffs.values()), cleared(other.coeffs.values())
+        right = sorted(zip(map(_degree, other.coeffs), other.coeffs, nums), key=lambda t: t[0])
+        out: dict[tuple[int, ...], int] = {}
+        for e1, c1 in zip(self.coeffs, left):
             room = order - _degree(e1)
             for d2, e2, c2 in right:
                 if d2 > room:
@@ -202,7 +202,7 @@ class MultiSeries:
                 e = tuple(map(operator.add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return MultiSeries._trusted(self.nvars, order,
-                                    {e: c for e, c in out.items() if c})
+                                    {e: Fraction(c, a * b) for e, c in out.items() if c})
 
     def __rmul__(self, c) -> "MultiSeries":
         """c * series for a rational scalar c."""

@@ -92,6 +92,11 @@ MUTANTS = [
      "",
      "psi keeps the elimination's sign: a pairing of negative determinant gives a "
      "negative denominator"),
+    ("psi-dimension-check-dropped", "complement.py",
+     "if len(w) != self.ambient:",
+     "if False:",
+     "psi takes rays of another dimension than the map's and fails later, or pairs "
+     "truncated rows"),
     ("psi-generic-any-k-pivots", "complement.py",
      "if len(rows) != k or pivots != list(range(k)):",
      "if len(pivots) < k:",
@@ -105,16 +110,28 @@ MUTANTS = [
      "return [self._images[w] for w in rays]",
      "return [next(iter(self._images.values())) for w in rays]",
      "a Gram map returns the first ray's cached image for every ray"),
-    # -- series: the Todd coefficients
+    # -- series: the Todd coefficients, the product
     ("todd-coefficient-sign", "series.py",
      "g = [Fraction((-1) ** k, math.factorial(k + 1))",
      "g = [Fraction(1, math.factorial(k + 1))",
      "td is inverted from (e^z - 1)/z, the Todd series of -z"),
+    ("mul-known-order-lesser", "series.py",
+     "order = min(self.order + other.valuation, other.order + self.valuation)",
+     "order = min(self.order, other.order)",
+     "a MultiSeries product is known only through the lesser order of its factors"),
+    ("mul-one-denominator", "series.py",
+     "Fraction(c, a * b)",
+     "Fraction(c, a)",
+     "a MultiSeries product is put over the left factor's denominator only"),
     # -- interp: the reduction, the chain sum, the interpolation, the cache
     ("rewrite-relation-sign", "interp.py",
-     "spill = [-per * dot(rays[j], u) for j in rest]",
-     "spill = [per * dot(rays[j], u) for j in rest]",
+     "spill = [-per * sum(map(mul, rays[j], u)) for j in rest]",
+     "spill = [per * sum(map(mul, rays[j], u)) for j in rest]",
      "the rewrite D_i D_S adds the <w_j, u> D_j D_S terms instead of subtracting them"),
+    ("reducer-line-length-unchecked", "interp.py",
+     "if any(len(line) != cells[0].ambient for line in lines):",
+     "if False:",
+     "the reducer pairs a line of another dimension with the pivots, truncated"),
     ("reducer-top-degree-spill", "interp.py",
      "elif r < self.order or len(s) < self.k:",
      "elif r < self.order:",
@@ -128,12 +145,12 @@ MUTANTS = [
      "if len(s) < k:",
      "a psi failure on the full subset is swallowed at every order"),
     ("chain-sum-sign", "interp.py",
-     "g[t] = (-a // r, b // r)",
-     "g[t] = (a // r, b // r)",
+     "g[t] = [-x // y for x, y in zip(a, r)]",
+     "g[t] = [x // y for x, y in zip(a, r)]",
      "the chain sum loses its alternating sign"),
     ("chain-sum-q-power", "interp.py",
-     "den *= d * q ** cap",
-     "den *= d * q ** (cap - 1)",
+     "q = prod(d * qs[j] ** cap for j in own[t])",
+     "q = prod(d * qs[j] ** (cap - 1) for j in own[t])",
      "the chain-sum term is off by the line's denominator q"),
     ("newton-differences", "interp.py",
      "for i in range(len(line) - 1, j - 1, -1):",
@@ -176,9 +193,14 @@ MUTANTS = [
      "todd = [(m, c) for m, c in enumerate(tdn[:-1]) if c]",
      "the chain sum's Todd factors lose their top coefficient td_(k + order)"),
     ("nodes-exit-when-all-vanish", "interp.py",
-     "if not all(p for p, _ in rows[-1]):",
-     "if not any(p for p, _ in rows[-1]):",
+     "if not all(rows[-1]):",
+     "if not any(rows[-1]):",
      "a shift is kept although some form vanishes at one of its nodes"),
+    ("chain-sums-first-denominator", "interp.py",
+     "common = [lcm(*ds) for ds in zip(*(den for _, den in terms))]",
+     "common = terms[0][1]",
+     "the chain sum's subset terms are summed over the first term's denominator, not each "
+     "node's lcm"),
     ("homogeneity-numerators-only", "interp.py",
      "if any(b * A != a * 2 ** r * B for",
      "if any(b != a * 2 ** r for",

@@ -44,7 +44,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import factorial, gcd
+from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
 
 from mucone.complement import RayTableMap
@@ -71,6 +71,7 @@ from mucone.interp import (
     MuValue,
     SquarefreeReducer,
     _lattice,
+    _todd_over_integers,
     mu_on_line,
 )
 from mucone.linalg import (
@@ -787,16 +788,74 @@ def lattice_lines(n: int, order: int) -> list[tuple[int, ...]]:
 
 def nodes_by_full_scan(forms, m: int, levels: int) -> tuple[int, list]:
     """The least shift = 1, 2, ... such that no form (numerators, q)
-    vanishes at any point y = (1, x) of _lattice(m, levels, shift), and the
-    forms' values (p, q) for p/q at each of its points: every form is
-    evaluated at every node of each shift tried, then the shift is judged."""
+    vanishes at any point y = (1, x) of _lattice(m, levels, shift), and per
+    form the tuple of its values p (p/q its value) at the points: every form
+    is evaluated at every node of each shift tried, then the shift is judged."""
     shift = 1
     while True:
-        rows = [[(sum(a * b for a, b in zip(u, (1,) + x)), q) for u, q in forms]
-                for x in _lattice(m, levels, shift).coords]
-        if all(p for row in rows for p, _ in row):
-            return shift, rows
+        cols = [tuple(sum(a * b for a, b in zip(u, (1,) + x))
+                      for x in _lattice(m, levels, shift).coords) for u, _ in forms]
+        if all(p for col in cols for p in col):
+            return shift, cols
         shift += 1
+
+
+def chain_sum_on_line(own, steps, pq, k: int, order: int) -> tuple[list[int], int]:
+    """t^k times the chain sum on the line t*y, through t^(k + order), as
+    integer numerators over one positive denominator.
+
+    pq[j] = (p, q), q > 0, with <form j, y> = p/q nonzero.  Splitting each
+    chain from T to the full set S at its first step T < T' gives T's chain
+    sum without T's own forms as g_S = 1 and
+    g_T = -sum over T' of g_T' / prod_(c in T' - T) <u_(T',c), y>,
+    so the chain sum over T is c_T = g_T / prod_(t in T) <u_(T,t), y>.  On
+    the line the whole sum is t^-k sum_T c_T num_T(t), num_T(t) the product
+    of td(<u,y> t) over T's pivots u.  Where mu is a power series, the
+    coefficients of t^0..t^(k-1) cancel and the t^(k+r) coefficient is
+    p_r(y), the degree-r part of mu at y.
+
+    g runs on integer pairs, one gcd per T.  The products run in integers:
+    with <u,y> = p/q, d*q^cap * td(<u,y> t) has the integer coefficients
+    (d td_m) p^m q^(cap-m), of which only the nonzero ones are multiplied.
+    """
+    cap = k + order
+    tdn, d = _todd_over_integers(cap)
+    todd = [(m, c) for m, c in enumerate(tdn) if c]  # td_m = 0 at odd m >= 3
+    total, terms = [0] * (cap + 1), []  # terms: (num_T, den_T) per T with g_T != 0
+    last = len(own) - 1
+    g = [None] * last + [(1, 1)]  # g_S
+    for t in reversed(range(len(own))):
+        if t < last:  # g_T = -a / b
+            a, b = 0, 1
+            for j, forms in steps[t]:
+                ga, gb = g[j]
+                if ga:
+                    p = gb * prod(pq[f][0] for f in forms)
+                    a = a * p + ga * prod(pq[f][1] for f in forms) * b
+                    b *= p
+            r = gcd(a, b)
+            g[t] = (-a // r, b // r)
+        a, b = g[t]
+        if not a:
+            continue
+        num, den = [a * prod(pq[j][1] for j in own[t])], b * prod(pq[j][0] for j in own[t])
+        for j in own[t]:
+            p, q = pq[j]
+            factor = [(m, c * p ** m * q ** (cap - m)) for m, c in todd]
+            out = [0] * (cap + 1)
+            for i, x in enumerate(num):
+                for m, c in factor:
+                    if x and i + m <= cap:
+                        out[i + m] += x * c
+            num = out
+            den *= d * q ** cap
+        terms.append((num, den))
+    common = lcm(*(den for _, den in terms))
+    for num, den in terms:
+        scale = common // den
+        for i, x in enumerate(num):
+            total[i] += x * scale
+    return total, common
 
 
 def line_reducer(cone: Cone, cmap, order: int, lines=None) -> tuple[SquarefreeReducer, list]:

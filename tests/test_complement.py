@@ -23,8 +23,9 @@ from mucone.complement import (
 )
 from mucone.errors import NotGenericError, UnknownRayError
 from mucone.geometry import Cone, Polytope
-from mucone.interp import mu_basic
+from mucone.interp import SquarefreeReducer, mu, mu_basic, mu_explicit, mu_on_line
 from mucone.linalg import Matrix, Vector, dot
+from mucone.valuations import count_via_local_formula, verify_interpolator
 from oracles import (
     cofactor_det,
     is_generic,
@@ -522,3 +523,51 @@ class TestKeys:
         keys |= {RayTableMap([((1, 0), V(1, 0))]).key(),
                  RayTableMap([((1, 0), V(2, 0))]).key()}
         assert len(keys) == len(grams) + 4
+
+
+def _units(n: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+class TestDimensionMismatch:
+    """A map of another dimension than the cone's or the polytope's fails in
+    psi, with both dimensions named, on every entry point that reads psi."""
+
+    CALLS = {
+        "psi": lambda cone, poly, cmap: cmap.psi(cone.generators),
+        "mu_basic": lambda cone, poly, cmap: mu_basic(cone, cmap, 2),
+        "mu_explicit": lambda cone, poly, cmap: mu_explicit(cone, cmap, 2),
+        "mu": lambda cone, poly, cmap: mu(cone, cmap, 2),
+        "mu-cross-validated": lambda cone, poly, cmap: mu(cone, cmap, 2, cross_validate=True),
+        "mu_on_line": lambda cone, poly, cmap: mu_on_line(
+            cone, cmap, Vector(range(1, cone.ambient + 1)), 2),
+        "count_via_local_formula": lambda cone, poly, cmap: count_via_local_formula(poly, cmap),
+        "verify_interpolator": lambda cone, poly, cmap: verify_interpolator(poly, cmap, order=3),
+    }
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (1, 2)])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_every_entry_point_names_both_dimensions(self, name, n, m):
+        cone, poly = Cone([V(*u) for u in _units(n)]), Polytope([(0,) * n] + _units(n))
+        for cmap in (standard_inner_product(m), FlagMap([V(*u) for u in _units(m)])):
+            with pytest.raises(ValueError,
+                               match=rf"^ray of dimension {n} for a map on R\^{m}$"):
+                self.CALLS[name](cone, poly, cmap)
+
+    def test_checked_before_the_map_is_read(self):
+        # a RayTableMap would look the ray up first and report it unknown
+        table = RayTableMap([((1, 0), V(1, 0)), ((0, 1), V(0, 1))])
+        with pytest.raises(ValueError, match=r"^ray of dimension 3 for a map on R\^2$"):
+            table.psi([(1, 0, 0)])
+        assert not table._psi_cache
+
+    def test_a_line_of_another_dimension(self):
+        # the reducer pairs its lines with the pivots unchecked, so it checks
+        # their length at set-up, before it reads psi
+        cone, cmap = Cone([V(1, 0), V(0, 1)]), standard_inner_product(2)
+        for line in ((1, 2, 3), (1,)):
+            with pytest.raises(ValueError, match="^direction dimension mismatch$"):
+                SquarefreeReducer([cone], [(1, 2), line], cmap, 2)
+            with pytest.raises(ValueError, match="^direction dimension mismatch$"):
+                mu_on_line(cone, cmap, Vector(line), 2)
+        assert not cmap._psi_cache

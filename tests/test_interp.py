@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -55,6 +56,7 @@ from oracles import (
     VectorNotInSubspaceError,
     as_ring_element,
     chain_sum,
+    chain_sum_on_line,
     check_walk,
     evaluation_map,
     ideal_generators,
@@ -819,19 +821,19 @@ class TestExplicitChecks:
 
     @staticmethod
     def _perturb(monkeypatch, node, entry):
-        """Move one integer numerator of the node-th line evaluation by 1,
-        after the pole check; returns the list of calls made."""
-        real = interp._chain_sum_on_line
+        """Move one integer numerator of the node-th output row of the batch
+        by 1, after the pole check; returns the list of batches made."""
+        real = interp._chain_sums
         calls = []
 
         def perturbed(*args):
-            nums, den = real(*args)
-            if len(calls) == node:
-                nums[entry] += 1
-            calls.append(args)
-            return nums, den
+            rows = real(*args)
+            if node < len(rows):
+                rows[node][0][entry] += 1
+            calls.append(rows)
+            return rows
 
-        monkeypatch.setattr(interp, "_chain_sum_on_line", perturbed)
+        monkeypatch.setattr(interp, "_chain_sums", perturbed)
         return calls
 
     @pytest.mark.parametrize("k, node, degree", [
@@ -844,14 +846,15 @@ class TestExplicitChecks:
         calls = self._perturb(monkeypatch, node, k + degree)
         with pytest.raises(InconsistentExplicitFormulaError, match="not a polynomial"):
             mu_explicit(cone, cmap, order=3)
-        assert len(calls) > node
+        assert len(calls) == 1 and len(calls[0]) > node
 
     @pytest.mark.parametrize("node", [0, 1])
     def test_n1_second_point(self, monkeypatch, node):
+        # node 1 is the second point y = 2, appended to the one lattice node
         calls = self._perturb(monkeypatch, node, 1 + 2)
         with pytest.raises(InconsistentExplicitFormulaError, match="homogeneous"):
             mu_explicit(Cone([V(-3)]), InnerProductMap(Matrix([[2]])), order=4)
-        assert len(calls) == 2
+        assert len(calls) == 1 and len(calls[0]) == 2
 
 
 def _criterion_4_pairs():
@@ -871,15 +874,69 @@ def _criterion_4_pairs():
 class TestNodes:
     def test_first_shift_matches_full_scan(self):
         # the chain sum's nodes over the criterion-4 pairs at order 5: the
-        # shift and rows of a scan that evaluates every form at every node of
-        # each shift; some pairs reject shift 1, which _nodes leaves early
+        # shift and value columns of a scan that evaluates every form at every
+        # node of each shift; some pairs reject shift 1, which _nodes leaves early
         rejected = 0
         for c, m in _criterion_4_pairs():
             args = (interp._explicit_terms(c, m)[0], c.ambient - 1, 5 + 1)
-            shift, rows = nodes_by_full_scan(*args)
-            assert interp._nodes(*args) == (interp._lattice(*args[1:], shift), rows), (c, m)
+            shift, cols = nodes_by_full_scan(*args)
+            assert interp._nodes(*args) == (interp._lattice(*args[1:], shift), cols), (c, m)
             rejected += shift > 1
         assert rejected
+
+
+def _g_at(own, steps, pq):
+    """g_T per subset T at one node, in Fractions: g_S = 1 and
+    g_T = -sum over T' of g_T' / prod_(c in T' - T) p_c / q_c."""
+    g = [None] * (len(own) - 1) + [Fraction(1)]
+    for t in reversed(range(len(own) - 1)):
+        g[t] = -sum(g[j] / prod(Fraction(*pq[f]) for f in forms) for j, forms in steps[t])
+    return g
+
+
+def _assert_chain_sums_match_oracle(own, steps, cols, qs, k, order):
+    """_chain_sums against the per-node oracle, node by node, as Fractions:
+    a node's denominator may differ where some g_T is 0 there and not at
+    every node, its values may not."""
+    rows = interp._chain_sums(own, steps, cols, qs, k, order)
+    assert len(rows) == len(cols[0])
+    for v, (nums, den) in enumerate(rows):
+        want, w = chain_sum_on_line(own, steps, [(col[v], q) for col, q in zip(cols, qs)],
+                                    k, order)
+        assert den > 0 and len(nums) == len(want) == k + order + 1
+        assert [Fraction(x, den) for x in nums] == [Fraction(x, w) for x in want], v
+
+
+class TestChainSums:
+    """The batched chain sum equals the per-node oracle at every node."""
+
+    def test_criterion_4_pairs(self):
+        for c, m in _criterion_4_pairs():
+            forms, own, steps = interp._explicit_terms(c, m)
+            for order in range(6):
+                _, cols = interp._nodes(forms, c.ambient - 1, order + 1)
+                _assert_chain_sums_match_oracle(own, steps, cols, [q for _, q in forms],
+                                                len(c.generators), order)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(unimodular_cases(), st.integers(0, 4))
+    def test_unimodular_cases(self, case, order):
+        cone, cmap = case
+        forms, own, steps = interp._explicit_terms(cone, cmap)
+        _, cols = interp._nodes(forms, cone.ambient - 1, order + 1)
+        _assert_chain_sums_match_oracle(own, steps, cols, [q for _, q in forms],
+                                        len(cone.generators), order)
+
+    def test_g_vanishing_at_some_nodes(self):
+        # on a cone g_T is a constant over a product of pivot forms, so it
+        # vanishes at no node; values chosen by hand make g_empty
+        # = 1/(p_S1 p_0) + 1/(p_S0 p_1) - 1/(p_S0 p_S1) vanish at node 0 only
+        _, own, steps = interp._explicit_terms(SLANT, IP2)
+        cols, qs = [(2, 1, 3), (2, 1, -5), (1, 1, 2), (3, 1, 7)], [1, 1, 1, 3]
+        g = [_g_at(own, steps, [(col[v], q) for col, q in zip(cols, qs)]) for v in range(3)]
+        assert g[0][0] == 0 and g[1][0] and g[2][0]
+        for order in range(4):
+            _assert_chain_sums_match_oracle(own, steps, cols, qs, 2, order)
 
 
 class TestExplicitRoutes:
